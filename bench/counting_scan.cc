@@ -284,7 +284,8 @@ int main() {
   // kernel, the read dominates), a8/c3 is compute-bound (the overlap hides
   // the whole read). Sync vs double-buffered over identical pages must
   // produce identical counts, as must the columnar v2 layout (the default;
-  // zero-transpose reads) vs the row-major v1 reference copy.
+  // zero-transpose reads) vs a row-major v1 copy (decoded into v2 page
+  // images as its pages load).
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string tmp_base =
       std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
@@ -424,7 +425,8 @@ int main() {
   // Condition Boolean 0 true only in the leading 1% of rows: the v2 zone
   // maps prove nearly every page dead for an all-conditional spec, so the
   // pooled scan skips them wholesale. The pruned plan must still equal
-  // the unpruned bypass reference bit for bit (checksum below), with
+  // the unpruned reference (the same table written without zone maps,
+  // read through a zero-capacity pool) bit for bit (checksum below), with
   // pages_skipped proving the pruning actually fired.
   optrules::bench::PrintHeader(
       "Zone-map pruning (selective condition, 1% true window)");
@@ -435,9 +437,15 @@ int main() {
       cond[i] = 0;
     }
     const std::string selective_path = tmp_base + "_selective.optr";
+    const std::string unpruned_path = tmp_base + "_unpruned.optr";
+    optrules::storage::PagedFileWriterOptions no_zone_maps;
+    no_zone_maps.zone_maps = false;
     OPTRULES_CHECK(
         optrules::storage::WriteRelationToFile(selective, selective_path)
             .ok());
+    OPTRULES_CHECK(optrules::storage::WriteRelationToFile(
+                       selective, unpruned_path, no_zone_maps)
+                       .ok());
     MultiCountSpec spec;
     spec.num_targets = num_boolean;
     spec.conditions.push_back({0});
@@ -448,14 +456,15 @@ int main() {
       channel.condition = 0;
       spec.channels.push_back(std::move(channel));
     }
-    const auto run_selective = [&](optrules::storage::BufferPool* pool,
+    const auto run_selective = [&](const std::string& file_path,
+                                   optrules::storage::BufferPool* pool,
                                    int64_t* pages_skipped) {
       double best = 0.0;
       int64_t checksum_out = 0;
       for (int rep = 0; rep < kReps; ++rep) {
-        EvictFromPageCache(selective_path);
+        EvictFromPageCache(file_path);
         auto source_or = optrules::storage::PagedFileBatchSource::Open(
-            selective_path, optrules::storage::kDefaultBatchRows,
+            file_path, optrules::storage::kDefaultBatchRows,
             optrules::storage::PagedReadMode::kDoubleBuffered, pool);
         OPTRULES_CHECK(source_or.ok());
         MultiCountPlan plan(spec);
@@ -477,15 +486,16 @@ int main() {
       }
       return std::make_pair(best, checksum_out);
     };
+    optrules::storage::BufferPool uncached(0);
     const auto [unpruned_seconds, unpruned_checksum] =
-        run_selective(nullptr, nullptr);
+        run_selective(unpruned_path, &uncached, nullptr);
     optrules::storage::BufferPool pool(
         optrules::storage::kDefaultBufferPoolBytes);
     int64_t pages_skipped = 0;
     const auto [pruned_seconds, pruned_checksum] =
-        run_selective(&pool, &pages_skipped);
+        run_selective(selective_path, &pool, &pages_skipped);
     OPTRULES_CHECK(pruned_checksum == unpruned_checksum);  // pruned == ref
-    std::printf("unpruned bypass:    %8.3f s\n", unpruned_seconds);
+    std::printf("unpruned uncached:  %8.3f s\n", unpruned_seconds);
     std::printf("zone-map pruned:    %8.3f s (%.2fx, %lld pages skipped)\n",
                 pruned_seconds, unpruned_seconds / pruned_seconds,
                 static_cast<long long>(pages_skipped));
@@ -493,6 +503,7 @@ int main() {
     json.Add("selective_pruned_seconds", pruned_seconds);
     json.Add("pages_skipped", pages_skipped);
     std::remove(selective_path.c_str());
+    std::remove(unpruned_path.c_str());
   }
 
   optrules::bench::PrintHeader(

@@ -48,8 +48,8 @@ int main() {
   std::printf("disk table: %s (%lld tuples, 72 B each)\n", table_path.c_str(),
               static_cast<long long>(kRows));
 
-  // Open the disk table as a batch source: column blocks of 4096 tuples,
-  // transposed from the row-major pages as they stream in.
+  // Open the disk table as a batch source: column blocks of up to 4096
+  // tuples, served straight from the columnar pages in the buffer pool.
   auto source_or = optrules::storage::PagedFileBatchSource::Open(table_path);
   if (!source_or.ok()) {
     std::fprintf(stderr, "open failed: %s\n",

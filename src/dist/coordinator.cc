@@ -149,8 +149,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   // Scheduler state, all guarded by `mu`. Results land keyed by partition
   // index and nothing merges until every live partition is done, so the
   // merge below runs strictly in partition order no matter which worker
-  // (or which ATTEMPT -- retries and speculative duplicates produce the
-  // same bits) finished first.
+  // (or which ATTEMPT -- retries produce the same bits) finished first.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<int> pending;  // claimable live partitions, index order
@@ -162,7 +161,6 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   std::vector<int> attempts(static_cast<size_t>(partitions), 0);
   std::vector<int> inflight(static_cast<size_t>(partitions), 0);
   std::vector<char> done(static_cast<size_t>(partitions), 0);
-  std::vector<char> speculated(static_cast<size_t>(partitions), 0);
   std::vector<char> slot_dead(static_cast<size_t>(workers), 0);
   int undone = 0;
   for (int p = 0; p < partitions; ++p) {
@@ -178,66 +176,43 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   int64_t respawned = 0;
   int64_t stolen = 0;
 
-  // What slot w could run right now (mu held). Order of preference: its
-  // own static stride, then -- per scheduling mode -- someone else's
-  // unstarted partition (a steal) or an orphaned/retried partition, then
-  // a speculative duplicate of the in-flight tail.
-  enum class ClaimKind { kNone, kQueued, kSpeculative };
-  struct Claim {
-    ClaimKind kind = ClaimKind::kNone;
-    int partition = -1;
-  };
-  const auto find_claim = [&](int w) -> Claim {
+  // The pending partition slot w could run right now, or -1 (mu held).
+  // Order of preference: its own static stride, then -- per scheduling
+  // mode -- someone else's unstarted partition (a steal) or an
+  // orphaned/retried partition.
+  const auto find_claim = [&](int w) -> int {
     for (const int p : pending) {
-      if (p % workers == w) return {ClaimKind::kQueued, p};
+      if (p % workers == w) return p;
     }
     if (options_.scheduling == ScanScheduling::kWorkQueue) {
-      if (!pending.empty()) return {ClaimKind::kQueued, pending.front()};
+      if (!pending.empty()) return pending.front();
     } else {
       // Strict static schedule: foreign partitions are claimable only as
       // failover -- retries, or stride partitions whose owner slot died.
       for (const int p : pending) {
         if (attempts[static_cast<size_t>(p)] > 0 ||
             slot_dead[static_cast<size_t>(p % workers)] != 0) {
-          return {ClaimKind::kQueued, p};
+          return p;
         }
       }
     }
-    if (options_.speculative_tail && pending.empty()) {
-      for (int p = 0; p < partitions; ++p) {
-        if (done[static_cast<size_t>(p)] == 0 &&
-            dead[static_cast<size_t>(p)] == 0 &&
-            inflight[static_cast<size_t>(p)] == 1 &&
-            speculated[static_cast<size_t>(p)] == 0) {
-          return {ClaimKind::kSpeculative, p};
-        }
-      }
-    }
-    return {};
+    return -1;
   };
 
   const auto serve = [&](int w) {
     for (;;) {
-      Claim claim;
+      int claim = -1;
       int attempt = 0;
       {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] {
-          return failed || undone == 0 ||
-                 find_claim(w).kind != ClaimKind::kNone;
+          return failed || undone == 0 || find_claim(w) >= 0;
         });
         if (failed || undone == 0) return;
         claim = find_claim(w);
-        const size_t p = static_cast<size_t>(claim.partition);
-        if (claim.kind == ClaimKind::kQueued) {
-          pending.erase(
-              std::find(pending.begin(), pending.end(), claim.partition));
-          if (claim.partition % workers != w && attempts[p] == 0) {
-            ++stolen;
-          }
-        } else {
-          speculated[p] = 1;
-        }
+        const size_t p = static_cast<size_t>(claim);
+        pending.erase(std::find(pending.begin(), pending.end(), claim));
+        if (claim % workers != w && attempts[p] == 0) ++stolen;
         attempt = attempts[p];
         ++inflight[p];
       }
@@ -259,24 +234,24 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
         // any spans the in-process scan below creates) under the scan.
         obs::ScopedParent span_parent(scan_span_id);
         obs::Span partition_span("dist.partition");
-        partition_span.AddAttribute(
-            "partition", static_cast<double>(claim.partition));
+        partition_span.AddAttribute("partition",
+                                    static_cast<double>(claim));
         partition_span.AddAttribute("worker", static_cast<double>(w));
         partition_span.AddAttribute("attempt", static_cast<double>(attempt));
         return roster_[static_cast<size_t>(w)]->CountPartition(
-            table_->PartitionPath(claim.partition), scan_spec,
+            table_->PartitionPath(claim), scan_spec,
             &attempt_stats);
       }();
       DistMetrics::Get().partition_scan_seconds->Observe(
           attempt_timer.ElapsedSeconds());
 
       std::unique_lock<std::mutex> lock(mu);
-      const size_t p = static_cast<size_t>(claim.partition);
+      const size_t p = static_cast<size_t>(claim);
       --inflight[p];
       if (partial.ok()) {
-        // First bit-exact partial wins; a duplicate (speculative run, or
-        // a retry racing its predecessor) is identical by construction
-        // and is discarded, never double-merged.
+        // First bit-exact partial wins; a duplicate (a retry racing its
+        // predecessor) is identical by construction and is discarded,
+        // never double-merged.
         if (done[p] == 0) {
           done[p] = 1;
           partials[p].emplace(std::move(partial).value());
@@ -292,7 +267,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
         if (retryable && attempts[p] < options_.max_partition_attempts) {
           // Head of the queue: a wounded partition re-dispatches before
           // fresh work so its backoff clock starts immediately.
-          pending.push_front(claim.partition);
+          pending.push_front(claim);
           ++retries;
           cv.notify_all();
         } else if (inflight[p] == 0) {
@@ -379,7 +354,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   }
 
   // Deterministic merge: fixed partition order, independent of worker
-  // scheduling, retries, and speculation. Pruned partitions enter as
+  // scheduling and retries. Pruned partitions enter as
   // pure row-count additions.
   int64_t scanned = 0;
   for (int p = 0; p < partitions; ++p) {

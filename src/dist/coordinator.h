@@ -17,10 +17,10 @@
 // (error frame, dead pipe, crashed or hung daemon) is simply re-run -- on
 // a surviving worker, or on a freshly respawned daemon when the failed
 // worker's transport broke -- and every re-run produces the same bits, so
-// retries, work stealing, and speculative duplicates never change the
-// merged result. Scheduling decides only WHO scans a partition and WHEN;
-// the merge consumes exactly one partial per live partition, in partition
-// order, no matter how many attempts produced it.
+// retries and work stealing never change the merged result. Scheduling
+// decides only WHO scans a partition and WHEN; the merge consumes exactly
+// one partial per live partition, in partition order, no matter how many
+// attempts produced it.
 
 #ifndef OPTRULES_DIST_COORDINATOR_H_
 #define OPTRULES_DIST_COORDINATOR_H_
@@ -88,10 +88,6 @@ struct DistributedScanOptions {
   /// heartbeat every ~100 ms mid-scan); 0 = none. A hung daemon is
   /// SIGKILLed, reaped, and its partition retried.
   int64_t liveness_timeout_ms = 10'000;
-  /// When the pending queue drains, idle slots may re-run the still
-  /// in-flight tail partition; the first bit-exact partial wins and
-  /// duplicates are discarded, so this only cuts tail latency.
-  bool speculative_tail = false;
   /// Test/bench hook: when set, every worker (initial roster and
   /// respawns) comes from this factory instead of worker_kind.
   std::function<Result<std::unique_ptr<ScanWorker>>()> worker_factory;

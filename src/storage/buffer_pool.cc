@@ -278,16 +278,11 @@ BufferPool::Stats BufferPool::stats() const {
 }
 
 BufferPool* BufferPool::Default() {
-  static BufferPool* pool = []() -> BufferPool* {
-    // Strict parse: "64abc" and "-1" are rejected (warning + 64 MiB
-    // default), never half-parsed into a bogus budget. "0" = bypass.
-    const size_t bytes = static_cast<size_t>(env::ReadEnvNonNegativeInt(
-        "OPTRULES_BUFFER_POOL_BYTES", kDefaultBufferPoolBytes));
-    if (bytes == 0) return nullptr;
-    static BufferPool instance(bytes);
-    return &instance;
-  }();
-  return pool;
+  // Strict parse: "64abc" and "-1" are rejected (warning + 64 MiB default),
+  // never half-parsed into a bogus budget. "0" = a zero-capacity pool.
+  static BufferPool instance(static_cast<size_t>(env::ReadEnvNonNegativeInt(
+      "OPTRULES_BUFFER_POOL_BYTES", kDefaultBufferPoolBytes)));
+  return &instance;
 }
 
 }  // namespace optrules::storage

@@ -22,8 +22,9 @@
 //
 // Capacity is a SOFT budget: pinned frames are never evicted, so when the
 // working set of simultaneously pinned pages exceeds the budget the pool
-// overshoots instead of deadlocking (a capacity-1 pool still serves any
-// number of concurrent readers; it just stops caching).
+// overshoots instead of deadlocking (a zero-capacity pool still serves any
+// number of concurrent readers; it evicts each frame when its last pin
+// drops, so it caches nothing).
 //
 // Files are identified by stat identity (device, inode, size, mtime):
 // re-registering a path whose identity changed -- e.g. a writer truncated
@@ -131,8 +132,8 @@ class BufferPool {
   Stats stats() const;
 
   /// The process-wide pool configured by OPTRULES_BUFFER_POOL_BYTES
-  /// (unset -> 64 MiB; "0" -> nullptr = pooling bypassed, the reference
-  /// read path). The environment is read once, on first use.
+  /// (unset -> 64 MiB; "0" -> a zero-capacity pool that caches nothing).
+  /// Never nullptr. The environment is read once, on first use.
   static BufferPool* Default();
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -21,7 +20,7 @@ void RecordIoWait(std::atomic<double>* accum, double seconds) {
       obs::MetricsRegistry::Default().GetHistogram(
           "storage.page_io_wait_seconds");
   hist->Observe(seconds);
-  if (accum != nullptr) accum->fetch_add(seconds);
+  accum->fetch_add(seconds);
 }
 
 obs::Counter* PagesSkippedCounter() {
@@ -138,390 +137,13 @@ std::unique_ptr<BatchReader> RelationBatchSource::CreateRangeReader(
 
 namespace {
 
-/// Seeks to an absolute byte offset in chunks that fit a 32-bit long, so
-/// shard offsets in files beyond 2 GiB work on every platform (plain
-/// fseek takes a long, which is 32 bits on some targets).
-void SeekToOffset(std::FILE* file, uint64_t offset) {
-  OPTRULES_CHECK(std::fseek(file, 0, SEEK_SET) == 0);
-  constexpr uint64_t kChunk = 1u << 30;
-  while (offset > 0) {
-    const uint64_t step = std::min(offset, kChunk);
-    OPTRULES_CHECK(std::fseek(file, static_cast<long>(step), SEEK_CUR) == 0);
-    offset -= step;
-  }
-}
-
-/// Reads fixed-width rows page-wise and transposes them into owned column
-/// buffers. Each reader has its own FILE handle, so sharded readers can
-/// stream concurrently.
-///
-/// In kDoubleBuffered mode a per-reader prefetch thread prepares page N+1
-/// (fread AND transpose, into its own slot of a two-slot ring) while the
-/// caller computes over page N's columns, so the whole per-page
-/// read+transpose cost overlaps with compute. The counters enforce
-/// produced_ - consumed_ <= 2 with the consumer holding slot consumed_ % 2
-/// and the producer filling produced_ % 2, so the threads are always in
-/// disjoint slots; a consumed slot is released only on the NEXT Next()
-/// call, because the batch spans handed to the caller alias the slot's
-/// column buffers and must stay valid until then. Batches are
-/// bit-identical across both modes.
-class PagedFileBatchReader : public BatchReader {
- public:
-  PagedFileBatchReader(std::FILE* file, const PagedFileInfo& info,
-                       int64_t begin, int64_t end, int64_t batch_rows,
-                       PagedReadMode mode, std::atomic<double>* io_wait_accum)
-      : file_(file),
-        info_(info),
-        position_(begin),
-        end_(end),
-        batch_rows_(batch_rows),
-        mode_(mode),
-        io_wait_accum_(io_wait_accum) {
-    const size_t slots =
-        mode_ == PagedReadMode::kDoubleBuffered ? 2 : 1;
-    slots_.resize(slots);
-    for (PageSlot& slot : slots_) {
-      slot.page.resize(static_cast<size_t>(batch_rows) * info_.row_bytes);
-      slot.numeric.assign(
-          static_cast<size_t>(info_.num_numeric),
-          std::vector<double>(static_cast<size_t>(batch_rows)));
-      slot.boolean.assign(
-          static_cast<size_t>(info_.num_boolean),
-          std::vector<uint8_t>(static_cast<size_t>(batch_rows)));
-    }
-    if (mode_ == PagedReadMode::kDoubleBuffered && position_ < end_) {
-      prefetcher_ = std::thread([this] { PrefetchLoop(); });
-    }
-  }
-
-  ~PagedFileBatchReader() override {
-    if (prefetcher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-      }
-      slot_free_cv_.notify_all();
-      prefetcher_.join();
-    }
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  bool Next(ColumnarBatch* batch) override {
-    if (position_ >= end_) return false;
-    const int64_t want = std::min(batch_rows_, end_ - position_);
-    const PageSlot* slot = nullptr;
-    if (mode_ == PagedReadMode::kDoubleBuffered) {
-      {
-        WallTimer wait_timer;
-        std::unique_lock<std::mutex> lock(mu_);
-        // Release the previously held slot (its spans die with this call)
-        // and wait for the prefetcher to publish the next one.
-        if (holding_slot_) {
-          ++consumed_;
-          slot_free_cv_.notify_all();
-        }
-        slot_ready_cv_.wait(lock, [&] { return produced_ > consumed_; });
-        holding_slot_ = true;
-        RecordIoWait(io_wait_accum_, wait_timer.ElapsedSeconds());
-      }
-      slot = &slots_[static_cast<size_t>(consumed_ % 2)];
-      OPTRULES_CHECK(slot->rows == want);
-    } else {
-      PageSlot& mine = slots_[0];
-      WallTimer read_timer;
-      const size_t got = std::fread(mine.page.data(), info_.row_bytes,
-                                    static_cast<size_t>(want), file_);
-      RecordIoWait(io_wait_accum_, read_timer.ElapsedSeconds());
-      // end_ is bounded by the header's row count, so a short read means a
-      // truncated or failing file; silently accepting it would merge
-      // partial counts with no diagnostic.
-      OPTRULES_CHECK(got == static_cast<size_t>(want));
-      mine.rows = want;
-      Transpose(&mine);
-      slot = &mine;
-    }
-    batch->Reset(info_.num_numeric, info_.num_boolean);
-    batch->SetRows(want);
-    for (int i = 0; i < info_.num_numeric; ++i) {
-      batch->SetNumeric(
-          i, std::span<const double>(slot->numeric[static_cast<size_t>(i)])
-                 .first(static_cast<size_t>(want)));
-    }
-    for (int i = 0; i < info_.num_boolean; ++i) {
-      batch->SetBoolean(
-          i, std::span<const uint8_t>(slot->boolean[static_cast<size_t>(i)])
-                 .first(static_cast<size_t>(want)));
-    }
-    position_ += want;
-    return true;
-  }
-
- private:
-  struct PageSlot {
-    std::vector<uint8_t> page;  ///< row-major staging buffer
-    std::vector<std::vector<double>> numeric;
-    std::vector<std::vector<uint8_t>> boolean;
-    int64_t rows = 0;
-  };
-
-  /// Prefetch thread: reads and transposes every page of [begin, end)
-  /// into the two-slot ring, staying at most one page ahead of the
-  /// consumer.
-  void PrefetchLoop() {
-    int64_t remaining = end_ - position_;
-    while (remaining > 0) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        slot_free_cv_.wait(
-            lock, [&] { return stop_ || produced_ - consumed_ < 2; });
-        if (stop_) return;
-      }
-      PageSlot& slot = slots_[static_cast<size_t>(produced_ % 2)];
-      const int64_t want = std::min(batch_rows_, remaining);
-      const size_t got = std::fread(slot.page.data(), info_.row_bytes,
-                                    static_cast<size_t>(want), file_);
-      // Same truncation policy as the synchronous path.
-      OPTRULES_CHECK(got == static_cast<size_t>(want));
-      slot.rows = want;
-      Transpose(&slot);
-      remaining -= want;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++produced_;
-      }
-      slot_ready_cv_.notify_all();
-    }
-  }
-
-  /// Transposes the slot's row-major page into its column buffers.
-  void Transpose(PageSlot* slot) {
-    const size_t boolean_offset =
-        static_cast<size_t>(info_.num_numeric) * sizeof(double);
-    for (int64_t r = 0; r < slot->rows; ++r) {
-      const uint8_t* row =
-          slot->page.data() + static_cast<size_t>(r) * info_.row_bytes;
-      for (int i = 0; i < info_.num_numeric; ++i) {
-        std::memcpy(
-            &slot->numeric[static_cast<size_t>(i)][static_cast<size_t>(r)],
-            row + static_cast<size_t>(i) * sizeof(double), sizeof(double));
-      }
-      for (int i = 0; i < info_.num_boolean; ++i) {
-        slot->boolean[static_cast<size_t>(i)][static_cast<size_t>(r)] =
-            row[boolean_offset + static_cast<size_t>(i)];
-      }
-    }
-  }
-
-  std::FILE* file_;
-  PagedFileInfo info_;
-  int64_t position_;
-  int64_t end_;
-  int64_t batch_rows_;
-  PagedReadMode mode_;
-  // Double-buffer state. produced_/consumed_ are page counters guarded by
-  // mu_; the slot contents need no lock because the counters keep the two
-  // threads in disjoint slots, and the counter handoff under mu_ publishes
-  // the slot contents (release/acquire via the mutex).
-  std::vector<PageSlot> slots_;
-  std::mutex mu_;
-  std::condition_variable slot_ready_cv_;
-  std::condition_variable slot_free_cv_;
-  int64_t produced_ = 0;
-  int64_t consumed_ = 0;
-  bool holding_slot_ = false;
-  bool stop_ = false;
-  std::thread prefetcher_;
-  std::atomic<double>* io_wait_accum_;
-};
-
-/// Zero-transpose reader over a columnar v2 file. A slot holds one raw
-/// on-disk page; batches are spans pointing directly into its column runs
-/// (offset by the batch's position inside the page), so there is no
-/// per-row work at all between fread and the counting kernels. Batches
-/// clamp to page boundaries -- counting results are independent of batch
-/// splits (row order is preserved), so this is invisible to consumers.
-///
-/// The consumer holds the slot containing its current page across multiple
-/// Next() calls (batch_rows is usually much smaller than rows_per_page)
-/// and releases it only when position_ crosses into the next page; the
-/// double-buffered prefetch thread stays one PAGE ahead (not one batch),
-/// reading raw pages with zero processing on either side of the handoff.
-/// The produced_/consumed_ counter protocol is the same as the v1
-/// reader's.
-class PagedFileV2BatchReader : public BatchReader {
- public:
-  PagedFileV2BatchReader(std::FILE* file, const PagedFileInfo& info,
-                         int64_t begin, int64_t end, int64_t batch_rows,
-                         PagedReadMode mode,
-                         std::atomic<double>* io_wait_accum)
-      : file_(file),
-        info_(info),
-        position_(begin),
-        end_(end),
-        batch_rows_(batch_rows),
-        mode_(mode),
-        io_wait_accum_(io_wait_accum),
-        next_page_to_read_(begin /
-                           static_cast<int64_t>(info.rows_per_page)) {
-    OPTRULES_CHECK(info_.format_version == 2);
-    const size_t slots =
-        mode_ == PagedReadMode::kDoubleBuffered ? 2 : 1;
-    slots_.resize(slots);
-    for (PageSlot& slot : slots_) {
-      slot.page.resize(info_.page_stride());
-    }
-    if (mode_ == PagedReadMode::kDoubleBuffered && position_ < end_) {
-      prefetcher_ = std::thread([this] { PrefetchLoop(); });
-    }
-  }
-
-  ~PagedFileV2BatchReader() override {
-    if (prefetcher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-      }
-      slot_free_cv_.notify_all();
-      prefetcher_.join();
-    }
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  bool Next(ColumnarBatch* batch) override {
-    if (position_ >= end_) return false;
-    const auto rpp = static_cast<int64_t>(info_.rows_per_page);
-    const int64_t page = position_ / rpp;
-    if (!holding_slot_ || held_page_ != page) AcquirePage(page);
-    const PageSlot& slot = slots_[static_cast<size_t>(held_slot_)];
-    const int64_t in_page = position_ - page * rpp;
-    const int64_t want = std::min(
-        {batch_rows_, end_ - position_, slot.rows - in_page});
-    OPTRULES_CHECK(want > 0);
-    const uint8_t* base = slot.page.data();
-    batch->Reset(info_.num_numeric, info_.num_boolean);
-    batch->SetRows(want);
-    for (int c = 0; c < info_.num_numeric; ++c) {
-      // The run is 8-byte aligned: the directory is padded to 8 bytes and
-      // the page buffer is allocator-aligned.
-      const auto* run = reinterpret_cast<const double*>(
-          base + info_.numeric_run_offset(c));
-      batch->SetNumeric(
-          c, std::span<const double>(run + in_page,
-                                     static_cast<size_t>(want)));
-    }
-    for (int b = 0; b < info_.num_boolean; ++b) {
-      batch->SetBoolean(
-          b, std::span<const uint8_t>(
-                 base + info_.boolean_run_offset(b) + in_page,
-                 static_cast<size_t>(want)));
-    }
-    position_ += want;
-    return true;
-  }
-
- private:
-  struct PageSlot {
-    std::vector<uint8_t> page;  ///< one raw on-disk page (page_stride bytes)
-    int64_t page_index = -1;
-    int64_t rows = 0;  ///< rows stored in this page (partial last page)
-  };
-
-  /// Reads the next sequential page into `slot` (the file position is
-  /// always at the next unread page -- pages are consumed strictly in
-  /// order). Pages are full-stride on disk even when partially filled.
-  void ReadPage(PageSlot* slot) {
-    WallTimer read_timer;
-    const size_t got =
-        std::fread(slot->page.data(), 1, slot->page.size(), file_);
-    const double elapsed = read_timer.ElapsedSeconds();
-    OPTRULES_CHECK(got == slot->page.size());
-    slot->page_index = next_page_to_read_;
-    slot->rows = info_.rows_in_page(next_page_to_read_);
-    const Status valid = ValidateV2Page(info_, slot->page_index, slot->page);
-    OPTRULES_CHECK(valid.ok());
-    ++next_page_to_read_;
-    if (mode_ == PagedReadMode::kSynchronous) {
-      RecordIoWait(io_wait_accum_, elapsed);
-    }
-  }
-
-  /// Makes `page` the held slot: releases the previous page's slot and
-  /// either reads the page synchronously or waits for the prefetcher.
-  void AcquirePage(int64_t page) {
-    if (mode_ == PagedReadMode::kSynchronous) {
-      ReadPage(&slots_[0]);
-      held_slot_ = 0;
-    } else {
-      WallTimer wait_timer;
-      std::unique_lock<std::mutex> lock(mu_);
-      if (holding_slot_) {
-        ++consumed_;
-        slot_free_cv_.notify_all();
-      }
-      slot_ready_cv_.wait(lock, [&] { return produced_ > consumed_; });
-      RecordIoWait(io_wait_accum_, wait_timer.ElapsedSeconds());
-      held_slot_ = static_cast<int>(consumed_ % 2);
-    }
-    holding_slot_ = true;
-    held_page_ = page;
-    OPTRULES_CHECK(
-        slots_[static_cast<size_t>(held_slot_)].page_index == page);
-  }
-
-  /// Prefetch thread: reads every page covering [begin, end) into the
-  /// two-slot ring, staying at most one page ahead of the consumer.
-  void PrefetchLoop() {
-    const auto rpp = static_cast<int64_t>(info_.rows_per_page);
-    const int64_t last_page = (end_ - 1) / rpp;
-    for (int64_t page = next_page_to_read_; page <= last_page; ++page) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        slot_free_cv_.wait(
-            lock, [&] { return stop_ || produced_ - consumed_ < 2; });
-        if (stop_) return;
-      }
-      ReadPage(&slots_[static_cast<size_t>(produced_ % 2)]);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++produced_;
-      }
-      slot_ready_cv_.notify_all();
-    }
-  }
-
-  std::FILE* file_;
-  PagedFileInfo info_;
-  int64_t position_;
-  int64_t end_;
-  int64_t batch_rows_;
-  PagedReadMode mode_;
-  std::atomic<double>* io_wait_accum_;
-  /// Next sequential page the file position points at. Owned by the
-  /// reading side: the consumer in synchronous mode, the prefetch thread
-  /// in double-buffered mode (which reads its initial value before the
-  /// consumer ever touches a slot).
-  int64_t next_page_to_read_;
-  std::vector<PageSlot> slots_;
-  std::mutex mu_;
-  std::condition_variable slot_ready_cv_;
-  std::condition_variable slot_free_cv_;
-  int64_t produced_ = 0;
-  int64_t consumed_ = 0;
-  bool holding_slot_ = false;
-  int held_slot_ = 0;
-  int64_t held_page_ = -1;
-  bool stop_ = false;
-  std::thread prefetcher_;
-};
-
-// ------------------------------------------------- pooled read path ----
-
-/// Everything a pooled reader needs from its source: where the pages live,
+/// Everything a paged reader needs from its source: where the pages live,
 /// how to identify them in the pool, what may be pruned, and where to
 /// accumulate the counters when the reader dies.
-struct PooledReaderContext {
+struct PagedReaderContext {
   std::string path;
-  PagedFileInfo info;
+  PagedFileInfo info;  ///< on-disk header (what ReadPageImage decodes)
+  PagedFileInfo geom;  ///< ScanGeometry(info): the layout of every frame
   BufferPool* pool = nullptr;
   uint64_t file_id = 0;
   std::shared_ptr<const ZoneMapIndex> zones;
@@ -536,7 +158,7 @@ struct PooledReaderContext {
 /// prune spec beyond its row count: a numeric column "has a value" iff its
 /// zone-map bounds are non-sentinel (min <= max), a Boolean column "has a
 /// true row" iff its max byte is 1.
-bool PageIsDead(const PooledReaderContext& ctx, int64_t page) {
+bool PageIsDead(const PagedReaderContext& ctx, int64_t page) {
   if (ctx.zones == nullptr || ctx.prune == nullptr || ctx.prune->empty()) {
     return false;
   }
@@ -547,35 +169,37 @@ bool PageIsDead(const PooledReaderContext& ctx, int64_t page) {
       [&](int b) { return z.BooleanMax(page, b) != 0; });
 }
 
-/// Zero-transpose reader over a columnar v2 file whose pages flow through
-/// the shared BufferPool. The reader PINS the frame holding its current
-/// page and serves batch spans pointing straight into the pinned bytes --
-/// the pin is released only when the scan crosses into the next page, so
-/// spans outlive the Next() call that produced them exactly as in the
-/// private-buffer reader. Pages the installed ScanPruneSpec proves dead
-/// are skipped without touching the pool (their rows are accounted via
-/// pruned_rows()).
+/// Zero-transpose reader over a PagedFile whose pages flow through the
+/// BufferPool. Every frame holds a v2 page image (ReadPageImage decodes v1
+/// blocks at load), so batches are spans pointing straight into the
+/// column runs of the PINNED frame -- the pin is released only when the
+/// scan crosses into the next page, so spans outlive the Next() call that
+/// produced them. Batches clamp to page boundaries (counting results are
+/// independent of batch splits). Pages the installed ScanPruneSpec proves
+/// dead are skipped without touching the pool (their rows are accounted
+/// via pruned_rows()).
 ///
 /// In kDoubleBuffered mode a per-reader prefetch thread with its own FILE
 /// handle walks the same live-page sequence one page ahead of the consumer
 /// and issues BufferPool::Prefetch hints; the pool's loading-frame
 /// protocol makes the consumer's later Fetch wait on the in-flight load
-/// instead of re-reading, which is what turns the old private two-slot
-/// ring into shared cache warming. Pacing is by live-page ORDINAL (pruned
-/// pages are invisible to it), so a long dead stretch cannot stall the
-/// prefetcher behind page-number arithmetic.
-class PooledV2BatchReader : public BatchReader {
+/// instead of re-reading. Pacing is by live-page ORDINAL (pruned pages are
+/// invisible to it), so a long dead stretch cannot stall the prefetcher
+/// behind page-number arithmetic. A zero-capacity pool gets no hints: a
+/// hinted frame would be evicted before the consumer could pin it.
+class PagedFileBatchReader : public BatchReader {
  public:
-  PooledV2BatchReader(PooledReaderContext ctx, std::FILE* file, int64_t begin,
-                      int64_t end, int64_t batch_rows, PagedReadMode mode)
+  PagedFileBatchReader(PagedReaderContext ctx, std::FILE* file,
+                       int64_t begin, int64_t end, int64_t batch_rows,
+                       PagedReadMode mode)
       : ctx_(std::move(ctx)),
         file_(file),
         begin_(begin),
         position_(begin),
         end_(end),
         batch_rows_(batch_rows) {
-    OPTRULES_CHECK(ctx_.info.format_version == 2);
-    if (mode == PagedReadMode::kDoubleBuffered && position_ < end_) {
+    if (mode == PagedReadMode::kDoubleBuffered &&
+        ctx_.pool->capacity_bytes() > 0 && position_ < end_) {
       prefetch_file_ = std::fopen(ctx_.path.c_str(), "rb");
       if (prefetch_file_ != nullptr) {
         prefetcher_ = std::thread([this] { PrefetchLoop(); });
@@ -583,7 +207,7 @@ class PooledV2BatchReader : public BatchReader {
     }
   }
 
-  ~PooledV2BatchReader() override {
+  ~PagedFileBatchReader() override {
     if (prefetcher_.joinable()) {
       {
         std::lock_guard<std::mutex> lock(pf_mu_);
@@ -594,20 +218,19 @@ class PooledV2BatchReader : public BatchReader {
     }
     if (prefetch_file_ != nullptr) std::fclose(prefetch_file_);
     pin_.Reset();
-    if (file_ != nullptr) std::fclose(file_);
-    if (ctx_.hits_accum != nullptr) ctx_.hits_accum->fetch_add(hits_);
-    if (ctx_.misses_accum != nullptr) ctx_.misses_accum->fetch_add(misses_);
-    if (ctx_.skipped_accum != nullptr) {
-      ctx_.skipped_accum->fetch_add(pages_skipped_);
-    }
+    std::fclose(file_);
+    ctx_.hits_accum->fetch_add(hits_);
+    ctx_.misses_accum->fetch_add(misses_);
+    ctx_.skipped_accum->fetch_add(pages_skipped_);
   }
 
   bool Next(ColumnarBatch* batch) override {
-    const auto rpp = static_cast<int64_t>(ctx_.info.rows_per_page);
+    const PagedFileInfo& geom = ctx_.geom;
+    const auto rpp = static_cast<int64_t>(geom.rows_per_page);
     while (position_ < end_) {
       const int64_t page = position_ / rpp;
       const int64_t page_limit =
-          std::min(end_, page * rpp + ctx_.info.rows_in_page(page));
+          std::min(end_, page * rpp + geom.rows_in_page(page));
       if (PageIsDead(ctx_, page)) {
         pruned_rows_ += page_limit - position_;
         ++pages_skipped_;
@@ -620,18 +243,20 @@ class PooledV2BatchReader : public BatchReader {
       const int64_t want = std::min(batch_rows_, page_limit - position_);
       OPTRULES_CHECK(want > 0);
       const uint8_t* base = pin_.data();
-      batch->Reset(ctx_.info.num_numeric, ctx_.info.num_boolean);
+      batch->Reset(geom.num_numeric, geom.num_boolean);
       batch->SetRows(want);
-      for (int c = 0; c < ctx_.info.num_numeric; ++c) {
-        const auto* run = reinterpret_cast<const double*>(
-            base + ctx_.info.numeric_run_offset(c));
+      for (int c = 0; c < geom.num_numeric; ++c) {
+        // The run is 8-byte aligned: the directory is padded to 8 bytes and
+        // the frame buffer is allocator-aligned.
+        const auto* run =
+            reinterpret_cast<const double*>(base + geom.numeric_run_offset(c));
         batch->SetNumeric(c, std::span<const double>(
                                  run + in_page, static_cast<size_t>(want)));
       }
-      for (int b = 0; b < ctx_.info.num_boolean; ++b) {
+      for (int b = 0; b < geom.num_boolean; ++b) {
         batch->SetBoolean(
             b, std::span<const uint8_t>(
-                   base + ctx_.info.boolean_run_offset(b) + in_page,
+                   base + geom.boolean_run_offset(b) + in_page,
                    static_cast<size_t>(want)));
       }
       position_ += want;
@@ -646,16 +271,10 @@ class PooledV2BatchReader : public BatchReader {
   /// Loader for page `page` reading through `file` (the consumer's handle
   /// or the prefetcher's -- each thread only ever passes its own).
   BufferPool::Loader MakeLoader(std::FILE* file, int64_t page) {
-    const size_t stride = ctx_.info.page_stride();
-    return [this, file, page, stride](uint8_t* dest) -> Status {
-      SeekToOffset(file, static_cast<uint64_t>(ctx_.info.header_bytes) +
-                             static_cast<uint64_t>(page) * stride);
-      if (std::fread(dest, 1, stride, file) != stride) {
-        return Status::IoError("short read of page " +
-                               std::to_string(page) + " in " + ctx_.path);
-      }
-      return ValidateV2Page(ctx_.info, page,
-                            std::span<const uint8_t>(dest, stride));
+    return [this, file, page](uint8_t* dest) {
+      return ReadPageImage(
+          ctx_.info, file, page,
+          std::span<uint8_t>(dest, ctx_.geom.page_stride()));
     };
   }
 
@@ -663,11 +282,11 @@ class PooledV2BatchReader : public BatchReader {
     WallTimer wait_timer;
     bool was_hit = false;
     Result<BufferPool::Pin> pin =
-        ctx_.pool->Fetch(ctx_.file_id, page, ctx_.info.page_stride(),
+        ctx_.pool->Fetch(ctx_.file_id, page, ctx_.geom.page_stride(),
                          MakeLoader(file_, page), &was_hit);
     // end_ is bounded by the header's row count, so a failed load means a
     // truncated or corrupt file; silently accepting it would merge partial
-    // counts with no diagnostic (same policy as the unpooled readers).
+    // counts with no diagnostic.
     OPTRULES_CHECK(pin.ok());
     pin_ = std::move(pin.value());
     pinned_page_ = page;
@@ -689,7 +308,7 @@ class PooledV2BatchReader : public BatchReader {
   /// Prefetch thread: warms the pool with every live page of [begin, end)
   /// in scan order, at most one live page past what the consumer pinned.
   void PrefetchLoop() {
-    const auto rpp = static_cast<int64_t>(ctx_.info.rows_per_page);
+    const auto rpp = static_cast<int64_t>(ctx_.geom.rows_per_page);
     const int64_t first_page = begin_ / rpp;
     const int64_t last_page = (end_ - 1) / rpp;
     int64_t ordinal = 0;  // index into the live-page sequence
@@ -702,13 +321,13 @@ class PooledV2BatchReader : public BatchReader {
         });
         if (stop_) return;
       }
-      ctx_.pool->Prefetch(ctx_.file_id, page, ctx_.info.page_stride(),
+      ctx_.pool->Prefetch(ctx_.file_id, page, ctx_.geom.page_stride(),
                           MakeLoader(prefetch_file_, page));
       ++ordinal;
     }
   }
 
-  PooledReaderContext ctx_;
+  PagedReaderContext ctx_;
   std::FILE* file_;
   const int64_t begin_;  ///< immutable; the prefetch thread reads it
   int64_t position_;
@@ -731,224 +350,27 @@ class PooledV2BatchReader : public BatchReader {
   std::thread prefetcher_;
 };
 
-/// Pooled reader over a row-major v1 file. v1 has no page geometry, so the
-/// reader imposes one: fixed BLOCKS of rows (a pure function of the row
-/// width, so every reader of the file agrees on block boundaries and the
-/// pool can share frames across readers and sessions), cached in the pool
-/// keyed by block index. The consumer pins its current block and
-/// transposes batch-sized slices into owned column buffers; batches clamp
-/// to block boundaries (counting results are independent of batch splits).
-/// v1 files carry no zone maps, so there is no pruning here. Prefetch
-/// pacing mirrors the v2 reader, minus the pruning.
-class PooledV1BatchReader : public BatchReader {
- public:
-  /// Rows per cached block: the v1 analogue of AutoRowsPerPage's ~1 MiB
-  /// target, clamped to [256, 65536].
-  static int64_t BlockRows(size_t row_bytes) {
-    const auto rows = static_cast<int64_t>((size_t{1} << 20) / row_bytes);
-    return std::clamp<int64_t>(rows, 256, 65536);
-  }
-
-  PooledV1BatchReader(PooledReaderContext ctx, std::FILE* file, int64_t begin,
-                      int64_t end, int64_t batch_rows, PagedReadMode mode)
-      : ctx_(std::move(ctx)),
-        file_(file),
-        begin_(begin),
-        position_(begin),
-        end_(end),
-        batch_rows_(batch_rows),
-        block_rows_(BlockRows(ctx_.info.row_bytes)) {
-    OPTRULES_CHECK(ctx_.info.format_version == 1);
-    numeric_.assign(static_cast<size_t>(ctx_.info.num_numeric),
-                    std::vector<double>(static_cast<size_t>(batch_rows)));
-    boolean_.assign(static_cast<size_t>(ctx_.info.num_boolean),
-                    std::vector<uint8_t>(static_cast<size_t>(batch_rows)));
-    if (mode == PagedReadMode::kDoubleBuffered && position_ < end_) {
-      prefetch_file_ = std::fopen(ctx_.path.c_str(), "rb");
-      if (prefetch_file_ != nullptr) {
-        prefetcher_ = std::thread([this] { PrefetchLoop(); });
-      }
-    }
-  }
-
-  ~PooledV1BatchReader() override {
-    if (prefetcher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(pf_mu_);
-        stop_ = true;
-      }
-      pf_cv_.notify_all();
-      prefetcher_.join();
-    }
-    if (prefetch_file_ != nullptr) std::fclose(prefetch_file_);
-    pin_.Reset();
-    if (file_ != nullptr) std::fclose(file_);
-    if (ctx_.hits_accum != nullptr) ctx_.hits_accum->fetch_add(hits_);
-    if (ctx_.misses_accum != nullptr) ctx_.misses_accum->fetch_add(misses_);
-  }
-
-  bool Next(ColumnarBatch* batch) override {
-    if (position_ >= end_) return false;
-    const int64_t block = position_ / block_rows_;
-    if (!pin_ || pinned_block_ != block) PinBlock(block);
-    const int64_t block_limit =
-        std::min(end_, std::min((block + 1) * block_rows_,
-                                ctx_.info.num_rows));
-    const int64_t want = std::min(batch_rows_, block_limit - position_);
-    OPTRULES_CHECK(want > 0);
-    const int64_t in_block = position_ - block * block_rows_;
-    Transpose(in_block, want);
-    batch->Reset(ctx_.info.num_numeric, ctx_.info.num_boolean);
-    batch->SetRows(want);
-    for (int i = 0; i < ctx_.info.num_numeric; ++i) {
-      batch->SetNumeric(
-          i, std::span<const double>(numeric_[static_cast<size_t>(i)])
-                 .first(static_cast<size_t>(want)));
-    }
-    for (int i = 0; i < ctx_.info.num_boolean; ++i) {
-      batch->SetBoolean(
-          i, std::span<const uint8_t>(boolean_[static_cast<size_t>(i)])
-                 .first(static_cast<size_t>(want)));
-    }
-    position_ += want;
-    return true;
-  }
-
- private:
-  /// Rows stored in `block` (only the last block of the file is partial).
-  int64_t RowsInBlock(int64_t block) const {
-    return std::min(block_rows_,
-                    ctx_.info.num_rows - block * block_rows_);
-  }
-
-  BufferPool::Loader MakeLoader(std::FILE* file, int64_t block) {
-    const size_t bytes =
-        static_cast<size_t>(RowsInBlock(block)) * ctx_.info.row_bytes;
-    return [this, file, block, bytes](uint8_t* dest) -> Status {
-      SeekToOffset(file,
-                   static_cast<uint64_t>(ctx_.info.header_bytes) +
-                       static_cast<uint64_t>(block * block_rows_) *
-                           ctx_.info.row_bytes);
-      if (std::fread(dest, 1, bytes, file) != bytes) {
-        return Status::IoError("short read of block " +
-                               std::to_string(block) + " in " + ctx_.path);
-      }
-      return Status::Ok();
-    };
-  }
-
-  void PinBlock(int64_t block) {
-    WallTimer wait_timer;
-    bool was_hit = false;
-    const size_t bytes =
-        static_cast<size_t>(RowsInBlock(block)) * ctx_.info.row_bytes;
-    Result<BufferPool::Pin> pin = ctx_.pool->Fetch(
-        ctx_.file_id, block, bytes, MakeLoader(file_, block), &was_hit);
-    OPTRULES_CHECK(pin.ok());
-    pin_ = std::move(pin.value());
-    pinned_block_ = block;
-    RecordIoWait(ctx_.io_wait_accum, wait_timer.ElapsedSeconds());
-    if (was_hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    if (prefetcher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(pf_mu_);
-        ++blocks_consumed_;
-      }
-      pf_cv_.notify_all();
-    }
-  }
-
-  /// Transposes rows [in_block, in_block + rows) of the pinned block into
-  /// the owned column buffers.
-  void Transpose(int64_t in_block, int64_t rows) {
-    const size_t boolean_offset =
-        static_cast<size_t>(ctx_.info.num_numeric) * sizeof(double);
-    const uint8_t* base =
-        pin_.data() + static_cast<size_t>(in_block) * ctx_.info.row_bytes;
-    for (int64_t r = 0; r < rows; ++r) {
-      const uint8_t* row = base + static_cast<size_t>(r) * ctx_.info.row_bytes;
-      for (int i = 0; i < ctx_.info.num_numeric; ++i) {
-        std::memcpy(
-            &numeric_[static_cast<size_t>(i)][static_cast<size_t>(r)],
-            row + static_cast<size_t>(i) * sizeof(double), sizeof(double));
-      }
-      for (int i = 0; i < ctx_.info.num_boolean; ++i) {
-        boolean_[static_cast<size_t>(i)][static_cast<size_t>(r)] =
-            row[boolean_offset + static_cast<size_t>(i)];
-      }
-    }
-  }
-
-  void PrefetchLoop() {
-    const int64_t first_block = begin_ / block_rows_;
-    const int64_t last_block = (end_ - 1) / block_rows_;
-    int64_t ordinal = 0;
-    for (int64_t block = first_block; block <= last_block; ++block) {
-      {
-        std::unique_lock<std::mutex> lock(pf_mu_);
-        pf_cv_.wait(lock,
-                    [&] { return stop_ || ordinal <= blocks_consumed_; });
-        if (stop_) return;
-      }
-      const size_t bytes =
-          static_cast<size_t>(RowsInBlock(block)) * ctx_.info.row_bytes;
-      ctx_.pool->Prefetch(ctx_.file_id, block, bytes,
-                          MakeLoader(prefetch_file_, block));
-      ++ordinal;
-    }
-  }
-
-  PooledReaderContext ctx_;
-  std::FILE* file_;
-  const int64_t begin_;  ///< immutable; the prefetch thread reads it
-  int64_t position_;
-  int64_t end_;
-  int64_t batch_rows_;
-  int64_t block_rows_;
-  BufferPool::Pin pin_;
-  int64_t pinned_block_ = -1;
-  std::vector<std::vector<double>> numeric_;
-  std::vector<std::vector<uint8_t>> boolean_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  std::FILE* prefetch_file_ = nullptr;
-  std::mutex pf_mu_;
-  std::condition_variable pf_cv_;
-  int64_t blocks_consumed_ = 0;
-  bool stop_ = false;
-  std::thread prefetcher_;
-};
-
 }  // namespace
 
 Result<std::unique_ptr<PagedFileBatchSource>> PagedFileBatchSource::Open(
     const std::string& path, int64_t batch_rows, PagedReadMode mode,
     BufferPool* pool) {
+  OPTRULES_CHECK(pool != nullptr);
   if (batch_rows <= 0) {
     return Status::InvalidArgument("batch_rows must be positive");
   }
   Result<PagedFileInfo> info = ReadPagedFileInfo(path);
   if (!info.ok()) return info.status();
+  Result<uint64_t> file_id = pool->RegisterFile(path);
+  if (!file_id.ok()) return file_id.status();
   auto source =
       std::unique_ptr<PagedFileBatchSource>(new PagedFileBatchSource());
   source->path_ = path;
   source->info_ = info.value();
   source->batch_rows_ = batch_rows;
   source->mode_ = mode;
-  if (pool != nullptr) {
-    Result<uint64_t> file_id = pool->RegisterFile(path);
-    if (file_id.ok()) {
-      source->pool_ = pool;
-      source->pool_file_id_ = file_id.value();
-    }
-    // Registration failure (the file vanished between the header read and
-    // the stat) falls back to the unpooled path; the readers will surface
-    // any real I/O problem.
-  }
+  source->pool_ = pool;
+  source->pool_file_id_ = file_id.value();
   if (source->info_.has_zone_maps) {
     Result<ZoneMapIndex> zones = ReadZoneMapIndex(path, source->info_);
     if (!zones.ok()) return zones.status();
@@ -967,40 +389,20 @@ std::unique_ptr<BatchReader> PagedFileBatchSource::CreateRangeReader(
   OPTRULES_CHECK(0 <= begin && begin <= end && end <= info_.num_rows);
   std::FILE* file = std::fopen(path_.c_str(), "rb");
   OPTRULES_CHECK(file != nullptr);
-  if (pool_ != nullptr) {
-    PooledReaderContext ctx;
-    ctx.path = path_;
-    ctx.info = info_;
-    ctx.pool = pool_;
-    ctx.file_id = pool_file_id_;
-    ctx.zones = zones_;
-    ctx.prune = prune_spec();
-    ctx.io_wait_accum = &io_wait_seconds_;
-    ctx.hits_accum = &cache_hits_;
-    ctx.misses_accum = &cache_misses_;
-    ctx.skipped_accum = &pages_skipped_;
-    if (info_.format_version == 2) {
-      return std::make_unique<PooledV2BatchReader>(
-          std::move(ctx), file, begin, end, batch_rows_, mode_);
-    }
-    return std::make_unique<PooledV1BatchReader>(
-        std::move(ctx), file, begin, end, batch_rows_, mode_);
-  }
-  if (info_.format_version == 2) {
-    // Seek to the page containing `begin`; the reader skips the in-page
-    // prefix rows via its position arithmetic.
-    const int64_t first_page =
-        begin / static_cast<int64_t>(info_.rows_per_page);
-    SeekToOffset(file, static_cast<uint64_t>(info_.header_bytes) +
-                           static_cast<uint64_t>(first_page) *
-                               info_.page_stride());
-    return std::make_unique<PagedFileV2BatchReader>(
-        file, info_, begin, end, batch_rows_, mode_, &io_wait_seconds_);
-  }
-  SeekToOffset(file, static_cast<uint64_t>(info_.header_bytes) +
-                         static_cast<uint64_t>(begin) * info_.row_bytes);
-  return std::make_unique<PagedFileBatchReader>(
-      file, info_, begin, end, batch_rows_, mode_, &io_wait_seconds_);
+  PagedReaderContext ctx;
+  ctx.path = path_;
+  ctx.info = info_;
+  ctx.geom = ScanGeometry(info_);
+  ctx.pool = pool_;
+  ctx.file_id = pool_file_id_;
+  ctx.zones = zones_;
+  ctx.prune = prune_spec();
+  ctx.io_wait_accum = &io_wait_seconds_;
+  ctx.hits_accum = &cache_hits_;
+  ctx.misses_accum = &cache_misses_;
+  ctx.skipped_accum = &pages_skipped_;
+  return std::make_unique<PagedFileBatchReader>(std::move(ctx), file, begin,
+                                                end, batch_rows_, mode_);
 }
 
 // --------------------------------------------------------- tuple stream ----

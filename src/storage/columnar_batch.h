@@ -8,10 +8,10 @@
 // slices plus Boolean byte-column slices, and the kernels iterate tight
 // span loops with one virtual call per *batch*. In-memory relations serve
 // zero-copy views into their columns; disk-resident PagedFiles serve
-// column slices pointing straight into the raw page image (columnar v2;
-// zero transpose) or transpose each row-major page into reusable column
-// buffers (legacy v1); any legacy TupleStream can be adapted. All feed the
-// same hot loop (bucketing::MultiCountPlan).
+// column slices pointing straight into v2 page images pinned in the
+// BufferPool (one read path: legacy row-major v1 files are decoded into v2
+// page images when a page loads); any legacy TupleStream can be adapted.
+// All feed the same hot loop (bucketing::MultiCountPlan).
 
 #ifndef OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 #define OPTRULES_STORAGE_COLUMNAR_BATCH_H_
@@ -200,34 +200,33 @@ class RelationBatchSource : public BatchSource {
 
 /// How PagedFileBatchSource readers overlap I/O with compute.
 enum class PagedReadMode {
-  /// A dedicated prefetch thread per reader reads page N+1 while the
-  /// caller transposes page N (double-buffered; the default). The thread
+  /// A dedicated prefetch thread per reader warms the buffer pool with page
+  /// N+1 while the caller computes over page N (the default). The thread
   /// is per-reader rather than a shared-pool task on purpose: row-sharded
   /// scans occupy every pool worker with readers that BLOCK on their next
   /// page, so prefetches queued behind them on the same pool would
-  /// deadlock.
+  /// deadlock. A zero-capacity pool gets no prefetch thread.
   kDoubleBuffered,
-  /// Synchronous fread on the calling thread (the reference behavior;
-  /// batches are bit-identical to kDoubleBuffered).
+  /// No prefetch thread: every page loads on the calling thread when the
+  /// scan reaches it. Batches are bit-identical across the two modes.
   kSynchronous,
 };
 
-/// Batch source over a PagedFile: each reader owns its own file handle and
-/// streams `batch_rows`-row batches. Readers must be destroyed before the
-/// source that created them (they report their I/O-wait time into it). For columnar v2 files the batch spans
-/// point directly into the reader's raw page image (zero per-row work;
-/// batches additionally clamp to page boundaries). For row-major v1 files
-/// each page is transposed into reusable column buffers. Supports range
-/// readers (readers seek to their shard), so disk-resident counting can
-/// also be sharded when the storage below tolerates concurrent sequential
-/// streams.
+/// Batch source over a PagedFile (either format version). Every page read
+/// goes through a BufferPool: readers pin the frame holding their current
+/// page and serve batch spans pointing straight into its v2 page image
+/// (v1 blocks are decoded into v2 images at load, see ScanGeometry), so
+/// there is no per-row work and batches clamp to page boundaries. Each
+/// reader owns its own file handle; readers must be destroyed before the
+/// source that created them (they report their counters into it).
+/// Supports range readers, so disk-resident counting can be sharded too.
 class PagedFileBatchSource : public BatchSource {
  public:
-  /// `pool` routes every page read through the shared LRU cache (readers
-  /// pin the frame their spans point into); nullptr -- or a default pool
-  /// disabled via OPTRULES_BUFFER_POOL_BYTES=0 -- keeps the original
-  /// private-buffer read path as the bit-identical reference. Zone maps,
-  /// when the file carries them, are loaded and validated here.
+  /// `pool` must not be nullptr; BufferPool::Default() is the process-wide
+  /// pool (zero-capacity under OPTRULES_BUFFER_POOL_BYTES=0: no caching,
+  /// but the same read path, zone-map pruning included). Zone maps, when
+  /// the file carries them, are loaded and validated here. Fails when the
+  /// header, the zone maps, or the pool registration of `path` fails.
   static Result<std::unique_ptr<PagedFileBatchSource>> Open(
       const std::string& path, int64_t batch_rows = kDefaultBatchRows,
       PagedReadMode mode = PagedReadMode::kDoubleBuffered,
@@ -240,21 +239,10 @@ class PagedFileBatchSource : public BatchSource {
   std::unique_ptr<BatchReader> CreateRangeReader(int64_t begin,
                                                  int64_t end) override;
 
-  /// Header metadata of the open file (format version, page geometry).
-  const PagedFileInfo& info() const { return info_; }
-
-  /// Zone-map index of the file, or nullptr (v1, or v2 without the
-  /// trailer).
-  const ZoneMapIndex* zone_maps() const { return zones_.get(); }
-
-  /// The buffer pool page reads go through (nullptr = bypass).
-  BufferPool* buffer_pool() const { return pool_; }
-
-  /// Total seconds this source's readers spent blocked on file I/O
-  /// (synchronous freads, or waiting on the prefetch thread in
-  /// double-buffered mode), flushed per page so long-lived readers report
-  /// live values. The bench harness reports this as the scan's I/O-wait
-  /// phase.
+  /// Total seconds this source's readers spent blocked on page loads
+  /// (their own, or waiting on the prefetch thread's in-flight load),
+  /// flushed per page so long-lived readers report live values. The bench
+  /// harness reports this as the scan's I/O-wait phase.
   double TotalIoWaitSeconds() const { return io_wait_seconds_.load(); }
 
   BatchSourceStats SourceStats() const override {

@@ -77,6 +77,26 @@ PagedFileInfo MakeV2Geometry(int num_numeric, int num_boolean,
   return geom;
 }
 
+/// Rows per scan page of a v1 file: the v1 analogue of AutoRowsPerPage's
+/// ~1 MiB target, clamped to [256, 65536].
+uint32_t V1BlockRows(size_t row_bytes) {
+  const auto rows = static_cast<int64_t>((size_t{1} << 20) / row_bytes);
+  return static_cast<uint32_t>(std::clamp<int64_t>(rows, 256, 65536));
+}
+
+/// Seeks to an absolute byte offset in chunks that fit a 32-bit long, so
+/// page offsets in files beyond 2 GiB work on every platform (plain fseek
+/// takes a long, which is 32 bits on some targets).
+void SeekToOffset(std::FILE* file, uint64_t offset) {
+  OPTRULES_CHECK(std::fseek(file, 0, SEEK_SET) == 0);
+  constexpr uint64_t kChunk = 1u << 30;
+  while (offset > 0) {
+    const uint64_t step = std::min(offset, kChunk);
+    OPTRULES_CHECK(std::fseek(file, static_cast<long>(step), SEEK_CUR) == 0);
+    offset -= step;
+  }
+}
+
 }  // namespace
 
 size_t PagedFileInfo::directory_bytes() const {
@@ -194,9 +214,7 @@ Result<PagedFileWriter> PagedFileWriter::Create(
   }
   // fopen("wb") truncates in place (same inode), so drop any frames the
   // default pool cached for a previous file at this path.
-  if (BufferPool* pool = BufferPool::Default(); pool != nullptr) {
-    pool->InvalidateFile(path);
-  }
+  BufferPool::Default()->InvalidateFile(path);
   PagedFileWriter writer;
   writer.file_ = file;
   writer.path_ = path;
@@ -489,9 +507,7 @@ Status PagedFileWriter::Close() {
   // The bytes behind `path_` just changed: a long-lived default pool must
   // not serve frames cached from a previous file at this path (file
   // timestamps are too coarse to catch a quick same-size rewrite).
-  if (BufferPool* pool = BufferPool::Default(); pool != nullptr) {
-    pool->InvalidateFile(path_);
-  }
+  BufferPool::Default()->InvalidateFile(path_);
   return Status::Ok();
 }
 
@@ -532,6 +548,64 @@ Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path) {
     info.has_zone_maps = (GetU32(header + 28) & kHeaderFlagZoneMaps) != 0;
   }
   return info;
+}
+
+PagedFileInfo ScanGeometry(const PagedFileInfo& info) {
+  if (info.format_version == 2) return info;
+  PagedFileInfo geom =
+      MakeV2Geometry(info.num_numeric, info.num_boolean,
+                     V1BlockRows(std::max<size_t>(info.row_bytes, 1)));
+  geom.num_rows = info.num_rows;
+  return geom;
+}
+
+Status ReadPageImage(const PagedFileInfo& info, std::FILE* file,
+                     int64_t page, std::span<uint8_t> dest) {
+  const PagedFileInfo geom = ScanGeometry(info);
+  OPTRULES_CHECK(0 <= page && page < geom.num_pages());
+  OPTRULES_CHECK(dest.size() == geom.page_stride());
+  const auto truncated = [page] {
+    return Status::IoError("short read of page " + std::to_string(page));
+  };
+  if (info.format_version == 2) {
+    SeekToOffset(file, static_cast<uint64_t>(info.header_bytes) +
+                           static_cast<uint64_t>(page) * dest.size());
+    if (std::fread(dest.data(), 1, dest.size(), file) != dest.size()) {
+      return truncated();
+    }
+    return ValidateV2Page(info, page, dest);
+  }
+  // v1: read the block's whole rows, then scatter them into the column runs
+  // of a zeroed v2 page image.
+  const auto rows = static_cast<size_t>(geom.rows_in_page(page));
+  std::vector<uint8_t> block(rows * info.row_bytes);
+  SeekToOffset(file, static_cast<uint64_t>(info.header_bytes) +
+                         static_cast<uint64_t>(page) * geom.rows_per_page *
+                             info.row_bytes);
+  if (std::fread(block.data(), 1, block.size(), file) != block.size()) {
+    return truncated();
+  }
+  std::fill(dest.begin(), dest.end(), uint8_t{0});
+  WriteDirectory(geom, dest.data());
+  for (int c = 0; c < info.num_numeric; ++c) {
+    uint8_t* run = dest.data() + geom.numeric_run_offset(c);
+    for (size_t r = 0; r < rows; ++r) {
+      std::memcpy(run + r * sizeof(double),
+                  block.data() + r * info.row_bytes +
+                      static_cast<size_t>(c) * sizeof(double),
+                  sizeof(double));
+    }
+  }
+  const size_t boolean_offset =
+      static_cast<size_t>(info.num_numeric) * sizeof(double);
+  for (int b = 0; b < info.num_boolean; ++b) {
+    uint8_t* run = dest.data() + geom.boolean_run_offset(b);
+    for (size_t r = 0; r < rows; ++r) {
+      run[r] = block[r * info.row_bytes + boolean_offset +
+                     static_cast<size_t>(b)];
+    }
+  }
+  return Status::Ok();
 }
 
 Result<ZoneMapIndex> ReadZoneMapIndex(const std::string& path,
@@ -717,73 +791,49 @@ Result<Relation> ReadRelationFromFile(const std::string& path,
     return Status::InvalidArgument(
         "schema attribute counts do not match file: " + path);
   }
+  // Full-file loads are the integrity backstop: on top of the per-page
+  // directory/zero-tail checks, cross-check every zone-map entry against
+  // the actual page content when the file carries them.
+  ZoneMapIndex zones;
+  if (info.has_zone_maps) {
+    Result<ZoneMapIndex> zones_or = ReadZoneMapIndex(path, info);
+    if (!zones_or.ok()) return zones_or.status();
+    zones = std::move(zones_or).value();
+  }
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return Status::IoError("cannot open: " + path);
-  if (std::fseek(file, static_cast<long>(info.header_bytes), SEEK_SET) != 0) {
-    std::fclose(file);
-    return Status::IoError("seek failed: " + path);
-  }
   Relation relation(schema);
   relation.Reserve(info.num_rows);
   std::vector<double> numeric_row(static_cast<size_t>(info.num_numeric));
   std::vector<uint8_t> boolean_row(static_cast<size_t>(info.num_boolean));
-  if (info.format_version == 2) {
-    // Full-file loads are the integrity backstop: on top of the per-page
-    // directory/zero-tail checks, cross-check every zone-map entry against
-    // the actual page content when the file carries them.
-    ZoneMapIndex zones;
-    if (info.has_zone_maps) {
-      Result<ZoneMapIndex> zones_or = ReadZoneMapIndex(path, info);
-      if (!zones_or.ok()) {
-        std::fclose(file);
-        return zones_or.status();
-      }
-      zones = std::move(zones_or).value();
+  const PagedFileInfo geom = ScanGeometry(info);
+  std::vector<uint8_t> page(geom.page_stride());
+  for (int64_t p = 0; p < geom.num_pages(); ++p) {
+    Status valid = ReadPageImage(info, file, p, page);
+    if (valid.code() == StatusCode::kIoError) {
+      valid = Status::Corruption("truncated file: " + path);
     }
-    std::vector<uint8_t> page(info.page_stride());
-    for (int64_t p = 0; p < info.num_pages(); ++p) {
-      if (std::fread(page.data(), 1, page.size(), file) != page.size()) {
-        std::fclose(file);
-        return Status::Corruption("truncated file: " + path);
-      }
-      Status valid = ValidateV2Page(info, p, page);
-      if (valid.ok() && info.has_zone_maps) {
-        valid = ValidateZoneMapEntry(info, zones, p, page);
-      }
-      if (!valid.ok()) {
-        std::fclose(file);
-        return valid;
-      }
-      const int64_t rows = info.rows_in_page(p);
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int c = 0; c < info.num_numeric; ++c) {
-          std::memcpy(&numeric_row[static_cast<size_t>(c)],
-                      page.data() + info.numeric_run_offset(c) +
-                          static_cast<size_t>(r) * sizeof(double),
-                      sizeof(double));
-        }
-        for (int b = 0; b < info.num_boolean; ++b) {
-          boolean_row[static_cast<size_t>(b)] =
-              page[info.boolean_run_offset(b) + static_cast<size_t>(r)];
-        }
-        relation.AppendRow(numeric_row, boolean_row);
-      }
+    if (valid.ok() && info.has_zone_maps) {
+      valid = ValidateZoneMapEntry(info, zones, p, page);
     }
-    std::fclose(file);
-    return relation;
-  }
-  std::vector<uint8_t> row(info.row_bytes);
-  for (int64_t r = 0; r < info.num_rows; ++r) {
-    if (std::fread(row.data(), 1, info.row_bytes, file) != info.row_bytes) {
+    if (!valid.ok()) {
       std::fclose(file);
-      return Status::Corruption("truncated file: " + path);
+      return valid;
     }
-    std::memcpy(numeric_row.data(), row.data(),
-                numeric_row.size() * sizeof(double));
-    std::memcpy(boolean_row.data(),
-                row.data() + numeric_row.size() * sizeof(double),
-                boolean_row.size());
-    relation.AppendRow(numeric_row, boolean_row);
+    const int64_t rows = geom.rows_in_page(p);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int c = 0; c < info.num_numeric; ++c) {
+        std::memcpy(&numeric_row[static_cast<size_t>(c)],
+                    page.data() + geom.numeric_run_offset(c) +
+                        static_cast<size_t>(r) * sizeof(double),
+                    sizeof(double));
+      }
+      for (int b = 0; b < info.num_boolean; ++b) {
+        boolean_row[static_cast<size_t>(b)] =
+            page[geom.boolean_run_offset(b) + static_cast<size_t>(r)];
+      }
+      relation.AppendRow(numeric_row, boolean_row);
+    }
   }
   std::fclose(file);
   return relation;

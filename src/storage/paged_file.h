@@ -5,7 +5,8 @@
 // attribute is prohibitively expensive and a single sequential scan is the
 // only affordable full-table access. PagedFile stores tables behind a small
 // header in one of two on-disk formats, and the readers scan them through
-// bounded buffers.
+// bounded buffers. Scans see one page format: ReadPageImage loads either
+// version as a v2 page image (see ScanGeometry).
 //
 // v1 (row-major, 24-byte header):
 //   [magic u32][version=1][num_numeric u32][num_boolean u32][num_rows u64]
@@ -248,6 +249,24 @@ Status ValidateV2Page(const PagedFileInfo& info, int64_t page_index,
 
 /// Reads and validates the header of `path` (either format version).
 Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path);
+
+/// The page geometry every scan of the file `info` describes sees, whatever
+/// its on-disk format: a v2 file's own geometry, or -- for a row-major v1
+/// file -- a v2 page layout over fixed blocks of rows (about 1 MiB of rows,
+/// clamped to [256, 65536]; a pure function of the row width, so every
+/// reader agrees on block boundaries). Scan pages are what ReadPageImage
+/// produces, so page caches only ever hold v2 page images. Only the page
+/// geometry and num_rows are meaningful; file offsets come from `info`.
+PagedFileInfo ScanGeometry(const PagedFileInfo& info);
+
+/// Loads scan page `page` of the file `info` describes, read through
+/// `file`, into `dest` (exactly ScanGeometry(info).page_stride() bytes): a
+/// v2 page is read as stored and checked with ValidateV2Page; a v1 block is
+/// read and scattered into a v2 page image with a zero tail, as the writer
+/// lays out a partial last page. IoError on a short read (a truncated
+/// file), Corruption on a page that fails validation.
+Status ReadPageImage(const PagedFileInfo& info, std::FILE* file,
+                     int64_t page, std::span<uint8_t> dest);
 
 /// Writes an entire in-memory relation to `path` in PagedFile format.
 Status WriteRelationToFile(const Relation& relation, const std::string& path);

@@ -42,33 +42,20 @@ bool RelationTupleStream::Next(TupleView* view) {
 }
 
 Result<std::unique_ptr<FileTupleStream>> FileTupleStream::Open(
-    const std::string& path, int64_t buffer_rows) {
-  if (buffer_rows <= 0) {
-    return Status::InvalidArgument("buffer_rows must be positive");
-  }
+    const std::string& path) {
   Result<PagedFileInfo> info = ReadPagedFileInfo(path);
   if (!info.ok()) return info.status();
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return Status::IoError("cannot open: " + path);
-  if (std::fseek(file, static_cast<long>(info.value().header_bytes),
-                 SEEK_SET) != 0) {
-    std::fclose(file);
-    return Status::IoError("seek failed: " + path);
-  }
   auto stream = std::unique_ptr<FileTupleStream>(new FileTupleStream());
   stream->file_ = file;
   stream->info_ = info.value();
-  stream->buffer_rows_ = buffer_rows;
-  if (stream->info_.format_version == 2) {
-    stream->page_.resize(stream->info_.page_stride());
-    stream->boolean_buffer_.resize(
-        static_cast<size_t>(stream->info_.num_boolean));
-  } else {
-    stream->page_.resize(static_cast<size_t>(buffer_rows) *
-                         stream->info_.row_bytes);
-  }
+  stream->geom_ = ScanGeometry(stream->info_);
+  stream->page_.resize(stream->geom_.page_stride());
   stream->numeric_buffer_.resize(
       static_cast<size_t>(stream->info_.num_numeric));
+  stream->boolean_buffer_.resize(
+      static_cast<size_t>(stream->info_.num_boolean));
   return stream;
 }
 
@@ -78,58 +65,36 @@ FileTupleStream::~FileTupleStream() {
 
 bool FileTupleStream::Next(TupleView* view) {
   if (rows_consumed_ >= info_.num_rows) return false;
-  if (info_.format_version == 2) {
-    if (page_position_ >= rows_in_page_) {
-      const int64_t page =
-          rows_consumed_ / static_cast<int64_t>(info_.rows_per_page);
-      const size_t got = std::fread(page_.data(), 1, page_.size(), file_);
-      if (got != page_.size()) return false;
-      const Status valid = ValidateV2Page(info_, page, page_);
-      OPTRULES_CHECK(valid.ok());
-      rows_in_page_ = info_.rows_in_page(page);
-      page_position_ = 0;
-    }
-    const auto r = static_cast<size_t>(page_position_);
-    for (int c = 0; c < info_.num_numeric; ++c) {
-      std::memcpy(&numeric_buffer_[static_cast<size_t>(c)],
-                  page_.data() + info_.numeric_run_offset(c) +
-                      r * sizeof(double),
-                  sizeof(double));
-    }
-    for (int b = 0; b < info_.num_boolean; ++b) {
-      boolean_buffer_[static_cast<size_t>(b)] =
-          page_[info_.boolean_run_offset(b) + r];
-    }
-    view->numeric = numeric_buffer_.data();
-    view->booleans = boolean_buffer_.data();
-    ++page_position_;
-    ++rows_consumed_;
-    return true;
-  }
   if (page_position_ >= rows_in_page_) {
-    const int64_t want =
-        std::min(buffer_rows_, info_.num_rows - rows_consumed_);
-    const size_t got = std::fread(
-        page_.data(), info_.row_bytes, static_cast<size_t>(want), file_);
-    rows_in_page_ = static_cast<int64_t>(got);
+    const int64_t page =
+        rows_consumed_ / static_cast<int64_t>(geom_.rows_per_page);
+    const Status loaded = ReadPageImage(info_, file_, page, page_);
+    // A short read (truncated file) ends the stream early rather than
+    // fabricating rows; a page that fails validation is a hard error.
+    if (loaded.code() == StatusCode::kIoError) return false;
+    OPTRULES_CHECK(loaded.ok());
+    rows_in_page_ = geom_.rows_in_page(page);
     page_position_ = 0;
-    if (rows_in_page_ == 0) return false;
   }
-  const uint8_t* row =
-      page_.data() + static_cast<size_t>(page_position_) * info_.row_bytes;
-  // Copy doubles to an aligned buffer; the boolean bytes can alias the page.
-  std::memcpy(numeric_buffer_.data(), row,
-              numeric_buffer_.size() * sizeof(double));
+  const auto r = static_cast<size_t>(page_position_);
+  for (int c = 0; c < info_.num_numeric; ++c) {
+    std::memcpy(&numeric_buffer_[static_cast<size_t>(c)],
+                page_.data() + geom_.numeric_run_offset(c) +
+                    r * sizeof(double),
+                sizeof(double));
+  }
+  for (int b = 0; b < info_.num_boolean; ++b) {
+    boolean_buffer_[static_cast<size_t>(b)] =
+        page_[geom_.boolean_run_offset(b) + r];
+  }
   view->numeric = numeric_buffer_.data();
-  view->booleans = row + numeric_buffer_.size() * sizeof(double);
+  view->booleans = boolean_buffer_.data();
   ++page_position_;
   ++rows_consumed_;
   return true;
 }
 
 void FileTupleStream::Reset() {
-  OPTRULES_CHECK(std::fseek(file_, static_cast<long>(info_.header_bytes),
-                            SEEK_SET) == 0);
   rows_in_page_ = 0;
   page_position_ = 0;
   rows_consumed_ = 0;

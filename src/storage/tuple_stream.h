@@ -64,16 +64,14 @@ class RelationTupleStream : public TupleStream {
   std::vector<uint8_t> boolean_buffer_;
 };
 
-/// TupleStream over a PagedFile (either format version), reading through a
-/// bounded page buffer so that scans of tables larger than memory stay
-/// sequential and cheap. For columnar v2 files the buffer holds one
-/// on-disk page and each tuple is gathered from the per-column runs.
+/// TupleStream over a PagedFile (either format version), reading one scan
+/// page at a time through ReadPageImage (the same page loader the batch
+/// readers use), so scans of tables larger than memory stay sequential and
+/// cheap. Each tuple is gathered from the page image's per-column runs.
 class FileTupleStream : public TupleStream {
  public:
-  /// Opens `path`; `buffer_rows` tuples are read per page (v1 only -- v2
-  /// reads whole on-disk pages, whose size the file header dictates).
   static Result<std::unique_ptr<FileTupleStream>> Open(
-      const std::string& path, int64_t buffer_rows = 8192);
+      const std::string& path);
 
   ~FileTupleStream() override;
   FileTupleStream(const FileTupleStream&) = delete;
@@ -90,14 +88,12 @@ class FileTupleStream : public TupleStream {
 
   std::FILE* file_ = nullptr;
   PagedFileInfo info_;
-  std::vector<uint8_t> page_;
+  PagedFileInfo geom_;  ///< ScanGeometry(info_)
+  std::vector<uint8_t> page_;  ///< one scan page image
   int64_t rows_in_page_ = 0;
   int64_t page_position_ = 0;
   int64_t rows_consumed_ = 0;
-  int64_t buffer_rows_ = 0;
   std::vector<double> numeric_buffer_;
-  /// v2 only: booleans are column-strided inside the page, so the view
-  /// cannot alias page bytes and gets gathered here instead.
   std::vector<uint8_t> boolean_buffer_;
 };
 

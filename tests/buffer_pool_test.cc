@@ -3,8 +3,8 @@
 // deduplication, the soft capacity budget (pinned frames are never
 // evicted, so concurrent pinned readers overshoot instead of
 // deadlocking), capacity-1 thrash, file-generation invalidation, and the
-// acceptance invariant -- scans of every flavor sharing one pool are
-// bit-identical to the unpooled (pool == nullptr) reference path.
+// acceptance invariant -- paged scans of every flavor sharing one pool are
+// bit-identical to the same schedule over the in-memory relation.
 //
 // The concurrency tests here are the ones check-tsan/check-asan lean on:
 // many threads pin, thrash, and evict against one pool while pooled
@@ -286,7 +286,7 @@ void ExpectPlansBitIdentical(const MultiCountPlan& a,
   ASSERT_EQ(state_a, state_b);
 }
 
-TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
+TEST(PooledScanTest, AllReadModesSharingOnePoolMatchRelationBitExactly) {
   const std::string path = testing::TempDir() + "/pool_scan.optr";
   const storage::Relation relation = PooledTestRelation(20000, 99);
   PagedFileWriterOptions options;
@@ -309,10 +309,11 @@ TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
                   sizeof(double));
   ThreadPool threads(4);
 
-  // Pooling must never change a bit of the SAME execution schedule, so
-  // each scenario is compared against its own bypass (pool == nullptr)
-  // run -- the row-sharded schedule's Neumaier sums legitimately differ
-  // from the serial chain in the last ulp, but never pooled vs unpooled.
+  // The paged read path must never change a bit of the SAME execution
+  // schedule, so each scenario is compared against that schedule over the
+  // in-memory relation -- the row-sharded schedule's Neumaier sums
+  // legitimately differ from the serial chain in the last ulp, but never
+  // paged vs in-memory.
   struct Scenario {
     PagedReadMode mode;
     int64_t batch_rows;
@@ -323,24 +324,14 @@ TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
       {PagedReadMode::kDoubleBuffered, 777, false},
       {PagedReadMode::kDoubleBuffered, kDefaultBatchRows, true},  // sharded
   };
-  MultiCountPlan reference(spec);  // serial bypass: the repo-wide baseline
+  MultiCountPlan reference(spec);  // serial: the repo-wide baseline
+  MultiCountPlan sharded_reference(spec);
   {
-    Result<std::unique_ptr<PagedFileBatchSource>> source =
-        PagedFileBatchSource::Open(path, 777,
-                                   PagedReadMode::kDoubleBuffered, nullptr);
-    ASSERT_TRUE(source.ok());
-    bucketing::ExecuteMultiCount(*source.value(), &reference, nullptr);
+    RelationBatchSource source(&relation);
+    bucketing::ExecuteMultiCount(source, &reference, nullptr);
+    bucketing::ExecuteMultiCount(source, &sharded_reference, &threads);
   }
   for (const Scenario& scenario : scenarios) {
-    MultiCountPlan bypass(spec);
-    {
-      Result<std::unique_ptr<PagedFileBatchSource>> source =
-          PagedFileBatchSource::Open(path, scenario.batch_rows,
-                                     scenario.mode, nullptr);
-      ASSERT_TRUE(source.ok());
-      bucketing::ExecuteMultiCount(*source.value(), &bypass,
-                                   scenario.sharded ? &threads : nullptr);
-    }
     MultiCountPlan pooled(spec);
     Result<std::unique_ptr<PagedFileBatchSource>> source =
         PagedFileBatchSource::Open(path, scenario.batch_rows,
@@ -348,8 +339,8 @@ TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
     ASSERT_TRUE(source.ok());
     bucketing::ExecuteMultiCount(*source.value(), &pooled,
                                  scenario.sharded ? &threads : nullptr);
-    ExpectPlansBitIdentical(bypass, pooled);
-    if (!scenario.sharded) ExpectPlansBitIdentical(reference, pooled);
+    ExpectPlansBitIdentical(scenario.sharded ? sharded_reference : reference,
+                            pooled);
   }
 
   // Two concurrent double-buffered scans over one pool: each must still

@@ -71,14 +71,14 @@ storage::PagedFileWriterOptions FuzzFileFormat(int round) {
   return options;
 }
 
-/// Rotates the page-cache configuration across paged fuzz rounds: the
-/// unpooled bypass reference path, a deliberately thrashing tiny pool,
-/// and a holds-everything large pool. The pool (when any) must outlive
-/// every source opened against it.
+/// Rotates the page-cache configuration across paged fuzz rounds: a
+/// zero-capacity pool (no caching, no prefetch hints), a deliberately
+/// thrashing tiny pool, and a holds-everything large pool. The pool must
+/// outlive every source opened against it.
 std::unique_ptr<storage::BufferPool> FuzzPool(int round) {
   switch (round % 3) {
     case 0:
-      return nullptr;  // bypass: the uncached direct read path, no pruning
+      return std::make_unique<storage::BufferPool>(0);
     case 1:
       return std::make_unique<storage::BufferPool>(size_t{1} << 14);
     default:
@@ -352,9 +352,9 @@ TEST(EngineDifferentialFuzzTest, NanLadenRelationsAllQueryKinds) {
 }
 
 TEST(EngineDifferentialFuzzTest, NanLadenPagedFilesMatchInMemoryEngine) {
-  // The disk path exercises the page -> column transpose and NaN byte
-  // round-tripping; GK boundaries are deterministic so file and memory
-  // engines must agree bit for bit.
+  // The disk path exercises the v1 load-time page decode, the v2 column
+  // runs and NaN byte round-tripping; GK boundaries are deterministic so
+  // file and memory engines must agree bit for bit.
   Rng rng(FuzzSeed(60601));
   for (int round = 0; round < 6; ++round) {
     const storage::Relation relation = RandomNanRelation(rng);
@@ -818,9 +818,9 @@ TEST(EngineDifferentialFuzzTest, SelectiveConditionPruningIsExact) {
   // Zone-map pruning under a rare, clustered condition: the condition
   // Boolean is true only inside a narrow random window, so almost every
   // page carries no true condition byte and every (conditional) unit of
-  // the spec is provably dead there. The pooled scan must actually skip
-  // pages AND still reproduce the unpooled, unpruned reference bit for
-  // bit -- skipped rows may contribute nothing but total_tuples.
+  // the spec is provably dead there. The paged scan must actually skip
+  // pages AND still reproduce the serial scan of the in-memory relation
+  // bit for bit -- skipped rows may contribute nothing but total_tuples.
   Rng rng(FuzzSeed(80808));
   int64_t pages_skipped = 0;
   for (int round = 0; round < 8; ++round) {
@@ -874,12 +874,8 @@ TEST(EngineDifferentialFuzzTest, SelectiveConditionPruningIsExact) {
         64 + static_cast<int64_t>(rng.NextBounded(500));
 
     bucketing::MultiCountPlan reference(spec);
-    {
-      auto bypass_or = storage::PagedFileBatchSource::Open(
-          path, batch_rows, mode, /*pool=*/nullptr);
-      ASSERT_TRUE(bypass_or.ok());
-      bucketing::ExecuteMultiCount(*bypass_or.value(), &reference, nullptr);
-    }
+    storage::RelationBatchSource reference_source(&relation);
+    bucketing::ExecuteMultiCount(reference_source, &reference, nullptr);
     storage::BufferPool cache(storage::kDefaultBufferPoolBytes);
     auto pooled_or =
         storage::PagedFileBatchSource::Open(path, batch_rows, mode, &cache);
@@ -1048,8 +1044,8 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
   // the transport broken so the respawn path runs); subprocess rounds
   // arm a token-gated daemon fault (crash, torn frame, garbage frame,
   // error frame, heartbeat-backed stall, or silent hang) that exactly
-  // one forked daemon claims. Random scheduling mode and speculative
-  // tail make sure stealing and duplicate discard never change bits.
+  // one forked daemon claims. A random scheduling mode makes sure
+  // stealing never changes bits.
   Rng rng(FuzzSeed(55502));
   const bool have_workerd = !dist::ResolveWorkerdPath("").empty();
   static const char* kDaemonFaults[] = {
@@ -1091,7 +1087,6 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
     scan_options.scheduling = rng.NextBernoulli(0.5)
                                   ? dist::ScanScheduling::kWorkQueue
                                   : dist::ScanScheduling::kStatic;
-    scan_options.speculative_tail = rng.NextBernoulli(0.25);
     scan_options.liveness_timeout_ms = 500;  // kills hung daemons fast
 
     const bool subprocess_round = have_workerd && round % 2 == 1;

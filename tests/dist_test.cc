@@ -1,7 +1,7 @@
 // Tests of the distributed scan subsystem (src/dist/): manifest I/O,
 // the partitioner, the wire format, in-process and subprocess workers,
 // the coordinator's deterministic merge, fault tolerance (retry,
-// failover, respawn, deadlines, work stealing, speculative execution),
+// failover, respawn, deadlines, work stealing),
 // and the MiningEngine wired to a PartitionedTable -- including the
 // acceptance contract: a full mixed session over K partitions,
 // in-process and subprocess workers, is bit-identical to the
@@ -236,30 +236,6 @@ std::function<Result<std::unique_ptr<ScanWorker>>()> FaultyWorkerFactory(
     return inner;
   };
 }
-
-/// Forwards to `inner`, bumping a shared call counter: lets tests count
-/// CountPartition attempts across a whole roster.
-class CountingScanWorker final : public ScanWorker {
- public:
-  CountingScanWorker(std::unique_ptr<ScanWorker> inner,
-                     std::shared_ptr<std::atomic<int64_t>> calls)
-      : inner_(std::move(inner)), calls_(std::move(calls)) {}
-
-  Result<bucketing::MultiCountPlan> CountPartition(
-      const std::string& partition_path, const PartitionScanSpec& spec,
-      storage::BatchSourceStats* stats) override {
-    calls_->fetch_add(1);
-    return inner_->CountPartition(partition_path, spec, stats);
-  }
-  Status Ping(int64_t timeout_ms) override {
-    return inner_->Ping(timeout_ms);
-  }
-  bool healthy() const override { return inner_->healthy(); }
-
- private:
-  std::unique_ptr<ScanWorker> inner_;
-  std::shared_ptr<std::atomic<int64_t>> calls_;
-};
 
 // ----------------------------------------------------------- manifest ----
 
@@ -1047,6 +1023,9 @@ TEST(FaultToleranceTest, InProcessWorkerCrashFailsOverBitExactly) {
     FaultFixture fixture(1100, 31, k, "fault_inproc_k" + std::to_string(k));
     DistributedScanOptions options;
     options.max_workers = 3;
+    // Static scheduling pins partition 0 to the faulty slot 0, so the fault
+    // always fires (under the work queue a fast peer may steal it first).
+    options.scheduling = ScanScheduling::kStatic;
     options.worker_factory = FaultyWorkerFactory(
         0, {{.at_call = 0,
              .status = Status::IoError("injected transport death"),
@@ -1077,6 +1056,9 @@ TEST(FaultToleranceTest, SubprocessKillNineMidScanIsBitIdentical) {
     ScopedEnv token_env("OPTRULES_WORKERD_FAULT_TOKEN", token.c_str());
     DistributedScanOptions options;
     options.worker_kind = WorkerKind::kSubprocess;
+    // Static scheduling makes every daemon serve its own stride, so the
+    // one that claimed the fault token at spawn always gets a request.
+    options.scheduling = ScanScheduling::kStatic;
     options.max_workers = 3;
     DistributedScanCoordinator coordinator(&fixture.table.value(), options);
     MultiCountPlan plan(fixture.spec);
@@ -1102,6 +1084,9 @@ TEST(FaultToleranceTest, CorruptFramesFailOverBitExactly) {
     ScopedEnv token_env("OPTRULES_WORKERD_FAULT_TOKEN", token.c_str());
     DistributedScanOptions options;
     options.worker_kind = WorkerKind::kSubprocess;
+    // Static scheduling makes every daemon serve its own stride, so the
+    // one that claimed the fault token at spawn always gets a request.
+    options.scheduling = ScanScheduling::kStatic;
     options.max_workers = 2;
     DistributedScanCoordinator coordinator(&fixture.table.value(), options);
     MultiCountPlan plan(fixture.spec);
@@ -1126,6 +1111,9 @@ TEST(FaultToleranceTest, ErrorFrameRetriesWithoutRespawning) {
   ScopedEnv token_env("OPTRULES_WORKERD_FAULT_TOKEN", token.c_str());
   DistributedScanOptions options;
   options.worker_kind = WorkerKind::kSubprocess;
+  // Static scheduling makes every daemon serve its own stride, so the
+  // one that claimed the fault token at spawn always gets a request.
+  options.scheduling = ScanScheduling::kStatic;
   options.max_workers = 2;
   DistributedScanCoordinator coordinator(&fixture.table.value(), options);
   MultiCountPlan plan(fixture.spec);
@@ -1148,6 +1136,9 @@ TEST(FaultToleranceTest, HungDaemonIsKilledAndRetried) {
   ScopedEnv token_env("OPTRULES_WORKERD_FAULT_TOKEN", token.c_str());
   DistributedScanOptions options;
   options.worker_kind = WorkerKind::kSubprocess;
+  // Static scheduling makes every daemon serve its own stride, so the
+  // one that claimed the fault token at spawn always gets a request.
+  options.scheduling = ScanScheduling::kStatic;
   options.max_workers = 3;
   options.liveness_timeout_ms = 300;
   DistributedScanCoordinator coordinator(&fixture.table.value(), options);
@@ -1199,6 +1190,9 @@ TEST(FaultToleranceTest, PartitionDeadlineKillsLiveStraggler) {
   ScopedEnv token_env("OPTRULES_WORKERD_FAULT_TOKEN", token.c_str());
   DistributedScanOptions options;
   options.worker_kind = WorkerKind::kSubprocess;
+  // Static scheduling makes every daemon serve its own stride, so the
+  // one that claimed the fault token at spawn always gets a request.
+  options.scheduling = ScanScheduling::kStatic;
   options.max_workers = 3;
   options.partition_deadline_ms = 400;
   DistributedScanCoordinator coordinator(&fixture.table.value(), options);
@@ -1247,43 +1241,6 @@ TEST(FaultToleranceTest, StaticSchedulingNeverSteals) {
   ASSERT_TRUE(coordinator.Execute(&plan).ok());
   ExpectPlansIdentical(plan, fixture.reference);
   EXPECT_EQ(coordinator.scan_stats().partitions_stolen, 0);
-}
-
-/// Speculative tail execution: the last in-flight partition is re-run by
-/// an idle worker; the first bit-exact partial wins and the duplicate is
-/// discarded, never double-merged (the bit-identity check would catch
-/// doubled counts immediately).
-TEST(FaultToleranceTest, SpeculativeTailDuplicateIsDiscarded) {
-  FaultFixture fixture(800, 47, 3, "fault_speculative");
-  DistributedScanOptions options;
-  options.max_workers = 3;
-  options.speculative_tail = true;
-  // Slot 0 dawdles 400 ms on partition 0; slots 1 and 2 finish their own
-  // partitions ~instantly, go idle, and exactly one of them speculatively
-  // re-runs partition 0 (the speculation is one-shot per partition). The
-  // duplicate's partial wins; the straggler's late copy is discarded.
-  auto calls = std::make_shared<std::atomic<int64_t>>(0);
-  auto built = std::make_shared<std::atomic<int>>(0);
-  options.worker_factory =
-      [calls, built]() -> Result<std::unique_ptr<ScanWorker>> {
-    std::vector<InjectedFault> faults;
-    if (built->fetch_add(1) == 0) {
-      faults.push_back({.at_call = 0, .delay_ms = 400});
-    }
-    return std::unique_ptr<ScanWorker>(std::make_unique<CountingScanWorker>(
-        std::make_unique<FaultInjectingScanWorker>(
-            std::make_unique<InProcessScanWorker>(), std::move(faults)),
-        calls));
-  };
-  DistributedScanCoordinator coordinator(&fixture.table.value(), options);
-  MultiCountPlan plan(fixture.spec);
-  ASSERT_TRUE(coordinator.Execute(&plan).ok());
-  // Bit-identity is the double-merge detector: a duplicate partial merged
-  // twice would double partition 0's counts.
-  ExpectPlansIdentical(plan, fixture.reference);
-  // 3 partitions + exactly one speculative duplicate ran.
-  EXPECT_EQ(calls->load(), 4);
-  EXPECT_EQ(coordinator.scan_stats().retries, 0);
 }
 
 /// Retry budget: a partition that fails on every attempt eventually
@@ -1389,6 +1346,9 @@ TEST(FaultToleranceTest, EngineScanStatsExposeFaultCounters) {
   ASSERT_TRUE(table.ok());
   DistributedScanOptions scan_options;
   scan_options.max_workers = 2;
+  // Static scheduling pins partition 0 to the faulty slot 0, so the fault
+  // always fires (under the work queue a fast peer may steal it first).
+  scan_options.scheduling = ScanScheduling::kStatic;
   scan_options.worker_factory = FaultyWorkerFactory(
       0, {{.at_call = 0,
            .status = Status::IoError("injected transport death"),

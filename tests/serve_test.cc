@@ -767,7 +767,11 @@ TEST(MiningServerTest, StopDrainsQueuedSessionsAndDefeatsWedgedClients) {
     MiningClient client = Connect(server);
     reply_b = client.RunSession(PairRequest(table_dir, table.schema()));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // Wait (bounded) until both sessions are queued, however slowly the
+  // tenant threads get scheduled.
+  for (int i = 0; i < 500 && server.Stats().sessions_admitted < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 
   const auto stop_begin = std::chrono::steady_clock::now();
   server.Stop();  // must drain the queued sessions, then return promptly
@@ -973,6 +977,13 @@ TEST(MiningServerTest, TraceDemoCoalescedWindowOneScanTreeWireMetricsMatch) {
     });
     tenant_a.join();
     tenant_b.join();
+  }
+  // The window span closes on the scheduler thread just AFTER the replies
+  // are written, so wait (bounded) for it to be recorded.
+  for (int i = 0;
+       i < 500 && SpansNamed(tracer.Snapshot(), "serve.window").empty();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   tracer.set_enabled(false);
   ASSERT_TRUE(reply_a.ok()) << reply_a.status().ToString();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
 #include "storage/paged_file.h"
@@ -149,38 +150,40 @@ TEST(TupleStreamTest, ResetRewinds) {
 TEST(TupleStreamTest, FileStreamMatchesRelationStream) {
   const std::string path = TempPath("stream.optr");
   const Relation relation = RandomRelation(1000, 4, 2, 5);
-  ASSERT_TRUE(WriteRelationToFile(relation, path).ok());
+  PagedFileWriterOptions v1;
+  v1.format = PagedFileFormat::kRowMajorV1;
+  PagedFileWriterOptions v2;
+  v2.rows_per_page = 64;  // many pages, so page refills are exercised
+  for (const PagedFileWriterOptions& options : {v1, v2}) {
+    SCOPED_TRACE(testing::Message()
+                 << "format=" << static_cast<int>(options.format));
+    ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+    Result<std::unique_ptr<FileTupleStream>> file_or =
+        FileTupleStream::Open(path);
+    ASSERT_TRUE(file_or.ok());
+    FileTupleStream& file_stream = *file_or.value();
+    RelationTupleStream memory_stream(&relation);
 
-  // Use a small page size so multiple page refills are exercised.
-  Result<std::unique_ptr<FileTupleStream>> file_or =
-      FileTupleStream::Open(path, /*buffer_rows=*/64);
-  ASSERT_TRUE(file_or.ok());
-  FileTupleStream& file_stream = *file_or.value();
-  RelationTupleStream memory_stream(&relation);
+    EXPECT_EQ(file_stream.NumTuples(), memory_stream.NumTuples());
+    TupleView file_view;
+    TupleView memory_view;
+    while (memory_stream.Next(&memory_view)) {
+      ASSERT_TRUE(file_stream.Next(&file_view));
+      for (int c = 0; c < 4; ++c) {
+        EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
+      }
+      for (int c = 0; c < 2; ++c) {
+        EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
+      }
+    }
+    EXPECT_FALSE(file_stream.Next(&file_view));
 
-  EXPECT_EQ(file_stream.NumTuples(), memory_stream.NumTuples());
-  TupleView file_view;
-  TupleView memory_view;
-  while (memory_stream.Next(&memory_view)) {
-    ASSERT_TRUE(file_stream.Next(&file_view));
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
-    }
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
-    }
+    file_stream.Reset();
+    int64_t count = 0;
+    while (file_stream.Next(&file_view)) ++count;
+    EXPECT_EQ(count, 1000);
   }
-  EXPECT_FALSE(file_stream.Next(&file_view));
-
-  file_stream.Reset();
-  int64_t count = 0;
-  while (file_stream.Next(&file_view)) ++count;
-  EXPECT_EQ(count, 1000);
   std::remove(path.c_str());
-}
-
-TEST(TupleStreamTest, OpenRejectsBadBufferRows) {
-  EXPECT_FALSE(FileTupleStream::Open("/dev/null", 0).ok());
 }
 
 // ------------------------------------------------------ external sort ----
@@ -310,11 +313,10 @@ struct DrainedScan {
   std::vector<uint8_t> boolean;
 };
 
-DrainedScan DrainScan(BatchSource& source) {
+DrainedScan DrainReader(BatchReader& reader) {
   DrainedScan drained;
-  auto reader = source.CreateReader();
   ColumnarBatch batch;
-  while (reader->Next(&batch)) {
+  while (reader.Next(&batch)) {
     drained.batch_sizes.push_back(batch.num_rows());
     for (int64_t r = 0; r < batch.num_rows(); ++r) {
       for (int a = 0; a < batch.num_numeric(); ++a) {
@@ -326,6 +328,10 @@ DrainedScan DrainScan(BatchSource& source) {
     }
   }
   return drained;
+}
+
+DrainedScan DrainScan(BatchSource& source) {
+  return DrainReader(*source.CreateReader());
 }
 
 TEST(PagedFileBatchSourceTest, DoubleBufferedBitIdenticalToSynchronous) {
@@ -546,12 +552,15 @@ TEST(PagedFileV2Test, CorruptDirectoryIsCaughtOnRead) {
   std::remove(path.c_str());
 }
 
-TEST(PagedFileV2Test, BatchScansMatchV1AcrossPagesAndModes) {
+TEST(PagedFileV2Test, BatchScansMatchRelationAcrossFormatsPoolsAndModes) {
   // Multiple pages with batch sizes that do NOT divide rows_per_page, so
-  // batches clamp at page boundaries; the scanned VALUES must still be
-  // bit-identical to the v1 row-major scan in both read modes.
+  // batches clamp at page boundaries; v1 and v2 files, through pools that
+  // cache nothing, thrash, or hold the whole file, in both read modes: the
+  // scanned VALUES must be bit-identical to the in-memory relation.
   const int64_t rows = 10007;
   const Relation relation = RandomRelation(rows, 4, 3, 14);
+  RelationBatchSource memory(&relation);
+  const DrainedScan expected = DrainScan(memory);
   const std::string v1_path = TempPath("scan_v1.optr");
   const std::string v2_path = TempPath("scan_v2.optr");
   PagedFileWriterOptions v1;
@@ -560,40 +569,49 @@ TEST(PagedFileV2Test, BatchScansMatchV1AcrossPagesAndModes) {
   v2.rows_per_page = 512;
   ASSERT_TRUE(WriteRelationToFile(relation, v1_path, v1).ok());
   ASSERT_TRUE(WriteRelationToFile(relation, v2_path, v2).ok());
-  for (const int64_t batch_rows :
-       {int64_t{1}, int64_t{7}, int64_t{500}, int64_t{512}, rows}) {
-    SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
-    auto v1_source =
-        PagedFileBatchSource::Open(v1_path, batch_rows,
-                                   PagedReadMode::kSynchronous);
-    auto v2_sync =
-        PagedFileBatchSource::Open(v2_path, batch_rows,
-                                   PagedReadMode::kSynchronous);
-    auto v2_buffered =
-        PagedFileBatchSource::Open(v2_path, batch_rows,
-                                   PagedReadMode::kDoubleBuffered);
-    ASSERT_TRUE(v1_source.ok());
-    ASSERT_TRUE(v2_sync.ok());
-    ASSERT_TRUE(v2_buffered.ok());
-    const DrainedScan expected = DrainScan(*v1_source.value());
-    const DrainedScan sync = DrainScan(*v2_sync.value());
-    const DrainedScan buffered = DrainScan(*v2_buffered.value());
-    // Batch structure differs from v1 (page clamping) but must agree
-    // between the two v2 modes; the values must agree with v1 everywhere.
-    EXPECT_EQ(sync.batch_sizes, buffered.batch_sizes);
-    EXPECT_EQ(sync.numeric, expected.numeric);
-    EXPECT_EQ(sync.boolean, expected.boolean);
-    EXPECT_EQ(buffered.numeric, expected.numeric);
-    EXPECT_EQ(buffered.boolean, expected.boolean);
+  Result<PagedFileInfo> v2_info = ReadPagedFileInfo(v2_path);
+  ASSERT_TRUE(v2_info.ok());
+  for (const size_t capacity : {size_t{0}, 2 * v2_info.value().page_stride(),
+                                kDefaultBufferPoolBytes}) {
+    BufferPool pool(capacity);
+    for (const int64_t batch_rows :
+         {int64_t{1}, int64_t{7}, int64_t{500}, int64_t{512}, rows}) {
+      for (const std::string& path : {v1_path, v2_path}) {
+        SCOPED_TRACE(testing::Message() << "capacity=" << capacity
+                                        << " batch_rows=" << batch_rows
+                                        << " path=" << path);
+        auto sync = PagedFileBatchSource::Open(
+            path, batch_rows, PagedReadMode::kSynchronous, &pool);
+        auto buffered = PagedFileBatchSource::Open(
+            path, batch_rows, PagedReadMode::kDoubleBuffered, &pool);
+        ASSERT_TRUE(sync.ok());
+        ASSERT_TRUE(buffered.ok());
+        const DrainedScan sync_scan = DrainScan(*sync.value());
+        const DrainedScan buffered_scan = DrainScan(*buffered.value());
+        // Batches clamp to scan pages, so their structure differs from the
+        // relation's but must agree between the two modes.
+        EXPECT_EQ(sync_scan.batch_sizes, buffered_scan.batch_sizes);
+        EXPECT_EQ(sync_scan.numeric, expected.numeric);
+        EXPECT_EQ(sync_scan.boolean, expected.boolean);
+        EXPECT_EQ(buffered_scan.numeric, expected.numeric);
+        EXPECT_EQ(buffered_scan.boolean, expected.boolean);
+      }
+    }
+    // A zero-capacity pool evicts every frame as its last pin drops.
+    if (capacity == 0) {
+      EXPECT_EQ(pool.bytes_used(), 0u);
+    }
   }
-  // I/O wait accounting accumulated as readers retired.
   std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
 }
 
 TEST(PagedFileV2Test, RangeReadersStartMidPage) {
-  const int64_t rows = 4099;
-  const Relation relation = RandomRelation(rows, 2, 2, 15);
+  // 512 numeric columns make a v1 row 4098 bytes wide, so its scan pages
+  // are 256-row blocks -- the same geometry as the v2 file's pages.
+  const int64_t rows = 1100;
+  const Relation relation = RandomRelation(rows, 512, 2, 15);
+  RelationBatchSource memory(&relation);
   const std::string v1_path = TempPath("range_v1.optr");
   const std::string v2_path = TempPath("range_v2.optr");
   PagedFileWriterOptions v1;
@@ -602,43 +620,40 @@ TEST(PagedFileV2Test, RangeReadersStartMidPage) {
   v2.rows_per_page = 256;
   ASSERT_TRUE(WriteRelationToFile(relation, v1_path, v1).ok());
   ASSERT_TRUE(WriteRelationToFile(relation, v2_path, v2).ok());
-  auto v1_source =
-      PagedFileBatchSource::Open(v1_path, 100, PagedReadMode::kSynchronous);
-  ASSERT_TRUE(v1_source.ok());
+  Result<PagedFileInfo> v1_info = ReadPagedFileInfo(v1_path);
+  ASSERT_TRUE(v1_info.ok());
+  ASSERT_EQ(ScanGeometry(v1_info.value()).rows_per_page, 256u);
+  const size_t page_stride = ScanGeometry(v1_info.value()).page_stride();
   // Shard splits chosen to start mid-page, at a page boundary, and in the
   // final partial page.
-  const int64_t splits[] = {0, 77, 256, 1000, 4096, rows};
-  for (const PagedReadMode mode :
-       {PagedReadMode::kSynchronous, PagedReadMode::kDoubleBuffered}) {
-    auto v2_source = PagedFileBatchSource::Open(v2_path, 100, mode);
-    ASSERT_TRUE(v2_source.ok());
-    for (size_t s = 0; s + 1 < std::size(splits); ++s) {
-      SCOPED_TRACE(testing::Message()
-                   << "shard=[" << splits[s] << "," << splits[s + 1] << ")");
-      auto expected_reader =
-          v1_source.value()->CreateRangeReader(splits[s], splits[s + 1]);
-      auto v2_reader =
-          v2_source.value()->CreateRangeReader(splits[s], splits[s + 1]);
-      // Drain both and compare flattened values (batch shapes differ).
-      std::vector<double> expected_values;
-      std::vector<double> got_values;
-      ColumnarBatch batch;
-      while (expected_reader->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          for (int a = 0; a < 2; ++a) {
-            expected_values.push_back(
-                batch.numeric(a)[static_cast<size_t>(r)]);
-          }
+  const int64_t splits[] = {0, 77, 256, 700, 1024, 1050, rows};
+  for (const size_t capacity :
+       {size_t{0}, 2 * page_stride, kDefaultBufferPoolBytes}) {
+    BufferPool pool(capacity);
+    for (const std::string& path : {v1_path, v2_path}) {
+      for (const PagedReadMode mode :
+           {PagedReadMode::kSynchronous, PagedReadMode::kDoubleBuffered}) {
+        auto source = PagedFileBatchSource::Open(path, 100, mode, &pool);
+        ASSERT_TRUE(source.ok());
+        for (size_t s = 0; s + 1 < std::size(splits); ++s) {
+          SCOPED_TRACE(testing::Message()
+                       << "capacity=" << capacity << " path=" << path
+                       << " shard=[" << splits[s] << "," << splits[s + 1]
+                       << ")");
+          auto expected_reader =
+              memory.CreateRangeReader(splits[s], splits[s + 1]);
+          auto paged_reader =
+              source.value()->CreateRangeReader(splits[s], splits[s + 1]);
+          // Compare flattened values (batch shapes differ).
+          const DrainedScan expected = DrainReader(*expected_reader);
+          const DrainedScan got = DrainReader(*paged_reader);
+          EXPECT_EQ(got.numeric, expected.numeric);
+          EXPECT_EQ(got.boolean, expected.boolean);
         }
       }
-      while (v2_reader->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          for (int a = 0; a < 2; ++a) {
-            got_values.push_back(batch.numeric(a)[static_cast<size_t>(r)]);
-          }
-        }
-      }
-      EXPECT_EQ(got_values, expected_values);
+    }
+    if (capacity == 0) {
+      EXPECT_EQ(pool.bytes_used(), 0u);
     }
   }
   std::remove(v1_path.c_str());
