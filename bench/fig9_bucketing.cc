@@ -4,7 +4,8 @@
 // Task (as in Section 6.1): divide the data into 1000 almost equi-depth
 // buckets with respect to EVERY numeric attribute and count the tuples per
 // bucket for every Boolean attribute. Three methods:
-//   - Algorithm 3.1: reservoir sample + sort sample + one counting scan,
+//   - Algorithm 3.1: sample + sort sample + one counting scan (the
+//     sampled rows are gathered in one sequential pass),
 //   - Naive Sort: external-sort the full 72-byte rows per attribute,
 //   - Vertical Split Sort: project (value, tid) pairs, sort the narrow
 //     file per attribute.
@@ -22,6 +23,7 @@
 #include "bucketing/sort_bucketizer.h"
 #include "common/timer.h"
 #include "datagen/table_generator.h"
+#include "storage/columnar_batch.h"
 #include "storage/tuple_stream.h"
 
 namespace {
@@ -29,25 +31,23 @@ namespace {
 constexpr int kBuckets = 1000;
 constexpr size_t kSortMemoryBudget = 16 << 20;  // force external behaviour
 
-using optrules::bucketing::BucketBoundaries;
-
 double RunAlgorithm31(const std::string& table_path) {
   optrules::WallTimer timer;
   auto stream_or = optrules::storage::FileTupleStream::Open(table_path);
   OPTRULES_CHECK(stream_or.ok());
   optrules::storage::FileTupleStream& stream = *stream_or.value();
-  optrules::bucketing::SamplerOptions options;
-  options.num_buckets = kBuckets;
+  optrules::storage::TupleStreamBatchSource source(&stream);
   for (int attr = 0; attr < stream.num_numeric(); ++attr) {
-    optrules::Rng rng(100 + static_cast<uint64_t>(attr));
-    stream.Reset();
-    const BucketBoundaries boundaries =
-        optrules::bucketing::BuildEquiDepthBoundariesFromStream(
-            stream, attr, options, rng);
+    const optrules::bucketing::SampledColumn column{
+        attr, kBuckets, 100 + static_cast<uint64_t>(attr)};
+    auto boundaries = optrules::bucketing::SampleBoundaries(
+        source, {&column, 1},
+        optrules::bucketing::SamplerOptions{}.sample_per_bucket);
+    OPTRULES_CHECK(boundaries.ok());
     stream.Reset();
     const optrules::bucketing::BucketCounts counts =
-        optrules::bucketing::CountBucketsFromStream(stream, attr,
-                                                    boundaries);
+        optrules::bucketing::CountBucketsFromStream(
+            stream, attr, boundaries.value().front());
     OPTRULES_CHECK(counts.total_tuples > 0);
   }
   return timer.ElapsedSeconds();

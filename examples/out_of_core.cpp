@@ -4,10 +4,10 @@
 // into memory, and is mined through the columnar batch core: a
 // PagedFileBatchSource serves fixed-capacity column blocks, the
 // MiningEngine plans almost equi-depth boundaries for EVERY numeric
-// attribute in one streaming pass (reservoir samples, Algorithm 3.1 steps
-// 1-3), then counts every (numeric, Boolean) attribute pair in ONE shared
-// counting scan (step 4) before the O(M) optimizers run on the tiny
-// bucket arrays (Section 4).
+// attribute in one sequential pass (each attribute's S sampled rows
+// gathered at once, Algorithm 3.1 steps 1-3), then counts every
+// (numeric, Boolean) attribute pair in ONE shared counting scan (step 4)
+// before the O(M) optimizers run on the tiny bucket arrays (Section 4).
 
 #include <cstdio>
 #include <string>
@@ -59,7 +59,7 @@ int main() {
   optrules::storage::PagedFileBatchSource& source = *source_or.value();
 
   // One engine session mines ALL 64 attribute pairs: one planning pass
-  // (every attribute's reservoir filled at once) + one counting scan.
+  // (every attribute's sampled rows gathered at once) + one counting scan.
   // Registering a generalized condition (Section 4.3) and an aggregate
   // target (Section 5) up front folds their channels into the SAME scan.
   optrules::rules::MinerOptions options;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace optrules::bucketing {
-
-namespace {
 
 BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
                                       int num_buckets) {
@@ -17,10 +16,18 @@ BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
                               [](double v) { return std::isnan(v); }),
                sample.end());
   std::sort(sample.begin(), sample.end());
+  // `<` leaves the relative order of -0.0 and +0.0 unspecified (they
+  // compare equal; any other equal doubles are bitwise identical), so the
+  // zero run is rewritten negatives-first: the sorted sample, and with it
+  // every cut point, is then a function of the sample multiset alone.
+  const auto [zeros_begin, zeros_end] =
+      std::equal_range(sample.begin(), sample.end(), 0.0);
+  const auto negative_zeros = std::count_if(
+      zeros_begin, zeros_end, [](double v) { return std::signbit(v); });
+  std::fill(zeros_begin, zeros_begin + negative_zeros, -0.0);
+  std::fill(zeros_begin + negative_zeros, zeros_end, 0.0);
   return BucketBoundaries::FromSortedValues(sample, num_buckets);
 }
-
-}  // namespace
 
 BucketBoundaries BuildEquiDepthBoundaries(std::span<const double> values,
                                           const SamplerOptions& options,
@@ -41,43 +48,76 @@ BucketBoundaries BuildEquiDepthBoundaries(std::span<const double> values,
   return BoundariesFromSample(sample, options.num_buckets);
 }
 
-ReservoirSampler::ReservoirSampler(int64_t capacity) : capacity_(capacity) {
-  OPTRULES_CHECK(capacity >= 1);
-  sample_.reserve(static_cast<size_t>(capacity));
-}
-
-void ReservoirSampler::Add(double value, Rng& rng) {
-  // Vitter's algorithm R: one sequential pass, bounded memory, uniform
-  // without replacement.
-  ++seen_;
-  if (static_cast<int64_t>(sample_.size()) < capacity_) {
-    sample_.push_back(value);
-    return;
+Result<std::vector<BucketBoundaries>> SampleBoundaries(
+    storage::BatchSource& source, std::span<const SampledColumn> columns,
+    int64_t sample_per_bucket) {
+  OPTRULES_CHECK(sample_per_bucket >= 1);
+  const int64_t rows = source.NumTuples();
+  if (columns.empty() || rows == 0) {
+    return std::vector<BucketBoundaries>(columns.size(),
+                                         BucketBoundaries::FromCutPoints({}));
   }
-  const uint64_t j = rng.NextBounded(static_cast<uint64_t>(seen_));
-  if (j < static_cast<uint64_t>(capacity_)) {
-    sample_[static_cast<size_t>(j)] = value;
-  }
-}
+  // Sampled row indices ride in doubles, exact below 2^53.
+  OPTRULES_CHECK(rows <= (int64_t{1} << 53));
 
-BucketBoundaries ReservoirSampler::TakeBoundaries(int num_buckets) {
-  if (sample_.empty()) return BucketBoundaries::FromCutPoints({});
-  return BoundariesFromSample(sample_, num_buckets);
-}
-
-BucketBoundaries BuildEquiDepthBoundariesFromStream(
-    storage::TupleStream& stream, int numeric_attr,
-    const SamplerOptions& options, Rng& rng) {
-  OPTRULES_CHECK(options.num_buckets >= 1);
-  OPTRULES_CHECK(options.sample_per_bucket >= 1);
-  OPTRULES_CHECK(0 <= numeric_attr && numeric_attr < stream.num_numeric());
-  ReservoirSampler reservoir(options.sample_per_bucket *
-                             options.num_buckets);
-  storage::TupleView view;
-  while (stream.Next(&view)) {
-    reservoir.Add(view.numeric[numeric_attr], rng);
+  // Step 1, draw: each column's S row indices in its generator's order,
+  // then sorted so one sequential scan can visit them. The gather below
+  // overwrites each index in place with the value it names, so the sample
+  // needs no memory beyond itself.
+  std::vector<std::vector<double>> samples(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    OPTRULES_CHECK(columns[i].num_buckets >= 1);
+    OPTRULES_CHECK(0 <= columns[i].column &&
+                   columns[i].column < source.num_numeric());
+    Rng rng(columns[i].seed);
+    std::vector<double>& sample = samples[i];
+    sample.resize(static_cast<size_t>(sample_per_bucket *
+                                      columns[i].num_buckets));
+    for (double& slot : sample) {
+      slot = static_cast<double>(rng.NextBounded(static_cast<uint64_t>(rows)));
+    }
+    std::sort(sample.begin(), sample.end());
   }
-  return reservoir.TakeBoundaries(options.num_buckets);
+
+  // Step 1, gather: every column advances its own cursor through its
+  // sorted indices as the shared scan passes them. Entries before a
+  // cursor hold gathered values; entries from it on are still indices.
+  std::vector<size_t> cursors(columns.size(), 0);
+  int64_t batch_begin = 0;
+  {
+    std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
+    storage::ColumnarBatch batch;
+    while (reader->Next(&batch)) {
+      const int64_t batch_end = batch_begin + batch.num_rows();
+      const auto end_index = static_cast<double>(batch_end);
+      for (size_t i = 0; i < columns.size(); ++i) {
+        std::vector<double>& sample = samples[i];
+        size_t& k = cursors[i];
+        const std::span<const double> values =
+            batch.numeric(columns[i].column);
+        for (; k < sample.size() && sample[k] < end_index; ++k) {
+          sample[k] = values[static_cast<size_t>(
+              static_cast<int64_t>(sample[k]) - batch_begin)];
+        }
+      }
+      batch_begin = batch_end;
+    }
+  }
+  if (batch_begin != rows) {
+    return Status::Corruption(
+        "boundary sampling scan read " + std::to_string(batch_begin) +
+        " rows of a source reporting " + std::to_string(rows));
+  }
+
+  // Steps 2-3, one column at a time, releasing each sample once used.
+  std::vector<BucketBoundaries> boundaries;
+  boundaries.reserve(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    boundaries.push_back(
+        BoundariesFromSample(samples[i], columns[i].num_buckets));
+    std::vector<double>().swap(samples[i]);
+  }
+  return boundaries;
 }
 
 }  // namespace optrules::bucketing

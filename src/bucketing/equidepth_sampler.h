@@ -6,11 +6,15 @@
 // 3. Take every (S/M)-th sample value as a cut point.
 // The subsequent counting scan (step 4) lives in bucketing/counting.h.
 //
-// Substitution note (documented in DESIGN.md): for disk-resident streams we
-// draw the sample by single-pass reservoir sampling instead of
-// with-replacement random access, which avoids random I/O; the resulting
-// without-replacement sample concentrates at least as tightly around the
-// quantiles as the with-replacement sample the paper analyzes.
+// Both entry points draw the same sample: S row indices uniformly WITH
+// replacement, exactly the sample Section 3.2 analyzes. The in-memory one
+// reads the sampled values straight out of the column; the one over a
+// storage::BatchSource sorts the indices and gathers their values in one
+// sequential pass, so a disk-resident table costs sequential I/O and
+// O(S) generator draws per column rather than random reads or one draw per
+// row. Given the same generator seed and row count the two samples are
+// the same multiset, and because the quantile step's sort is a total order
+// the cut points are bit-identical whatever the gather order.
 
 #ifndef OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
 #define OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
@@ -21,7 +25,8 @@
 
 #include "bucketing/boundaries.h"
 #include "common/rng.h"
-#include "storage/tuple_stream.h"
+#include "common/status.h"
+#include "storage/columnar_batch.h"
 
 namespace optrules::bucketing {
 
@@ -39,37 +44,34 @@ BucketBoundaries BuildEquiDepthBoundaries(std::span<const double> values,
                                           const SamplerOptions& options,
                                           Rng& rng);
 
-/// Builds approximate equi-depth boundaries for `numeric_attr` from one
-/// sequential pass over `stream` (reservoir sample). Leaves the stream
-/// positioned at the end; callers Reset() before the counting pass.
-BucketBoundaries BuildEquiDepthBoundariesFromStream(
-    storage::TupleStream& stream, int numeric_attr,
-    const SamplerOptions& options, Rng& rng);
-
-/// Bounded uniform sample maintained by Vitter's algorithm R: the
-/// single-pass building block behind the stream sampler above and the
-/// MiningEngine's all-attributes-at-once planning scan.
-class ReservoirSampler {
- public:
-  /// `capacity` is the sample size S (> 0).
-  explicit ReservoirSampler(int64_t capacity);
-
-  /// Offers one value; with `seen` values offered so far, each is
-  /// retained with probability S/seen.
-  void Add(double value, Rng& rng);
-
-  bool empty() const { return sample_.empty(); }
-
-  /// Sorts the sample and derives `num_buckets` almost equi-depth
-  /// boundaries (Algorithm 3.1 steps 2-3); a never-fed sampler yields the
-  /// single all-covering bucket. Consumes the sample.
-  BucketBoundaries TakeBoundaries(int num_buckets);
-
- private:
-  int64_t capacity_;
-  int64_t seen_ = 0;
-  std::vector<double> sample_;
+/// One column to bucket by SampleBoundaries.
+struct SampledColumn {
+  int column = 0;       ///< numeric attribute index in the source
+  int num_buckets = 1;  ///< M
+  /// Generator seed: the sample is the S indices Rng(seed) draws, the
+  /// same sequence BuildEquiDepthBoundaries draws from that generator.
+  uint64_t seed = 0;
 };
+
+/// Algorithm 3.1 for many columns of a batch source at once: draws every
+/// column's S = sample_per_bucket * num_buckets row indices, then gathers
+/// all samples in ONE sequential scan (one CreateReader) and derives each
+/// column's boundaries. Element i of the result belongs to columns[i] and
+/// is bit-identical to BuildEquiDepthBoundaries over that column held in
+/// memory with Rng(columns[i].seed). An empty source yields single-bucket
+/// boundaries. Returns Corruption when the reader's row count disagrees
+/// with NumTuples() (sampled rows would go unread). Memory is the samples
+/// themselves: 8 bytes per sampled value.
+Result<std::vector<BucketBoundaries>> SampleBoundaries(
+    storage::BatchSource& source, std::span<const SampledColumn> columns,
+    int64_t sample_per_bucket);
+
+/// Algorithm 3.1 steps 2-3 over a drawn sample (consumed): drops NaN
+/// values (they belong to no bucket), sorts the rest under a total order
+/// that puts -0.0 before +0.0, and takes every (S/M)-th value as a cut
+/// point. The result depends only on the sample's multiset of values.
+BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
+                                      int num_buckets);
 
 }  // namespace optrules::bucketing
 

@@ -9,7 +9,8 @@
 #include "bucketing/parallel_count.h"
 #include "bucketing/sort_bucketizer.h"
 #include "common/ratio.h"
-#include "common/rng.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rules/average_range.h"
 #include "rules/optimized_confidence.h"
 #include "rules/optimized_support.h"
@@ -32,6 +33,14 @@ uint64_t AttributeSalt(int numeric_index) {
 constexpr uint64_t kGeneralizedSeedOffset = 0x517c;
 constexpr uint64_t kAggregateSeedOffset = 0xa4f;
 constexpr uint64_t kRegionSeedOffset = 0x2d9b;
+
+/// Counts MiningEngine boundary-planning passes (PlanBoundarySets calls),
+/// resolved once.
+obs::Counter* PlanningPassesCounter() {
+  static obs::Counter* const counter =
+      obs::MetricsRegistry::Default().GetCounter("engine.planning_passes");
+  return counter;
+}
 
 /// Renders a conjunction of Boolean attribute names as the rule's
 /// presumptive-condition text ("a=yes ^ b=yes").
@@ -290,7 +299,7 @@ storage::BatchSourceStats MiningEngine::scan_stats() const {
   return stats;
 }
 
-void MiningEngine::PlanBoundarySets(
+Status MiningEngine::PlanBoundarySets(
     std::span<const BoundarySetRequest> requests,
     std::span<std::vector<bucketing::BucketBoundaries>* const> out) {
   OPTRULES_CHECK(requests.size() == out.size());
@@ -304,7 +313,11 @@ void MiningEngine::PlanBoundarySets(
     out[i]->clear();
     out[i]->reserve(static_cast<size_t>(num_numeric));
   }
-  if (sets == 0) return;
+  if (sets == 0) return Status::Ok();
+  // The span covers planning only; the counting scan that follows is its
+  // sibling, never its child.
+  obs::Span span("engine.plan");
+  PlanningPassesCounter()->Add();
 
   // Whether set `i` plans attribute `a`; masked-out attributes get empty
   // placeholder boundaries (never consumed by the caller).
@@ -329,6 +342,13 @@ void MiningEngine::PlanBoundarySets(
     }
     return i;
   };
+  // The span's rows_sampled attribute: Alg. 3.1 samples S rows per
+  // planned (set, attribute) slot of a non-empty table; the deterministic
+  // bucketizers read every row.
+  const auto add_rows_sampled = [&span](int64_t rows) {
+    span.AddAttribute("rows_sampled", static_cast<double>(rows));
+  };
+  const bool sampling = options_.bucketizer == Bucketizer::kSampling;
 
   if (relation_ != nullptr) {
     // In-memory fast path: plan from the columns directly, with the same
@@ -336,8 +356,10 @@ void MiningEngine::PlanBoundarySets(
     // (bit-identical boundaries). The deterministic bucketizers ignore
     // seeds, so sets sharing a bucket count share boundaries and are
     // planned once.
+    const int64_t rows = relation_->NumRows();
+    int64_t rows_sampled = sampling ? 0 : rows;
     for (size_t i = 0; i < sets; ++i) {
-      if (options_.bucketizer != Bucketizer::kSampling) {
+      if (!sampling) {
         const size_t same = first_copyable(i);
         if (same != i) {
           *out[i] = *out[same];
@@ -348,61 +370,58 @@ void MiningEngine::PlanBoundarySets(
       plan.seed += requests[i].seed_offset;
       plan.num_buckets = requests[i].num_buckets;
       for (int a = 0; a < num_numeric; ++a) {
-        out[i]->push_back(
-            needs(i, a)
-                ? bucketing::BuildBoundaries(relation_->NumericColumn(a),
-                                             plan, AttributeSalt(a))
-                : placeholder());
+        if (!needs(i, a)) {
+          out[i]->push_back(placeholder());
+          continue;
+        }
+        out[i]->push_back(bucketing::BuildBoundaries(
+            relation_->NumericColumn(a), plan, AttributeSalt(a)));
+        if (sampling && rows > 0) {
+          rows_sampled += options_.sample_per_bucket * plan.num_buckets;
+        }
       }
     }
-    return;
+    add_rows_sampled(rows_sampled);
+    return Status::Ok();
   }
+  if (!sampling) add_rows_sampled(source_->NumTuples());
 
-  // Generic path: ONE streaming pass plans every requested set at once.
+  // Generic path: ONE sequential pass plans every requested set at once.
   switch (options_.bucketizer) {
     case Bucketizer::kSampling: {
-      // One reservoir per planned (set, attribute) -- sized for the set's
-      // bucket count -- each with its own deterministic generator, all
-      // filled in one scan. Masked-out slots stay empty and cost nothing.
-      std::vector<bucketing::ReservoirSampler> reservoirs;
-      std::vector<Rng> rngs;
-      reservoirs.reserve(sets * static_cast<size_t>(num_numeric));
-      rngs.reserve(sets * static_cast<size_t>(num_numeric));
-      for (size_t i = 0; i < sets; ++i) {
-        const int64_t sample_size =
-            options_.sample_per_bucket * requests[i].num_buckets;
-        for (int a = 0; a < num_numeric; ++a) {
-          // Masked-out slots get a minimal reservoir that is never fed.
-          reservoirs.emplace_back(needs(i, a) ? sample_size : 1);
-          rngs.emplace_back(options_.seed + requests[i].seed_offset +
-                            AttributeSalt(a));
-        }
-      }
-      std::unique_ptr<storage::BatchReader> reader = source_->CreateReader();
-      storage::ColumnarBatch batch;
-      while (reader->Next(&batch)) {
-        for (size_t i = 0; i < sets; ++i) {
-          for (int a = 0; a < num_numeric; ++a) {
-            if (!needs(i, a)) continue;
-            const size_t slot = i * static_cast<size_t>(num_numeric) +
-                                static_cast<size_t>(a);
-            for (const double value : batch.numeric(a)) {
-              reservoirs[slot].Add(value, rngs[slot]);
-            }
-          }
-        }
-      }
+      // Alg. 3.1 per planned (set, attribute) slot with the in-memory
+      // path's generator, so the slot draws the same S row indices and
+      // plans bit-identical boundaries over the same row order. The
+      // sampled rows are gathered in one scan; masked-out slots cost
+      // nothing.
+      std::vector<bucketing::SampledColumn> columns;
       for (size_t i = 0; i < sets; ++i) {
         for (int a = 0; a < num_numeric; ++a) {
-          const size_t slot = i * static_cast<size_t>(num_numeric) +
-                              static_cast<size_t>(a);
-          out[i]->push_back(
-              needs(i, a)
-                  ? reservoirs[slot].TakeBoundaries(requests[i].num_buckets)
-                  : placeholder());
+          if (!needs(i, a)) continue;
+          columns.push_back({a, requests[i].num_buckets,
+                             options_.seed + requests[i].seed_offset +
+                                 AttributeSalt(a)});
         }
       }
-      return;
+      int64_t rows_sampled = 0;
+      if (source_->NumTuples() > 0) {
+        for (const bucketing::SampledColumn& column : columns) {
+          rows_sampled += options_.sample_per_bucket * column.num_buckets;
+        }
+      }
+      add_rows_sampled(rows_sampled);
+      Result<std::vector<bucketing::BucketBoundaries>> planned =
+          bucketing::SampleBoundaries(*source_, columns,
+                                      options_.sample_per_bucket);
+      if (!planned.ok()) return planned.status();
+      size_t next = 0;
+      for (size_t i = 0; i < sets; ++i) {
+        for (int a = 0; a < num_numeric; ++a) {
+          out[i]->push_back(needs(i, a) ? std::move(planned.value()[next++])
+                                        : placeholder());
+        }
+      }
+      return Status::Ok();
     }
     case Bucketizer::kGkSketch: {
       // One deterministic GK sketch per (distinct epsilon, attribute),
@@ -465,7 +484,7 @@ void MiningEngine::PlanBoundarySets(
                         sketch, requests[i].num_buckets));
         }
       }
-      return;
+      return Status::Ok();
     }
     case Bucketizer::kExactSort: {
       // Exact depths need the full columns; buffer them from one scan.
@@ -506,10 +525,11 @@ void MiningEngine::PlanBoundarySets(
                   : placeholder());
         }
       }
-      return;
+      return Status::Ok();
     }
   }
   OPTRULES_CHECK(false);
+  return Status::Ok();
 }
 
 Status MiningEngine::RunCountingScan() {
@@ -651,7 +671,7 @@ Status MiningEngine::TryPrepare() {
       outs.push_back(&region_boundaries_[count]);
     }
   }
-  PlanBoundarySets(requests, outs);
+  OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
   OPTRULES_RETURN_IF_ERROR(RunCountingScan());
   prepared_ = true;
   return Status::Ok();
@@ -780,7 +800,7 @@ Status MiningEngine::AddConditionChannels(int condition_index) {
         {kGeneralizedSeedOffset, options_.num_buckets, {}}};
     std::vector<bucketing::BucketBoundaries>* outs[] = {
         &generalized_boundaries_};
-    PlanBoundarySets(requests, outs);
+    OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
   }
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
@@ -812,7 +832,7 @@ Status MiningEngine::AddSumTargetChannels(int target) {
         {kAggregateSeedOffset, options_.num_buckets, {}}};
     std::vector<bucketing::BucketBoundaries>* outs[] = {
         &aggregate_boundaries_};
-    PlanBoundarySets(requests, outs);
+    OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
   }
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
@@ -883,20 +903,24 @@ Status MiningEngine::AddRegionChannel(int pair_index) {
   // (each column's boundaries are derived independently, so columns
   // already planned come out identical).
   const auto ensure_planned = [this](int count, int column) {
-    std::vector<uint8_t>& planned = region_planned_[count];
+    const std::vector<uint8_t>& planned = region_planned_[count];
     if (!planned.empty() && planned[static_cast<size_t>(column)] != 0) {
-      return;
+      return Status::Ok();
     }
     std::map<int, std::vector<uint8_t>> masks = RegionColumnMasks();
-    planned = std::move(masks[count]);
     const BoundarySetRequest requests[] = {
-        {kRegionSeedOffset, count, planned}};
+        {kRegionSeedOffset, count, masks[count]}};
     std::vector<bucketing::BucketBoundaries>* outs[] = {
         &region_boundaries_[count]};
-    PlanBoundarySets(requests, outs);
+    // Planning clears the set first, so its mask is dropped until the pass
+    // succeeds; a failed pass is retried by the next registration.
+    region_planned_[count].clear();
+    OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
+    region_planned_[count] = std::move(masks[count]);
+    return Status::Ok();
   };
-  ensure_planned(pair.nx, pair.x);
-  ensure_planned(pair.ny, pair.y);
+  OPTRULES_RETURN_IF_ERROR(ensure_planned(pair.nx, pair.x));
+  OPTRULES_RETURN_IF_ERROR(ensure_planned(pair.ny, pair.y));
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
   bucketing::GridChannel channel;

@@ -163,24 +163,28 @@ class MiningEngine {
   /// Engine over any batch source -- e.g. a disk-resident
   /// storage::PagedFileBatchSource. `schema` names the attributes and
   /// must match the source's attribute counts. Boundary planning costs
-  /// one extra streaming pass (all attributes sampled/sketched at once);
-  /// counting still costs exactly one scan.
+  /// one extra sequential pass (every attribute's sampled rows gathered,
+  /// or sketched, at once); counting still costs exactly one scan.
+  /// Sampling draws the in-memory path's row indices, so the boundaries
+  /// -- and every mined bit -- match an engine over the same rows in
+  /// memory and the legacy Miner, whatever the file layout or pool size.
   MiningEngine(storage::BatchSource* source, storage::Schema schema,
                MinerOptions options, ThreadPool* pool = nullptr);
 
   /// Engine over a partitioned table (src/dist/): boundary planning
-  /// streams the partitions concatenated in manifest order (one pass),
-  /// and every counting scan fans out through a
+  /// reads the partitions concatenated in manifest order (one pass, in
+  /// this process), and every counting scan fans out through a
   /// DistributedScanCoordinator -- K physical partition scans, in-process
   /// or optrules_workerd subprocess workers, merged in fixed partition
   /// order into ONE logical scan, so counting_scans() stays 1 for a full
   /// mixed session exactly like the single-file paths. Results are a pure
   /// function of (table, options): the worker count and worker kind never
-  /// change a single bit. Note that partitioning reorders rows, so the
-  /// order-sensitive bucketizers (sampling, GK) plan boundaries over the
-  /// partitioned order -- deterministic, but only guaranteed identical to
-  /// a single-file session when the row order is preserved (round-robin
-  /// K = 1) or the bucketizer is permutation-invariant (kExactSort).
+  /// change a single bit. Partitioning reorders rows, and the sampling
+  /// and GK bucketizers depend on row order (sampled indices, insertion
+  /// order), so their boundaries equal an in-memory engine's over the
+  /// manifest-order rows; they match a single-file session when the order
+  /// is preserved (round-robin K = 1) or the bucketizer is
+  /// permutation-invariant (kExactSort).
   MiningEngine(const dist::PartitionedTable* table, MinerOptions options,
                dist::DistributedScanOptions dist_options = {});
 
@@ -199,8 +203,9 @@ class MiningEngine {
   /// failure (no-op Ok when already prepared). On error the session stays
   /// unprepared and TryPrepare can be retried. Partition files are
   /// re-validated up front, so tables broken BEFORE the call fail softly;
-  /// a partition vanishing in the middle of the scan itself remains
-  /// fatal (readers have no mid-stream error channel).
+  /// a sampled planning pass whose reader ends short of NumTuples()
+  /// returns Corruption. A partition vanishing in the middle of a scan
+  /// itself remains fatal (readers have no mid-stream error channel).
   Status TryPrepare();
 
   /// Registers a generalized-rule presumptive condition (conjunction of
@@ -333,10 +338,13 @@ class MiningEngine {
   };
 
   /// Plans one boundary set per request for every numeric attribute;
-  /// generic batch sources pay ONE streaming pass for the whole request
+  /// generic batch sources pay ONE sequential pass for the whole request
   /// list (the deterministic bucketizers ignore seeds and are planned once
-  /// per distinct bucket count, then copied).
-  void PlanBoundarySets(
+  /// per distinct bucket count, then copied). Traced as one `engine.plan`
+  /// span and counted in `engine.planning_passes`. Returns the scan's
+  /// failure -- e.g. Corruption when a reader yields fewer rows than the
+  /// source reports -- leaving the requested sets empty.
+  Status PlanBoundarySets(
       std::span<const BoundarySetRequest> requests,
       std::span<std::vector<bucketing::BucketBoundaries>* const> out);
   Status RunCountingScan();

@@ -181,15 +181,7 @@ Result<BufferPool::Pin> BufferPool::Fetch(uint64_t file_id,
   ++stats_.misses;
   PoolMetrics::Get().misses->Add();
   if (was_hit != nullptr) *was_hit = false;
-  auto owned = std::make_unique<Frame>();
-  Frame* frame = owned.get();
-  frame->key = key;
-  frame->bytes.resize(page_bytes);
-  frame->pins = 1;
-  frame->loading = true;
-  bytes_used_ += page_bytes;
-  frames_.emplace(key, std::move(owned));
-  EvictLocked();
+  Frame* frame = AdmitLoadingFrameLocked(key, page_bytes);
 
   lock.unlock();
   WallTimer load_timer;
@@ -217,15 +209,7 @@ void BufferPool::Prefetch(uint64_t file_id, int64_t page_index,
   // DEMAND fetches experienced, so a cold double-buffered scan does not
   // masquerade as cache-friendly just because its own prefetcher primed
   // every page.
-  auto owned = std::make_unique<Frame>();
-  Frame* frame = owned.get();
-  frame->key = key;
-  frame->bytes.resize(page_bytes);
-  frame->pins = 1;
-  frame->loading = true;
-  bytes_used_ += page_bytes;
-  frames_.emplace(key, std::move(owned));
-  EvictLocked();
+  Frame* frame = AdmitLoadingFrameLocked(key, page_bytes);
 
   lock.unlock();
   const Status loaded = loader(frame->bytes.data());
@@ -256,15 +240,42 @@ void BufferPool::Release(Frame* frame) {
   }
 }
 
-void BufferPool::EvictLocked() {
-  while (bytes_used_ > capacity_bytes_ && !lru_.empty()) {
-    Frame* victim = lru_.front();
-    lru_.pop_front();
-    bytes_used_ -= victim->bytes.size();
-    ++stats_.evictions;
-    PoolMetrics::Get().evictions->Add();
-    frames_.erase(victim->key);
+BufferPool::Frame* BufferPool::AdmitLoadingFrameLocked(const FrameKey& key,
+                                                       size_t page_bytes) {
+  // Evict BEFORE admitting: the same victims as admitting first and then
+  // trimming back under budget, but a victim whose buffer has the right
+  // size is recycled instead of freed, so a cold scan neither allocates
+  // and zero-fills a page per miss nor holds newcomer and victim at once.
+  std::unique_ptr<Frame> owned;
+  while (bytes_used_ + page_bytes > capacity_bytes_ && !lru_.empty()) {
+    std::unique_ptr<Frame> victim = EvictFrontLocked();
+    if (victim->bytes.size() == page_bytes) owned = std::move(victim);
   }
+  if (owned == nullptr) {
+    owned = std::make_unique<Frame>();
+    owned->bytes.resize(page_bytes);
+  }
+  Frame* frame = owned.get();
+  frame->key = key;
+  frame->pins = 1;
+  frame->loading = true;
+  bytes_used_ += page_bytes;
+  frames_.emplace(key, std::move(owned));
+  return frame;
+}
+
+std::unique_ptr<BufferPool::Frame> BufferPool::EvictFrontLocked() {
+  Frame* victim = lru_.front();
+  lru_.pop_front();
+  victim->in_lru = false;
+  bytes_used_ -= victim->bytes.size();
+  ++stats_.evictions;
+  PoolMetrics::Get().evictions->Add();
+  return std::move(frames_.extract(victim->key).mapped());
+}
+
+void BufferPool::EvictLocked() {
+  while (bytes_used_ > capacity_bytes_ && !lru_.empty()) EvictFrontLocked();
 }
 
 size_t BufferPool::bytes_used() const {

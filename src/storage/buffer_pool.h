@@ -177,6 +177,14 @@ class BufferPool {
     bool in_lru = false;
   };
 
+  /// Installs a pinned, loading frame for `key`, first evicting unpinned
+  /// frames (least recently used first) while the page would not fit the
+  /// budget, and reusing a victim's buffer when its size matches. Caller
+  /// holds mu_.
+  Frame* AdmitLoadingFrameLocked(const FrameKey& key, size_t page_bytes);
+  /// Drops the least recently used unpinned frame and hands it back.
+  /// Caller holds mu_; lru_ must not be empty.
+  std::unique_ptr<Frame> EvictFrontLocked();
   /// Evicts unpinned frames (least recently used first) while over budget.
   /// Caller holds mu_.
   void EvictLocked();

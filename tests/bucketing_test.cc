@@ -2,6 +2,7 @@
 // Section 3.4 error bounds.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -16,6 +17,7 @@
 #include "bucketing/parallel_count.h"
 #include "bucketing/sort_bucketizer.h"
 #include "common/rng.h"
+#include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
 #include "storage/tuple_stream.h"
 
@@ -147,22 +149,35 @@ TEST(SamplerTest, EmptyInputYieldsSingleBucket) {
 }
 
 TEST(SamplerTest, StreamSamplerMatchesColumnSampler) {
-  // Both paths should produce *almost equi-depth* buckets; they need not be
-  // identical (different sampling designs), but both must bound deviation.
-  storage::Relation relation(storage::Schema::Synthetic(1, 1));
+  // The batch-source sampler draws the column sampler's S row indices and
+  // gathers them in one sequential pass, so with the same seed both give
+  // bit-identical cut points -- here across batches smaller than the
+  // sample and a second, differently-bucketed column in the same pass.
+  storage::Relation relation(storage::Schema::Synthetic(2, 1));
   Rng data_rng(6);
   for (int i = 0; i < 50000; ++i) {
-    const double v = data_rng.NextUniform(0.0, 1.0);
+    const double v[] = {data_rng.NextUniform(0.0, 1.0),
+                        data_rng.NextGaussian()};
     const uint8_t flag = 0;
-    relation.AppendRow(std::span<const double>(&v, 1),
-                       std::span<const uint8_t>(&flag, 1));
+    relation.AppendRow(v, std::span<const uint8_t>(&flag, 1));
   }
-  SamplerOptions options;
-  options.num_buckets = 100;
-  storage::RelationTupleStream stream(&relation);
-  Rng rng(7);
-  const BucketBoundaries b =
-      BuildEquiDepthBoundariesFromStream(stream, 0, options, rng);
+  storage::RelationBatchSource source(&relation, /*batch_rows=*/333);
+  const SampledColumn columns[] = {{0, 100, 7}, {1, 37, 8}, {0, 5, 9}};
+  Result<std::vector<BucketBoundaries>> sampled =
+      SampleBoundaries(source, columns, /*sample_per_bucket=*/40);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_EQ(sampled.value().size(), 3u);
+  EXPECT_EQ(source.scans_started(), 1);
+  for (size_t i = 0; i < 3; ++i) {
+    SamplerOptions options;
+    options.num_buckets = columns[i].num_buckets;
+    Rng rng(columns[i].seed);
+    const BucketBoundaries expected = BuildEquiDepthBoundaries(
+        relation.NumericColumn(columns[i].column), options, rng);
+    EXPECT_EQ(sampled.value()[i].cut_points(), expected.cut_points());
+  }
+
+  const BucketBoundaries& b = sampled.value()[0];
   EXPECT_EQ(b.num_buckets(), 100);
   std::vector<int64_t> counts(100, 0);
   for (double v : relation.NumericColumn(0)) {
@@ -171,6 +186,55 @@ TEST(SamplerTest, StreamSamplerMatchesColumnSampler) {
   const double expected = 500.0;
   for (int64_t c : counts) {
     EXPECT_NEAR(static_cast<double>(c), expected, expected);  // +-100%
+  }
+}
+
+TEST(SamplerTest, EmptySourceYieldsSingleBucketsWithoutScanning) {
+  const storage::Relation relation(storage::Schema::Synthetic(1, 1));
+  storage::RelationBatchSource source(&relation);
+  const SampledColumn column{0, 16, 1};
+  Result<std::vector<BucketBoundaries>> sampled =
+      SampleBoundaries(source, {&column, 1}, 40);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_EQ(sampled.value().size(), 1u);
+  EXPECT_EQ(sampled.value()[0].num_buckets(), 1);
+  EXPECT_EQ(source.scans_started(), 0);
+}
+
+TEST(SamplerTest, CutPointsDependOnlyOnTheSampleMultiset) {
+  // Equal doubles are bitwise identical except -0.0 and +0.0, so the
+  // quantile step's sort puts -0.0 first: any permutation of a sample
+  // holding both zeros (and NaNs, which are dropped) gives the same bits.
+  std::vector<double> sample;
+  for (int i = 0; i < 40; ++i) {
+    sample.push_back(i % 2 == 0 ? 0.0 : -0.0);
+    sample.push_back(static_cast<double>(i % 5) - 2.0);
+  }
+  sample.push_back(std::nan(""));
+  const auto bits = [](const std::vector<double>& cuts) {
+    std::vector<uint64_t> out;
+    for (const double cut : cuts) out.push_back(std::bit_cast<uint64_t>(cut));
+    return out;
+  };
+  std::vector<double> copy = sample;
+  const BucketBoundaries reference = BoundariesFromSample(copy, 40);
+  const std::vector<double>& cuts = reference.cut_points();
+  // Both zeros become cut points, every -0.0 before every +0.0.
+  const auto first_positive_zero =
+      std::find_if(cuts.begin(), cuts.end(),
+                   [](double v) { return v == 0.0 && !std::signbit(v); });
+  ASSERT_NE(first_positive_zero, cuts.end());
+  ASSERT_NE(first_positive_zero, cuts.begin());
+  EXPECT_TRUE(std::signbit(*(first_positive_zero - 1)));
+  EXPECT_TRUE(std::none_of(first_positive_zero, cuts.end(), [](double v) {
+    return v == 0.0 && std::signbit(v);
+  }));
+  Rng rng(11);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<double> permuted = sample;
+    std::shuffle(permuted.begin(), permuted.end(), rng);
+    EXPECT_EQ(bits(BoundariesFromSample(permuted, 40).cut_points()),
+              bits(cuts));
   }
 }
 

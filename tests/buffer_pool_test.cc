@@ -402,5 +402,54 @@ TEST(PooledScanTest, WarmRerunOverLargePoolHitsEveryPage) {
   std::remove(path.c_str());
 }
 
+TEST(PooledScanTest, ColdScanEvictsBeforeAdmittingWithinBudget) {
+  // A synchronous scan over a file twice the pool's size. Every miss past
+  // the first half evicts exactly one least-recently-used frame -- the
+  // victims admit-then-trim would pick -- and a newcomer replaces its
+  // victim rather than joining it, so the pool never holds more than its
+  // budget plus the reader's pinned page.
+  const std::string path = testing::TempDir() + "/pool_cold.optr";
+  const storage::Relation relation = PooledTestRelation(16 * 512, 5);
+  PagedFileWriterOptions options;
+  options.rows_per_page = 512;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  const Result<PagedFileInfo> info = ReadPagedFileInfo(path);
+  ASSERT_TRUE(info.ok());
+  const int64_t pages = info.value().num_pages();
+  const size_t page_bytes = ScanGeometry(info.value()).page_stride();
+  ASSERT_EQ(pages, 16);
+
+  const auto scan = [&](BufferPool* pool, PagedReadMode mode) {
+    Result<std::unique_ptr<PagedFileBatchSource>> source =
+        PagedFileBatchSource::Open(path, 100, mode, pool);
+    ASSERT_TRUE(source.ok());
+    std::unique_ptr<BatchReader> reader = source.value()->CreateReader();
+    ColumnarBatch batch;
+    int64_t rows = 0;
+    while (reader->Next(&batch)) {
+      rows += batch.num_rows();
+      ASSERT_LE(pool->bytes_used(), pool->capacity_bytes() + page_bytes);
+    }
+    EXPECT_EQ(rows, relation.NumRows());
+  };
+
+  BufferPool half(static_cast<size_t>(pages / 2) * page_bytes);
+  scan(&half, PagedReadMode::kSynchronous);
+  EXPECT_EQ(half.stats().misses, pages);
+  EXPECT_EQ(half.stats().evictions, pages - pages / 2);
+  EXPECT_EQ(half.bytes_used(), half.capacity_bytes());
+
+  // A zero-capacity pool drops each frame with its last pin: nothing is
+  // left resident once the readers are gone, in either read mode.
+  BufferPool empty(0);
+  for (const PagedReadMode mode :
+       {PagedReadMode::kSynchronous, PagedReadMode::kDoubleBuffered}) {
+    scan(&empty, mode);
+    EXPECT_EQ(empty.bytes_used(), 0u);
+  }
+  EXPECT_EQ(empty.stats().evictions, 2 * pages);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace optrules::storage

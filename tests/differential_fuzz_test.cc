@@ -5,7 +5,8 @@
 // and wide random mixes. Second, the one-scan MiningEngine against the
 // legacy per-query Miner end to end, over randomized NaN-laden relations
 // (plain, generalized, and aggregate queries) and over disk-resident
-// paged files -- the library's central correctness argument, so it gets
+// paged files, where paged sampling must equal in-memory sampling bit for
+// bit -- the library's central correctness argument, so it gets
 // its own deep sweep beyond the per-module property tests. Third, the
 // two-dimensional layer: grid channels against the row-at-a-time
 // region::BuildGrid reference (random rectangular grids, NaN rates, and
@@ -353,57 +354,63 @@ TEST(EngineDifferentialFuzzTest, NanLadenRelationsAllQueryKinds) {
 
 TEST(EngineDifferentialFuzzTest, NanLadenPagedFilesMatchInMemoryEngine) {
   // The disk path exercises the v1 load-time page decode, the v2 column
-  // runs and NaN byte round-tripping; GK boundaries are deterministic so
-  // file and memory engines must agree bit for bit.
+  // runs and NaN byte round-tripping. GK boundaries are deterministic, and
+  // sampled planning draws the in-memory path's row indices, so under
+  // either bucketizer file and memory engines must agree bit for bit.
   Rng rng(FuzzSeed(60601));
   for (int round = 0; round < 6; ++round) {
     const storage::Relation relation = RandomNanRelation(rng);
     MinerOptions options;
     options.num_buckets = 16 + static_cast<int>(rng.NextBounded(48));
-    options.bucketizer = Bucketizer::kGkSketch;
+    options.sample_per_bucket = 1 + static_cast<int64_t>(rng.NextBounded(40));
+    options.seed = 500 + static_cast<uint64_t>(round);
     const std::string path = testing::TempDir() + "/fuzz_nan_" +
                              std::to_string(round) + ".optr";
     ASSERT_TRUE(
         storage::WriteRelationToFile(relation, path, FuzzFileFormat(round))
             .ok());
     const std::unique_ptr<storage::BufferPool> pool = FuzzPool(round);
-    auto source_or = storage::PagedFileBatchSource::Open(
-        path, 128 + static_cast<int64_t>(rng.NextBounded(900)),
-        storage::PagedReadMode::kDoubleBuffered, pool.get());
-    ASSERT_TRUE(source_or.ok());
+    for (const Bucketizer bucketizer :
+         {Bucketizer::kGkSketch, Bucketizer::kSampling}) {
+      options.bucketizer = bucketizer;
+      auto source_or = storage::PagedFileBatchSource::Open(
+          path, 128 + static_cast<int64_t>(rng.NextBounded(900)),
+          storage::PagedReadMode::kDoubleBuffered, pool.get());
+      ASSERT_TRUE(source_or.ok());
 
-    MiningEngine memory_engine(&relation, options);
-    MiningEngine file_engine(source_or.value().get(), relation.schema(),
-                             options);
-    for (MiningEngine* engine : {&memory_engine, &file_engine}) {
-      ASSERT_TRUE(engine->RequestGeneralized({}).ok());
-      ASSERT_TRUE(
-          engine->RequestAverageTarget(relation.schema().NumericName(0))
-              .ok());
+      MiningEngine memory_engine(&relation, options);
+      MiningEngine file_engine(source_or.value().get(), relation.schema(),
+                               options);
+      for (MiningEngine* engine : {&memory_engine, &file_engine}) {
+        ASSERT_TRUE(engine->RequestGeneralized({}).ok());
+        ASSERT_TRUE(
+            engine->RequestAverageTarget(relation.schema().NumericName(0))
+                .ok());
+      }
+      ExpectIdenticalRules(file_engine.MineAllPairs(),
+                           memory_engine.MineAllPairs(), round);
+      auto file_generalized = file_engine.MineGeneralized(
+          relation.schema().NumericName(0), {},
+          relation.schema().BooleanName(0));
+      auto memory_generalized = memory_engine.MineGeneralized(
+          relation.schema().NumericName(0), {},
+          relation.schema().BooleanName(0));
+      ASSERT_TRUE(file_generalized.ok());
+      ASSERT_TRUE(memory_generalized.ok());
+      ExpectIdenticalRules(file_generalized.value(),
+                           memory_generalized.value(), round);
+      auto file_average = file_engine.MineMaximumAverageRange(
+          relation.schema().NumericName(1), relation.schema().NumericName(0),
+          0.1);
+      auto memory_average = memory_engine.MineMaximumAverageRange(
+          relation.schema().NumericName(1), relation.schema().NumericName(0),
+          0.1);
+      ASSERT_TRUE(file_average.ok());
+      ASSERT_TRUE(memory_average.ok());
+      ExpectIdenticalAggregate(file_average.value(), memory_average.value(),
+                               round);
+      ASSERT_EQ(file_engine.counting_scans(), 1) << round;
     }
-    ExpectIdenticalRules(file_engine.MineAllPairs(),
-                         memory_engine.MineAllPairs(), round);
-    auto file_generalized = file_engine.MineGeneralized(
-        relation.schema().NumericName(0), {},
-        relation.schema().BooleanName(0));
-    auto memory_generalized = memory_engine.MineGeneralized(
-        relation.schema().NumericName(0), {},
-        relation.schema().BooleanName(0));
-    ASSERT_TRUE(file_generalized.ok());
-    ASSERT_TRUE(memory_generalized.ok());
-    ExpectIdenticalRules(file_generalized.value(),
-                         memory_generalized.value(), round);
-    auto file_average = file_engine.MineMaximumAverageRange(
-        relation.schema().NumericName(1), relation.schema().NumericName(0),
-        0.1);
-    auto memory_average = memory_engine.MineMaximumAverageRange(
-        relation.schema().NumericName(1), relation.schema().NumericName(0),
-        0.1);
-    ASSERT_TRUE(file_average.ok());
-    ASSERT_TRUE(memory_average.ok());
-    ExpectIdenticalAggregate(file_average.value(), memory_average.value(),
-                             round);
-    ASSERT_EQ(file_engine.counting_scans(), 1) << round;
     std::remove(path.c_str());
   }
 }
@@ -721,8 +728,8 @@ TEST(RegionDifferentialFuzzTest, EngineRegionsMatchLegacyMiner) {
 TEST(RegionDifferentialFuzzTest, PagedEngineRegionsMatchMemoryEngine) {
   // Out-of-core 2-D mining: the paged-file engine (synchronous AND
   // double-buffered) must reproduce the in-memory engine's regions bit
-  // for bit (GK boundaries keep planning deterministic across the column
-  // and batch paths).
+  // for bit, under GK sketches and under sampled gathers alike (both plan
+  // the column path's boundaries on the batch path).
   Rng rng(FuzzSeed(11235));
   for (int round = 0; round < 5; ++round) {
     const storage::Relation relation = RandomNanRelation(rng);
@@ -730,15 +737,17 @@ TEST(RegionDifferentialFuzzTest, PagedEngineRegionsMatchMemoryEngine) {
     MinerOptions options;
     options.num_buckets = 16 + static_cast<int>(rng.NextBounded(48));
     options.region_grid_buckets = 2 + static_cast<int>(rng.NextBounded(30));
-    options.bucketizer = Bucketizer::kGkSketch;
     const std::string x = schema.NumericName(0);
     const std::string y =
         schema.NumericName(schema.num_numeric() > 1 ? 1 : 0);
     const std::string target = schema.BooleanName(0);
-
-    MiningEngine memory_engine(&relation, options);
-    ASSERT_TRUE(memory_engine.RequestRegionPair(x, y).ok());
-    const auto expected = memory_engine.MineOptimizedRegion(x, y, target);
+    const storage::PagedReadMode modes[] = {
+        storage::PagedReadMode::kSynchronous,
+        storage::PagedReadMode::kDoubleBuffered};
+    int64_t batch_rows[2];
+    for (int64_t& rows : batch_rows) {
+      rows = 128 + static_cast<int64_t>(rng.NextBounded(600));
+    }
 
     const std::string path = testing::TempDir() + "/fuzz_region_" +
                              std::to_string(round) + ".optr";
@@ -746,18 +755,22 @@ TEST(RegionDifferentialFuzzTest, PagedEngineRegionsMatchMemoryEngine) {
         storage::WriteRelationToFile(relation, path, FuzzFileFormat(round))
             .ok());
     const std::unique_ptr<storage::BufferPool> file_pool = FuzzPool(round);
-    for (const storage::PagedReadMode mode :
-         {storage::PagedReadMode::kSynchronous,
-          storage::PagedReadMode::kDoubleBuffered}) {
-      auto source_or = storage::PagedFileBatchSource::Open(
-          path, 128 + static_cast<int64_t>(rng.NextBounded(600)), mode,
-          file_pool.get());
-      ASSERT_TRUE(source_or.ok());
-      MiningEngine file_engine(source_or.value().get(), schema, options);
-      ASSERT_TRUE(file_engine.RequestRegionPair(x, y).ok());
-      ExpectIdenticalRegion(file_engine.MineOptimizedRegion(x, y, target),
-                            expected, round);
-      ASSERT_EQ(file_engine.counting_scans(), 1) << round;
+    for (const Bucketizer bucketizer :
+         {Bucketizer::kGkSketch, Bucketizer::kSampling}) {
+      options.bucketizer = bucketizer;
+      MiningEngine memory_engine(&relation, options);
+      ASSERT_TRUE(memory_engine.RequestRegionPair(x, y).ok());
+      const auto expected = memory_engine.MineOptimizedRegion(x, y, target);
+      for (int m = 0; m < 2; ++m) {
+        auto source_or = storage::PagedFileBatchSource::Open(
+            path, batch_rows[m], modes[m], file_pool.get());
+        ASSERT_TRUE(source_or.ok());
+        MiningEngine file_engine(source_or.value().get(), schema, options);
+        ASSERT_TRUE(file_engine.RequestRegionPair(x, y).ok());
+        ExpectIdenticalRegion(file_engine.MineOptimizedRegion(x, y, target),
+                              expected, round);
+        ASSERT_EQ(file_engine.counting_scans(), 1) << round;
+      }
     }
     std::remove(path.c_str());
   }

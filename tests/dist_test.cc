@@ -1511,31 +1511,98 @@ TEST(PartitionedEngineTest, MixedSessionMatchesSinglePagedFile) {
   std::remove(paged.c_str());
 }
 
-/// With K = 1 round-robin the partitioned row order IS the original
-/// order, so even the order-sensitive default sampling bucketizer must
-/// match the single-file engine bit for bit.
-TEST(PartitionedEngineTest, SinglePartitionMatchesWithSamplingBucketizer) {
-  const storage::Relation relation = TestRelation(2500, 24);
+/// The table's rows with its partitions concatenated in manifest order:
+/// the row order a partitioned engine's boundary planning samples.
+storage::Relation ManifestOrderRelation(const PartitionedTable& table) {
+  const storage::Schema& schema = table.schema();
+  storage::Relation relation(schema);
+  std::vector<double> numeric(static_cast<size_t>(schema.num_numeric()));
+  std::vector<uint8_t> boolean(static_cast<size_t>(schema.num_boolean()));
+  PartitionedTableBatchSource source(&table, 512);
+  std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
+  storage::ColumnarBatch batch;
+  while (reader->Next(&batch)) {
+    for (size_t r = 0; r < static_cast<size_t>(batch.num_rows()); ++r) {
+      for (size_t a = 0; a < numeric.size(); ++a) {
+        numeric[a] = batch.numeric(static_cast<int>(a))[r];
+      }
+      for (size_t b = 0; b < boolean.size(); ++b) {
+        boolean[b] = batch.boolean(static_cast<int>(b))[r];
+      }
+      relation.AppendRow(numeric, boolean);
+    }
+  }
+  return relation;
+}
+
+/// Sampled planning draws the in-memory path's row indices and gathers
+/// them over the partitions in manifest order, so a full mixed session
+/// under the default sampling bucketizer is bit-identical to an in-memory
+/// engine over the manifest-order rows, for any K and either worker
+/// kind. At K = 1 that order is the original table's, so the legacy Miner
+/// over it is a reference too.
+TEST(PartitionedEngineTest, SamplingSessionMatchesManifestOrderEngine) {
+  const storage::Relation relation = TestRelation(3000, 24, 4, 3);
   const storage::Schema& schema = relation.schema();
   MinerOptions options;
   options.num_buckets = 40;
+  options.region_grid_buckets = 8;
+  const std::string x = schema.NumericName(0);
+  const std::string y = schema.NumericName(1);
+  const std::string z = schema.NumericName(2);
+  const std::string target = schema.BooleanName(0);
+  const std::vector<std::string> condition = {schema.BooleanName(1)};
+  const auto expect_same_session = [&](MiningEngine& engine,
+                                       auto& reference) {
+    ExpectSameRules(engine.MineGeneralized(x, condition, target).value(),
+                    reference.MineGeneralized(x, condition, target).value());
+    ExpectSameAggregate(engine.MineMaximumAverageRange(x, y, 0.1),
+                        reference.MineMaximumAverageRange(x, y, 0.1));
+    ExpectSameAggregate(engine.MineMaximumSupportRange(x, z, 1e5),
+                        reference.MineMaximumSupportRange(x, z, 1e5));
+    ExpectSameRegion(engine.MineOptimizedRegion(x, y, target),
+                     reference.MineOptimizedRegion(x, y, target));
+  };
 
-  const std::string paged = testing::TempDir() + "/dist_engine_k1.optr";
-  ASSERT_TRUE(storage::WriteRelationToFile(relation, paged).ok());
-  auto single_source = storage::PagedFileBatchSource::Open(paged);
-  ASSERT_TRUE(single_source.ok());
-  MiningEngine reference(single_source.value().get(), schema, options);
+  const bool have_workerd = !ResolveWorkerdPath("").empty();
+  for (const int k : {1, 3, 8}) {
+    const std::string dir = TempDir("engine_sampling_k" + std::to_string(k));
+    PartitionOptions partition_options;
+    partition_options.num_partitions = k;
+    Result<PartitionedTable> table =
+        PartitionRelation(relation, dir, partition_options);
+    ASSERT_TRUE(table.ok());
+    const storage::Relation ordered = ManifestOrderRelation(table.value());
+    MiningEngine reference(&ordered, options);
+    const std::vector<MinedRule> reference_rules = reference.MineAllPairs();
+    if (k == 1) {
+      rules::Miner legacy(&relation, options);
+      ExpectSameRules(reference_rules, legacy.MineAll());
+      expect_same_session(reference, legacy);
+    }
 
-  const std::string dir = TempDir("engine_k1_sampling");
-  PartitionOptions partition_options;
-  partition_options.num_partitions = 1;
-  Result<PartitionedTable> table =
-      PartitionRelation(relation, dir, partition_options);
-  ASSERT_TRUE(table.ok());
-  MiningEngine engine(&table.value(), options);
-  ExpectSameRules(engine.MineAllPairs(), reference.MineAllPairs());
-  std::filesystem::remove_all(dir);
-  std::remove(paged.c_str());
+    std::vector<DistributedScanOptions> variants(1);  // in-process
+    if (have_workerd) {
+      DistributedScanOptions subprocess;
+      subprocess.worker_kind = WorkerKind::kSubprocess;
+      subprocess.max_workers = 2;
+      variants.push_back(subprocess);
+    }
+    for (const DistributedScanOptions& variant : variants) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " subprocess=" +
+                   std::to_string(variant.worker_kind ==
+                                  WorkerKind::kSubprocess));
+      MiningEngine engine(&table.value(), options, variant);
+      ASSERT_TRUE(engine.RequestGeneralized(condition).ok());
+      ASSERT_TRUE(engine.RequestAverageTarget(y).ok());
+      ASSERT_TRUE(engine.RequestAverageTarget(z).ok());
+      ASSERT_TRUE(engine.RequestRegionPair(x, y).ok());
+      ExpectSameRules(engine.MineAllPairs(), reference_rules);
+      expect_same_session(engine, reference);
+      EXPECT_EQ(engine.counting_scans(), 1);
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 /// Misconfigured distributed sessions surface a Status through

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "datagen/retail.h"
 #include "datagen/table_generator.h"
 #include "rules/miner.h"
+#include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
 #include "storage/tuple_stream.h"
@@ -1025,6 +1028,144 @@ TEST(MiningEngineTest, PooledDoubleBufferedFileEngineMatchesSerialSync) {
   ExpectSameRules(pooled.MineAllPairs(), serial.MineAllPairs());
   EXPECT_EQ(pooled.counting_scans(), 1);
   std::remove(path.c_str());
+}
+
+// ------------------------------ sampled planning across storage layouts ----
+
+/// A full mixed session -- all-pairs and a threshold sweep, generalized,
+/// both aggregate kinds, a region pair, then a late region pair that
+/// re-plans its boundary set -- under the default sampling bucketizer,
+/// checked bit for bit against an in-memory engine and the legacy Miner
+/// over `relation`. The engine draws the in-memory path's sample, so its
+/// row layout must not leak into a single bit.
+void ExpectSamplingSessionMatches(const storage::Relation& relation,
+                                  const MinerOptions& options,
+                                  MiningEngine* engine) {
+  ASSERT_EQ(options.bucketizer, Bucketizer::kSampling);
+  Miner legacy(&relation, options);
+  MiningEngine memory(&relation, options);
+  for (MiningEngine* e : {engine, &memory}) {
+    ASSERT_TRUE(e->RequestGeneralized({"bool0"}).ok());
+    ASSERT_TRUE(e->RequestAverageTarget("num2").ok());
+    ASSERT_TRUE(e->RequestRegionPair("num0", "num1").ok());
+  }
+  ExpectSameRules(engine->MineAllPairs(), legacy.MineAll());
+  const ThresholdSet sweep[] = {{0.02, 0.3}, {0.15, 0.7}};
+  ExpectSameRules(engine->MineAllPairs(sweep), memory.MineAllPairs(sweep));
+  ExpectSameRuleResults(engine->MineGeneralized("num1", {"bool0"}, "bool1"),
+                        legacy.MineGeneralized("num1", {"bool0"}, "bool1"));
+  ExpectSameAggregate(engine->MineMaximumAverageRange("num0", "num2", 0.1),
+                      legacy.MineMaximumAverageRange("num0", "num2", 0.1));
+  ExpectSameAggregate(engine->MineMaximumSupportRange("num1", "num2", 4e5),
+                      legacy.MineMaximumSupportRange("num1", "num2", 4e5));
+  ExpectSameRegion(engine->MineOptimizedRegion("num0", "num1", "bool1"),
+                   legacy.MineOptimizedRegion("num0", "num1", "bool1"));
+  EXPECT_EQ(engine->counting_scans(), 1);
+  ExpectSameRegion(engine->MineOptimizedRegion("num2", "num0", "bool0"),
+                   legacy.MineOptimizedRegion("num2", "num0", "bool0"));
+  EXPECT_EQ(engine->counting_scans(), 2);
+}
+
+TEST(SampledPlanningTest, PagedEnginesMatchInMemoryAndLegacy) {
+  const storage::Relation relation = RelationWithNans(6007, 81);
+  MinerOptions options;
+  options.num_buckets = 40;
+  options.region_grid_buckets = 8;
+  struct Layout {
+    const char* name;
+    storage::PagedFileWriterOptions writer;
+  };
+  std::vector<Layout> layouts(3);
+  layouts[0].name = "v2";
+  layouts[0].writer.rows_per_page = 256;
+  layouts[1].name = "v2 without zone maps";
+  layouts[1].writer.rows_per_page = 256;
+  layouts[1].writer.zone_maps = false;
+  layouts[2].name = "v1";
+  layouts[2].writer.format = storage::PagedFileFormat::kRowMajorV1;
+  for (const Layout& layout : layouts) {
+    const std::string path = testing::TempDir() + "/sampled_planning.optr";
+    ASSERT_TRUE(
+        storage::WriteRelationToFile(relation, path, layout.writer).ok());
+    const Result<storage::PagedFileInfo> info =
+        storage::ReadPagedFileInfo(path);
+    ASSERT_TRUE(info.ok());
+    const size_t page_bytes = storage::ScanGeometry(info.value()).page_stride();
+    for (const size_t capacity :
+         {size_t{0}, 2 * page_bytes, storage::kDefaultBufferPoolBytes}) {
+      SCOPED_TRACE(std::string(layout.name) + ", pool of " +
+                   std::to_string(capacity) + " bytes");
+      storage::BufferPool pool(capacity);
+      auto source = storage::PagedFileBatchSource::Open(
+          path, 300, storage::PagedReadMode::kDoubleBuffered, &pool);
+      ASSERT_TRUE(source.ok());
+      MiningEngine engine(source.value().get(), relation.schema(), options);
+      ExpectSamplingSessionMatches(relation, options, &engine);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+/// A source whose readers end `missing` rows short of NumTuples(), as a
+/// table that lost its tail mid-session would; `missing` may change
+/// between scans.
+class ShortReadSource : public storage::BatchSource {
+ public:
+  explicit ShortReadSource(const storage::Relation* relation)
+      : inner_(relation, 256) {}
+
+  int num_numeric() const override { return inner_.num_numeric(); }
+  int num_boolean() const override { return inner_.num_boolean(); }
+  int64_t NumTuples() const override { return inner_.NumTuples(); }
+  void set_missing(int64_t missing) { missing_ = missing; }
+
+ protected:
+  std::unique_ptr<storage::BatchReader> DoCreateReader() override {
+    return inner_.CreateRangeReader(0, inner_.NumTuples() - missing_);
+  }
+
+ private:
+  storage::RelationBatchSource inner_;
+  int64_t missing_ = 0;
+};
+
+TEST(SampledPlanningTest, ShortReadsAreCorruptionNotAbort) {
+  const storage::Relation relation = SmallRelation(4000, 82);
+  MinerOptions options;
+  options.num_buckets = 30;
+  options.region_grid_buckets = 6;
+  ShortReadSource source(&relation);
+  source.set_missing(1000);
+  MiningEngine engine(&source, relation.schema(), options);
+  const Status failed = engine.TryPrepare();
+  EXPECT_EQ(failed.code(), StatusCode::kCorruption) << failed.ToString();
+  EXPECT_EQ(engine.counting_scans(), 0);
+
+  // The session stays retryable: once reads are whole again it prepares
+  // and matches the in-memory engine.
+  source.set_missing(0);
+  ASSERT_TRUE(engine.TryPrepare().ok());
+  MiningEngine memory(&relation, options);
+  ExpectSameRules(engine.MineAllPairs(), memory.MineAllPairs());
+
+  // A late registration's planning pass fails the same way and rolls the
+  // registration back; the retry re-plans and re-scans.
+  source.set_missing(1);
+  EXPECT_EQ(engine.RequestRegionPair("num0", "num2").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(engine.RequestGeneralized({"bool1"}).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(engine.RequestAverageTarget("num1").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(engine.counting_scans(), 1);
+  source.set_missing(0);
+  ASSERT_TRUE(engine.RequestRegionPair("num0", "num2").ok());
+  ExpectSameRegion(engine.MineOptimizedRegion("num0", "num2", "bool0"),
+                   memory.MineOptimizedRegion("num0", "num2", "bool0"));
+  ExpectSameRuleResults(engine.MineGeneralized("num1", {"bool1"}, "bool0"),
+                        memory.MineGeneralized("num1", {"bool1"}, "bool0"));
+  ExpectSameAggregate(engine.MineMaximumAverageRange("num0", "num1", 0.1),
+                      memory.MineMaximumAverageRange("num0", "num1", 0.1));
 }
 
 // ----------------------------------------------- wide-schema coverage ----

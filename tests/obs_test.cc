@@ -4,7 +4,8 @@
 // tracer ring-buffer bounds, span parentage within a thread and across an
 // explicit ScopedParent thread boundary, and the disabled-registry
 // contract (a flipped switch records nothing, and instrument activity on
-// the scan hot path stays O(batches + shards), never O(rows)).
+// the scan hot path stays O(batches + shards), never O(rows)), and the
+// mining engine's traced, counted boundary-planning passes.
 
 #include <atomic>
 #include <string>
@@ -20,6 +21,7 @@
 #include "datagen/table_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rules/miner.h"
 #include "storage/columnar_batch.h"
 
 namespace optrules::obs {
@@ -298,6 +300,73 @@ TEST(Trace, OrphanedSpansPromoteToRoots) {
   EXPECT_EQ(json.find("child.a"), std::string::npos);
   EXPECT_NE(json.find("evicted.parent"), std::string::npos);
   EXPECT_NE(json.find("child.c"), std::string::npos);
+}
+
+// The boundary-planning pass is a full data pass, so it is traced and
+// counted like the counting scan: one `engine.plan` span (a sibling of the
+// scan, never its parent) and one `engine.planning_passes` bump per
+// planning pass, with supplemental passes for late registrations.
+TEST(EngineObservability, PlanningPassesAreTracedAndCounted) {
+  datagen::TableConfig config;
+  config.num_rows = 20000;
+  config.num_numeric = 3;
+  config.num_boolean = 2;
+  Rng rng(78);
+  const storage::Relation table = datagen::GenerateTable(config, rng);
+  storage::RelationBatchSource source(&table);
+  rules::MinerOptions options;
+  options.num_buckets = 32;
+  rules::MiningEngine engine(&source, table.schema(), options);
+
+  Counter* passes =
+      MetricsRegistry::Default().GetCounter("engine.planning_passes");
+  Tracer& tracer = Tracer::Default();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  const int64_t before = passes->Value();
+  uint64_t prepare_id = 0;
+  {
+    Span prepare("test.prepare");
+    prepare_id = prepare.id();
+    ASSERT_TRUE(engine.TryPrepare().ok());
+  }
+  EXPECT_EQ(passes->Value(), before + 1);
+  // A late channel whose boundary set is unplanned pays one more pass; a
+  // second one reuses that set and pays only its counting scan.
+  ASSERT_TRUE(engine.RequestAverageTarget("num1").ok());
+  EXPECT_EQ(passes->Value(), before + 2);
+  ASSERT_TRUE(engine.RequestAverageTarget("num2").ok());
+  EXPECT_EQ(passes->Value(), before + 2);
+  tracer.set_enabled(false);
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  tracer.Clear();
+
+  std::vector<uint64_t> plan_ids;
+  int prepare_plans = 0;
+  int prepare_scans = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name == "engine.plan") {
+      plan_ids.push_back(span.id);
+      if (span.parent_id != prepare_id) continue;
+      ++prepare_plans;
+      // S = 40 samples per bucket for each of the 3 planned columns.
+      ASSERT_EQ(span.attributes.size(), 1u);
+      EXPECT_EQ(span.attributes[0].first, "rows_sampled");
+      EXPECT_EQ(span.attributes[0].second, 3.0 * 40 * 32);
+    }
+    if (span.name == "bucketing.scan" && span.parent_id == prepare_id) {
+      ++prepare_scans;
+    }
+  }
+  EXPECT_EQ(plan_ids.size(), 2u);
+  EXPECT_EQ(prepare_plans, 1);
+  EXPECT_EQ(prepare_scans, 1);
+  // Planning never nests a scan span, and no scan hangs under a plan.
+  for (const SpanRecord& span : spans) {
+    for (const uint64_t plan_id : plan_ids) {
+      EXPECT_NE(span.parent_id, plan_id) << span.name;
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "rules/miner.h"
 #include "rules/optimized_confidence.h"
 #include "rules/optimized_support.h"
+#include "storage/columnar_batch.h"
 #include "storage/csv.h"
 #include "storage/paged_file.h"
 #include "storage/tuple_stream.h"
@@ -66,46 +67,52 @@ TEST(PipelineTest, CsvRoundTripPreservesMinedRules) {
 }
 
 TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
-  // The out-of-core path (file stream -> reservoir sampler -> streaming
-  // counting -> O(M) rules) must find a rule statistically equivalent to
-  // the in-memory path on the same data.
+  // The out-of-core path (file stream -> sampled-row gather -> streaming
+  // counting -> O(M) rules) draws the in-memory path's sample, so with the
+  // Miner's generator (session seed + attribute salt 0) it must find the
+  // very same rule.
   Rng rng(2);
   const storage::Relation table =
       datagen::GenerateTable(PlantedConfig(40000), rng);
   const std::string path = testing::TempDir() + "/pipeline.optr";
   ASSERT_TRUE(storage::WriteRelationToFile(table, path).ok());
 
-  auto stream_or = storage::FileTupleStream::Open(path);
-  ASSERT_TRUE(stream_or.ok());
-  storage::FileTupleStream& stream = *stream_or.value();
-  bucketing::SamplerOptions sampler;
-  sampler.num_buckets = 100;
-  Rng sample_rng(3);
-  const bucketing::BucketBoundaries boundaries =
-      bucketing::BuildEquiDepthBoundariesFromStream(stream, 0, sampler,
-                                                    sample_rng);
-  stream.Reset();
-  bucketing::BucketCounts counts =
-      bucketing::CountBucketsFromStream(stream, 0, boundaries);
-  bucketing::CompactEmptyBuckets(&counts);
-  const rules::RangeRule disk_rule = rules::OptimizedConfidenceRule(
-      counts.u, counts.v[0], counts.total_tuples,
-      rules::MinSupportCount(counts.total_tuples, 0.10));
-
   rules::MinerOptions options;
   options.num_buckets = 100;
   options.min_support = 0.10;
+
+  auto stream_or = storage::FileTupleStream::Open(path);
+  ASSERT_TRUE(stream_or.ok());
+  storage::FileTupleStream& stream = *stream_or.value();
+  storage::TupleStreamBatchSource source(&stream);
+  const bucketing::SampledColumn column{0, options.num_buckets,
+                                        options.seed};
+  const Result<std::vector<bucketing::BucketBoundaries>> boundaries =
+      bucketing::SampleBoundaries(source, {&column, 1},
+                                  options.sample_per_bucket);
+  ASSERT_TRUE(boundaries.ok());
+  stream.Reset();
+  bucketing::BucketCounts counts = bucketing::CountBucketsFromStream(
+      stream, 0, boundaries.value().front());
+  bucketing::CompactEmptyBuckets(&counts);
+  const rules::RangeRule disk_rule = rules::OptimizedConfidenceRule(
+      counts.u, counts.v[0], counts.total_tuples,
+      rules::MinSupportCount(counts.total_tuples, options.min_support));
+
   rules::Miner miner(&table, options);
   const rules::MinedRule memory_rule =
       miner.MinePair("num0", "bool0").value()[0];
 
   ASSERT_TRUE(disk_rule.found);
   ASSERT_TRUE(memory_rule.found);
-  EXPECT_NEAR(disk_rule.confidence, memory_rule.confidence, 0.05);
-  EXPECT_NEAR(
-      static_cast<double>(disk_rule.support_count) /
-          static_cast<double>(counts.total_tuples),
-      memory_rule.support, 0.05);
+  EXPECT_EQ(disk_rule.confidence, memory_rule.confidence);
+  EXPECT_EQ(disk_rule.support, memory_rule.support);
+  EXPECT_EQ(disk_rule.support_count, memory_rule.support_count);
+  EXPECT_EQ(disk_rule.hit_count, memory_rule.hit_count);
+  EXPECT_EQ(bucketing::RangeMinValue(counts, disk_rule.s, disk_rule.t),
+            memory_rule.range_lo);
+  EXPECT_EQ(bucketing::RangeMaxValue(counts, disk_rule.s, disk_rule.t),
+            memory_rule.range_hi);
   std::remove(path.c_str());
 }
 
