@@ -11,23 +11,28 @@
 #ifndef OPTRULES_BENCH_BENCH_UTIL_H_
 #define OPTRULES_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace optrules::bench {
 
-/// Reads OPTRULES_BENCH_SCALE (>= 1, default 1).
+/// Reads OPTRULES_BENCH_SCALE through the strict env parser (a malformed
+/// value such as "12x" warns and falls back to 1) and clamps it to >= 1,
+/// so "0" runs at scale 1.
 inline int64_t BenchScale() {
-  const char* env = std::getenv("OPTRULES_BENCH_SCALE");
-  if (env == nullptr) return 1;
-  const long long value = std::atoll(env);
-  return value >= 1 ? static_cast<int64_t>(value) : 1;
+  const uint64_t value = env::ReadEnvNonNegativeInt("OPTRULES_BENCH_SCALE", 1);
+  return static_cast<int64_t>(
+      std::clamp<uint64_t>(value, 1, std::numeric_limits<int64_t>::max()));
 }
 
 /// True when OPTRULES_BENCH_JSON is set (and not "0").

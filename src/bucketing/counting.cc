@@ -231,32 +231,6 @@ BucketCounts CountBucketsConditional(std::span<const double> values,
   return counts;
 }
 
-BucketCounts CountBucketsFromStream(storage::TupleStream& stream,
-                                    int numeric_attr,
-                                    const BucketBoundaries& boundaries) {
-  OPTRULES_CHECK(0 <= numeric_attr && numeric_attr < stream.num_numeric());
-  BucketCounts counts =
-      MakeEmptyCounts(boundaries.num_buckets(), stream.num_boolean());
-  storage::TupleView view;
-  int64_t total = 0;
-  const int num_targets = stream.num_boolean();
-  while (stream.Next(&view)) {
-    const double value = view.numeric[numeric_attr];
-    const int bucket = boundaries.Locate(value);
-    ++total;  // NaN rows still count toward the support denominator N
-    if (bucket == BucketBoundaries::kNoBucket) continue;
-    ++counts.u[static_cast<size_t>(bucket)];
-    UpdateMinMax(&counts, bucket, value);
-    for (int t = 0; t < num_targets; ++t) {
-      if (view.booleans[t] != 0) {
-        ++counts.v[static_cast<size_t>(t)][static_cast<size_t>(bucket)];
-      }
-    }
-  }
-  counts.total_tuples = total;
-  return counts;
-}
-
 void CompactEmptyBuckets(BucketCounts* counts) {
   OPTRULES_CHECK(counts != nullptr);
   const size_t kept = CompactByU(counts->u, [counts](size_t w, size_t r) {
@@ -465,9 +439,8 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
   // Reference arm (OPTRULES_FORCE_SCALAR=1): the pre-SIMD guarded scatter,
   // kept verbatim as the bit-identity baseline the differential tests pin.
   // Conditional channels overlay the condition mask onto the shared cache
-  // once (into per-channel scratch, so concurrent channels of one plan
-  // never share mutable state); the scatter passes below then treat
-  // condition-failing rows exactly like NaN rows.
+  // once (into the channel's scratch); the scatter passes below then
+  // treat condition-failing rows exactly like NaN rows.
   if (channel.condition != CountChannel::kUnconditional) {
     const std::vector<uint8_t>& mask =
         condition_masks_[static_cast<size_t>(channel.condition)];

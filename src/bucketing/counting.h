@@ -13,7 +13,6 @@
 #include "bucketing/boundaries.h"
 #include "common/status.h"
 #include "storage/columnar_batch.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 
@@ -61,13 +60,6 @@ BucketCounts CountBucketsConditional(std::span<const double> values,
                                      std::span<const uint8_t> condition1,
                                      std::span<const uint8_t> condition2,
                                      const BucketBoundaries& boundaries);
-
-/// Streaming variant: counts numeric attribute `numeric_attr` against all
-/// Boolean attributes of the stream in one scan (the Figure 9 workload).
-/// The stream must be positioned at the start.
-BucketCounts CountBucketsFromStream(storage::TupleStream& stream,
-                                    int numeric_attr,
-                                    const BucketBoundaries& boundaries);
 
 /// Removes empty buckets in place (the rule algorithms require u_i >= 1).
 /// Bucket order and all parallel arrays are preserved.
@@ -200,28 +192,6 @@ class MultiCountPlan {
   /// Accumulates one batch into every channel.
   void Accumulate(const storage::ColumnarBatch& batch);
 
-  /// Per-batch shared preparation: computes the per-row mask of every
-  /// condition AND locates every distinct (column, boundaries) pair ONCE
-  /// into the shared bucket-index cache that all of its channels consume
-  /// (C conditional channels over one generalized boundary set used to
-  /// re-run Locate C times over identical boundaries). Must be called once
-  /// per batch BEFORE any direct AccumulateChannel calls for it
-  /// (Accumulate does it automatically); channel-parallel executors call
-  /// it from the reader thread so the concurrent channels only read the
-  /// masks and the cache.
-  void PrepareBatch(const storage::ColumnarBatch& batch);
-
-  /// Accumulates only channel `channel` of the batch (building block for
-  /// channel-parallel execution; disjoint channels are safe to run
-  /// concurrently on one plan once PrepareBatch ran for the batch).
-  void AccumulateChannel(const storage::ColumnarBatch& batch, int channel);
-
-  /// Accumulates only grid channel `grid_channel` of the batch; same
-  /// concurrency contract as AccumulateChannel (grid channels own disjoint
-  /// state and only read the shared bucket-index cache).
-  void AccumulateGridChannel(const storage::ColumnarBatch& batch,
-                             int grid_channel);
-
   /// Adds `other`'s counts into this plan (other must have identical
   /// shape). Merge order is the caller's contract for determinism.
   void Merge(const MultiCountPlan& other);
@@ -296,6 +266,21 @@ class MultiCountPlan {
   Status LoadPartialState(std::span<const uint8_t> bytes);
 
  private:
+  /// Per-batch shared preparation: computes the per-row mask of every
+  /// condition AND locates every distinct (column, boundaries) pair ONCE
+  /// into the shared bucket-index cache that all of its channels consume
+  /// (C conditional channels over one generalized boundary set would
+  /// otherwise re-run Locate C times over identical boundaries). Accumulate
+  /// calls it once per batch before the channel passes below.
+  void PrepareBatch(const storage::ColumnarBatch& batch);
+
+  /// Accumulates only channel `channel` of the prepared batch.
+  void AccumulateChannel(const storage::ColumnarBatch& batch, int channel);
+
+  /// Accumulates only grid channel `grid_channel` of the prepared batch.
+  void AccumulateGridChannel(const storage::ColumnarBatch& batch,
+                             int grid_channel);
+
   /// One distinct (column, boundaries) pair shared by >= 1 channels, with
   /// the per-batch bucket-index cache every consumer reads.
   struct LocateGroup {
@@ -333,11 +318,10 @@ class MultiCountPlan {
   /// channel -> index into locate_groups_.
   std::vector<size_t> channel_group_;
   /// Per-channel masked-index scratch (conditional channels only) reused
-  /// across batches; per channel so concurrent AccumulateChannel calls
-  /// never share mutable state.
+  /// across batches.
   std::vector<std::vector<int32_t>> scratch_;
   /// Per-grid-channel cell-index scratch (the x/y caches folded to one
-  /// flat cell index per row), same concurrency contract as scratch_.
+  /// flat cell index per row), reused across batches.
   std::vector<std::vector<int32_t>> grid_scratch_;
   /// Per-condition row masks of the batch being accumulated (written by
   /// PrepareBatch, read-only during channel accumulation).

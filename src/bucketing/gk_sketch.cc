@@ -118,16 +118,4 @@ BucketBoundaries BuildEquiDepthBoundariesGk(std::span<const double> values,
   return BoundariesFromGkSketch(sketch, num_buckets);
 }
 
-BucketBoundaries BuildEquiDepthBoundariesGkFromStream(
-    storage::TupleStream& stream, int numeric_attr, int num_buckets,
-    double epsilon) {
-  OPTRULES_CHECK(num_buckets >= 1);
-  OPTRULES_CHECK(0 <= numeric_attr && numeric_attr < stream.num_numeric());
-  GkQuantileSketch sketch(epsilon);
-  storage::TupleView view;
-  while (stream.Next(&view)) sketch.Add(view.numeric[numeric_attr]);
-  if (sketch.count() == 0) return BucketBoundaries::FromCutPoints({});
-  return BoundariesFromGkSketch(sketch, num_buckets);
-}
-
 }  // namespace optrules::bucketing

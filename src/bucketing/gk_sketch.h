@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bucketing/boundaries.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 
@@ -58,7 +57,7 @@ class GkQuantileSketch {
 };
 
 /// Cut points at the 1/M..(M-1)/M quantiles of a filled sketch; the
-/// shared tail of every GK bucketizer path (column, stream, batch scan).
+/// shared tail of every GK bucketizer path (column, batch scan).
 /// The sketch must have count() > 0.
 BucketBoundaries BoundariesFromGkSketch(const GkQuantileSketch& sketch,
                                         int num_buckets);
@@ -68,11 +67,6 @@ BucketBoundaries BoundariesFromGkSketch(const GkQuantileSketch& sketch,
 BucketBoundaries BuildEquiDepthBoundariesGk(std::span<const double> values,
                                             int num_buckets,
                                             double epsilon);
-
-/// Streaming variant over a TupleStream (single sequential pass).
-BucketBoundaries BuildEquiDepthBoundariesGkFromStream(
-    storage::TupleStream& stream, int numeric_attr, int num_buckets,
-    double epsilon);
 
 }  // namespace optrules::bucketing
 

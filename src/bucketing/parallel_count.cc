@@ -209,32 +209,6 @@ void ExecuteRowSharded(storage::BatchSource& source, MultiCountPlan* plan,
   for (const MultiCountPlan& partial : partials) plan->Merge(partial);
 }
 
-/// Sequential reader, channel-parallel accumulation: per batch the
-/// channels (1-D and grid alike) fan out across the pool (each channel's
-/// counts, sums, and cells are disjoint state inside the shared plan).
-/// Every channel folds its rows serially, so even double sums stay
-/// bit-identical to a serial scan.
-void ExecuteChannelParallel(storage::BatchSource& source,
-                            MultiCountPlan* plan, ThreadPool& pool) {
-  std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
-  storage::ColumnarBatch batch;
-  const int num_channels = plan->num_channels();
-  const int num_units = num_channels + plan->num_grid_channels();
-  while (reader->Next(&batch)) {
-    // Condition masks and the shared bucket-index cache are computed once
-    // on the reader thread; the fanned out channels only read them.
-    plan->PrepareBatch(batch);
-    pool.Run(num_units, [&](int unit) {
-      if (unit < num_channels) {
-        plan->AccumulateChannel(batch, unit);
-      } else {
-        plan->AccumulateGridChannel(batch, unit - num_channels);
-      }
-    });
-  }
-  plan->AddSkippedRows(reader->pruned_rows());
-}
-
 }  // namespace
 
 void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
@@ -269,22 +243,17 @@ void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
   PruneSpecGuard prune_guard(source, plan->spec());
   // A pool of size 1 still takes the sharded path (with the same
   // pool-independent shard layout), so its sums are bit-identical to any
-  // larger pool's; only pool == nullptr is the unsharded serial reference.
-  if (pool == nullptr ||
-      plan->num_channels() + plan->num_grid_channels() == 0) {
-    PhaseTimesScope phase_scope(plan, &span);
-    ExecuteSerial(source, plan);
-    return;
-  }
-  if (source.SupportsRangeReaders() && source.NumTuples() > 0) {
+  // larger pool's; only the serial scan is the unsharded reference.
+  if (pool != nullptr && source.SupportsRangeReaders() &&
+      source.NumTuples() > 0 &&
+      plan->num_channels() + plan->num_grid_channels() > 0) {
     const int num_shards = RowShardCount(source.NumTuples());
     span.AddAttribute("shards", static_cast<double>(num_shards));
     ExecuteRowSharded(source, plan, *pool, num_shards, span.id());
     return;
   }
-  // Channels accumulate concurrently on the shared plan here, so a phase
-  // sink (unsynchronized by contract) cannot be attached.
-  ExecuteChannelParallel(source, plan, *pool);
+  PhaseTimesScope phase_scope(plan, &span);
+  ExecuteSerial(source, plan);
 }
 
 }  // namespace optrules::bucketing

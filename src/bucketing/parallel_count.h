@@ -38,21 +38,20 @@ BucketCounts ParallelCountBuckets(
 /// Executes `plan` over exactly one scan of `source`, partitioned over
 /// `pool` (pass nullptr for a serial scan).
 ///
-/// Sources that support range readers (in-memory relations, PagedFiles)
-/// are sharded by rows: each worker accumulates a private partial plan
-/// (built from the same MultiCountSpec) over a contiguous shard and the
-/// partials merge in shard order. The shard layout is a pure function of
-/// the row count -- never of the pool size -- so results are identical
-/// for ANY pool, including a pool of size 1. Other sources are read
-/// sequentially with the plan's channels (1-D and grid) fanned out across
-/// the pool per batch. Both schedules produce bit-identical u/v counts,
-/// grid cells, and min/max to a serial scan and account exactly one scan
-/// on `source` (assertable via BatchSource::scans_started()). Per-bucket
-/// double sum channels are Neumaier-compensated: bit-identical under the
-/// channel-parallel schedule, and bit-identical across all pool sizes
-/// under row-sharding (the compensated merge still reassociates at shard
-/// borders, so the last ulp can differ from the nullptr-pool serial
-/// chain).
+/// With a pool, sources that support range readers (in-memory relations,
+/// PagedFiles) are sharded by rows: each worker accumulates a private
+/// partial plan (built from the same MultiCountSpec) over a contiguous
+/// shard and the partials merge in shard order. The shard layout is a
+/// pure function of the row count -- never of the pool size -- so results
+/// are identical for ANY pool, including a pool of size 1. Every other
+/// source (and every source under a nullptr pool) is scanned serially by
+/// one reader. Either way u/v counts, grid cells, and min/max are
+/// bit-identical to a serial scan and exactly one scan is accounted on
+/// `source` (assertable via BatchSource::scans_started()). Per-bucket
+/// double sum channels are Neumaier-compensated and bit-identical across
+/// all pool sizes under row-sharding (the compensated merge still
+/// reassociates at shard borders, so the last ulp can differ from the
+/// serial chain).
 ///
 /// The pass installs DerivePruneSpec(plan->spec()) on the source for its
 /// duration, so pooled PagedFile readers may skip zone-map-dead pages;

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "storage/buffer_pool.h"
+#include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 
@@ -18,7 +20,7 @@ namespace {
 /// value.
 class RankPicker {
  public:
-  RankPicker(int64_t n, int num_buckets) : n_(n) {
+  RankPicker(int64_t n, int num_buckets) {
     for (int i = 1; i < num_buckets && n > 0; ++i) {
       // The i*(n/M)-th smallest value (1-based) is stream index k-1,
       // matching BucketBoundaries::FromSortedValues.
@@ -38,44 +40,90 @@ class RankPicker {
   std::vector<double> TakeCuts() { return std::move(cuts_); }
 
  private:
-  int64_t n_;
   std::vector<int64_t> ranks_;
   size_t next_ = 0;
   std::vector<double> cuts_;
 };
 
-/// RecordSource that packs tuples streamed from any PagedFile (columnar v2
-/// pages included) into the fixed-width v1 row layout the external sort
-/// shuffles: numeric doubles back to back, then boolean bytes.
-class TupleRecordSource final : public storage::RecordSource {
+/// Opens `path` for synchronous scans through `pool`. The sort baselines
+/// pass a function-local zero-capacity pool: the table and the sort
+/// temporaries never enter (or evict from) the process pool, and every
+/// scan pays its own reads, as an uncached sort pipeline would.
+Result<std::unique_ptr<storage::PagedFileBatchSource>> OpenUncached(
+    const std::string& path, storage::BufferPool* pool) {
+  return storage::PagedFileBatchSource::Open(
+      path, storage::kDefaultBatchRows, storage::PagedReadMode::kSynchronous,
+      pool);
+}
+
+/// RecordSource that packs the rows of one batch scan of a PagedFile
+/// (either format) into the fixed-width v1 row layout the external sort
+/// shuffles: numeric doubles back to back, then Boolean bytes. Counts the
+/// NaN sort keys on the way -- the sort orders them after every number,
+/// so they sit at the tail of the sorted output.
+class BatchRecordSource final : public storage::RecordSource {
  public:
-  TupleRecordSource(storage::FileTupleStream* stream, int num_numeric,
-                    int num_boolean)
-      : stream_(stream),
-        num_numeric_(num_numeric),
-        num_boolean_(num_boolean),
-        row_bytes_(sizeof(double) * static_cast<size_t>(num_numeric) +
-                   static_cast<size_t>(num_boolean)) {}
+  BatchRecordSource(storage::BatchSource& source, int key_attr)
+      : reader_(source.CreateReader()),
+        num_numeric_(source.num_numeric()),
+        num_boolean_(source.num_boolean()),
+        row_bytes_(sizeof(double) * static_cast<size_t>(num_numeric_) +
+                   static_cast<size_t>(num_boolean_)),
+        key_attr_(key_attr) {}
 
   size_t ReadRecords(uint8_t* out, size_t max_records) override {
     size_t produced = 0;
-    storage::TupleView tuple;
-    while (produced < max_records && stream_->Next(&tuple)) {
-      uint8_t* row = out + produced * row_bytes_;
-      std::memcpy(row, tuple.numeric,
-                  sizeof(double) * static_cast<size_t>(num_numeric_));
-      std::memcpy(row + sizeof(double) * static_cast<size_t>(num_numeric_),
-                  tuple.booleans, static_cast<size_t>(num_boolean_));
-      ++produced;
+    while (produced < max_records) {
+      if (offset_ == batch_.num_rows()) {
+        if (!reader_->Next(&batch_)) break;
+        offset_ = 0;
+      }
+      const auto begin = static_cast<size_t>(offset_);
+      const size_t take =
+          std::min(max_records - produced,
+                   static_cast<size_t>(batch_.num_rows()) - begin);
+      uint8_t* rows = out + produced * row_bytes_;
+      for (int c = 0; c < num_numeric_; ++c) {
+        const std::span<const double> column =
+            batch_.numeric(c).subspan(begin, take);
+        for (size_t r = 0; r < take; ++r) {
+          std::memcpy(rows + r * row_bytes_ +
+                          static_cast<size_t>(c) * sizeof(double),
+                      &column[r], sizeof(double));
+        }
+        if (c == key_attr_) {
+          nan_keys_ += std::count_if(column.begin(), column.end(),
+                                     [](double v) { return std::isnan(v); });
+        }
+      }
+      const size_t boolean_offset =
+          sizeof(double) * static_cast<size_t>(num_numeric_);
+      for (int b = 0; b < num_boolean_; ++b) {
+        const std::span<const uint8_t> column =
+            batch_.boolean(b).subspan(begin, take);
+        for (size_t r = 0; r < take; ++r) {
+          rows[r * row_bytes_ + boolean_offset + static_cast<size_t>(b)] =
+              column[r];
+        }
+      }
+      offset_ += static_cast<int64_t>(take);
+      produced += take;
     }
     return produced;
   }
 
+  size_t row_bytes() const { return row_bytes_; }
+  int64_t nan_keys() const { return nan_keys_; }
+
  private:
-  storage::FileTupleStream* stream_;
+  std::unique_ptr<storage::BatchReader> reader_;
+  storage::ColumnarBatch batch_;
+  int64_t offset_ = 0;  ///< rows of batch_ already packed
   int num_numeric_;
   int num_boolean_;
   size_t row_bytes_;
+  int key_attr_;
+  int64_t nan_keys_ = 0;
 };
 
 /// The 24-byte v1 PagedFile header for a sorted output of known shape --
@@ -116,54 +164,45 @@ Result<BucketBoundaries> NaiveSortBoundariesFromFile(
     const std::string& table_path, int numeric_attr, int num_buckets,
     const std::string& sorted_path, size_t memory_budget_bytes,
     const std::string& temp_dir) {
-  Result<storage::PagedFileInfo> info_or =
-      storage::ReadPagedFileInfo(table_path);
-  if (!info_or.ok()) return info_or.status();
-  const storage::PagedFileInfo& info = info_or.value();
-  if (numeric_attr < 0 || numeric_attr >= info.num_numeric) {
+  OPTRULES_CHECK(num_buckets >= 1);
+  storage::BufferPool pool(0);
+  auto table_or = OpenUncached(table_path, &pool);
+  if (!table_or.ok()) return table_or.status();
+  storage::PagedFileBatchSource& table = *table_or.value();
+  if (numeric_attr < 0 || numeric_attr >= table.num_numeric()) {
     return Status::InvalidArgument("numeric_attr out of range");
   }
 
-  // ExternalSort shuffles fixed-width whole-row records. A v1 input is
-  // already that shape and sorts file-to-file; a columnar v2 table is
-  // streamed page by page straight into the run generator, each tuple
-  // packed into the v1 row layout on the fly -- no row-major temporary
-  // rewrite. Either way the sorted output is a valid v1 PagedFile.
+  // Whole rows are sorted: each batch row of a v1 or v2 table is packed
+  // into the v1 row layout on the fly, with no row-major temporary.
+  BatchRecordSource records(table, numeric_attr);
   storage::ExternalSortOptions sort_options;
-  sort_options.record_bytes = info.row_bytes;
+  sort_options.record_bytes = records.row_bytes();
   sort_options.key_offset =
       static_cast<size_t>(numeric_attr) * sizeof(double);
   sort_options.memory_budget_bytes = memory_budget_bytes;
   sort_options.temp_dir = temp_dir;
-  Result<storage::ExternalSortStats> sort_result =
-      storage::ExternalSortStats{};
-  if (info.format_version == 1) {
-    sort_options.header_bytes = storage::kPagedFileHeaderBytes;
-    sort_result = storage::ExternalSort(table_path, sorted_path,
-                                        sort_options);
-  } else {
-    Result<std::unique_ptr<storage::FileTupleStream>> input_or =
-        storage::FileTupleStream::Open(table_path);
-    if (!input_or.ok()) return input_or.status();
-    TupleRecordSource source(input_or.value().get(), info.num_numeric,
-                             info.num_boolean);
-    const std::vector<uint8_t> header =
-        V1Header(info.num_numeric, info.num_boolean, info.num_rows);
-    sort_result = storage::ExternalSortRecords(source, sorted_path, header,
-                                               sort_options);
-  }
-  if (!sort_result.ok()) return sort_result.status();
+  const std::vector<uint8_t> header = V1Header(
+      table.num_numeric(), table.num_boolean(), table.NumTuples());
+  Result<storage::ExternalSortStats> sorted_or =
+      storage::ExternalSortRecords(records, sorted_path, header,
+                                   sort_options);
+  if (!sorted_or.ok()) return sorted_or.status();
 
-  Result<std::unique_ptr<storage::FileTupleStream>> stream_or =
-      storage::FileTupleStream::Open(sorted_path);
-  if (!stream_or.ok()) return stream_or.status();
-  storage::FileTupleStream& stream = *stream_or.value();
-  RankPicker picker(info.num_rows, num_buckets);
-  storage::TupleView view;
+  auto sorted_source_or = OpenUncached(sorted_path, &pool);
+  if (!sorted_source_or.ok()) return sorted_source_or.status();
+  // NaN rows sort last and belong to no bucket: rank over the numbers
+  // only, so the cuts equal ExactEquiDepthBoundaries over the column.
+  RankPicker picker(sorted_or.value().num_records - records.nan_keys(),
+                    num_buckets);
+  std::unique_ptr<storage::BatchReader> reader =
+      sorted_source_or.value()->CreateReader();
+  storage::ColumnarBatch batch;
   int64_t index = 0;
-  while (stream.Next(&view)) {
-    picker.Accept(index, view.numeric[numeric_attr]);
-    ++index;
+  while (reader->Next(&batch)) {
+    for (const double value : batch.numeric(numeric_attr)) {
+      picker.Accept(index++, value);
+    }
   }
   return BucketBoundaries::FromCutPoints(picker.TakeCuts());
 }
@@ -172,86 +211,41 @@ Result<BucketBoundaries> VerticalSplitSortBoundariesFromFile(
     const std::string& table_path, int numeric_attr, int num_buckets,
     const std::string& split_path, size_t memory_budget_bytes,
     const std::string& temp_dir) {
-  Result<storage::PagedFileInfo> info_or =
-      storage::ReadPagedFileInfo(table_path);
-  if (!info_or.ok()) return info_or.status();
-  const storage::PagedFileInfo& info = info_or.value();
-  if (numeric_attr < 0 || numeric_attr >= info.num_numeric) {
-    return Status::InvalidArgument("numeric_attr out of range");
-  }
-
-  // Phase 1: vertical split -- project (value, tuple id) records.
-  struct SplitRecord {
-    double value;
-    int64_t tid;
-  };
-  static_assert(sizeof(SplitRecord) == 16);
+  // Phase 1: vertical split -- project (value, tuple id) rows into a
+  // narrow v1 PagedFile (the id stored as a double, exact below 2^53).
   {
-    Result<std::unique_ptr<storage::FileTupleStream>> stream_or =
-        storage::FileTupleStream::Open(table_path);
-    if (!stream_or.ok()) return stream_or.status();
-    storage::FileTupleStream& stream = *stream_or.value();
-    std::FILE* split = std::fopen(split_path.c_str(), "wb");
-    if (split == nullptr) {
-      return Status::IoError("cannot create: " + split_path);
+    storage::BufferPool pool(0);
+    auto table_or = OpenUncached(table_path, &pool);
+    if (!table_or.ok()) return table_or.status();
+    storage::PagedFileBatchSource& table = *table_or.value();
+    if (numeric_attr < 0 || numeric_attr >= table.num_numeric()) {
+      return Status::InvalidArgument("numeric_attr out of range");
     }
-    std::vector<SplitRecord> buffer;
-    buffer.reserve(8192);
-    storage::TupleView view;
-    int64_t tid = 0;
-    bool write_failed = false;
-    while (stream.Next(&view)) {
-      buffer.push_back({view.numeric[numeric_attr], tid++});
-      if (buffer.size() == buffer.capacity()) {
-        if (std::fwrite(buffer.data(), sizeof(SplitRecord), buffer.size(),
-                        split) != buffer.size()) {
-          write_failed = true;
-          break;
-        }
-        buffer.clear();
+    storage::PagedFileWriterOptions split_options;
+    split_options.format = storage::PagedFileFormat::kRowMajorV1;
+    Result<storage::PagedFileWriter> split_or =
+        storage::PagedFileWriter::Create(split_path, 2, 0, split_options);
+    if (!split_or.ok()) return split_or.status();
+    storage::PagedFileWriter& split = split_or.value();
+    std::unique_ptr<storage::BatchReader> reader = table.CreateReader();
+    storage::ColumnarBatch batch;
+    double tid = 0.0;
+    while (reader->Next(&batch)) {
+      for (const double value : batch.numeric(numeric_attr)) {
+        const double row[] = {value, tid++};
+        OPTRULES_RETURN_IF_ERROR(split.AppendRow(row, {}));
       }
     }
-    if (!write_failed && !buffer.empty() &&
-        std::fwrite(buffer.data(), sizeof(SplitRecord), buffer.size(),
-                    split) != buffer.size()) {
-      write_failed = true;
-    }
-    if (std::fclose(split) != 0 || write_failed) {
-      return Status::IoError("split write failed: " + split_path);
-    }
+    OPTRULES_RETURN_IF_ERROR(split.Close());
   }
 
-  // Phase 2: external sort of the narrow file by value.
-  storage::ExternalSortOptions sort_options;
-  sort_options.record_bytes = sizeof(SplitRecord);
-  sort_options.key_offset = 0;
-  sort_options.header_bytes = 0;
-  sort_options.memory_budget_bytes = memory_budget_bytes;
-  sort_options.temp_dir = temp_dir;
+  // Phases 2 and 3: the naive sort of the narrow projection by value.
   const std::string sorted_split = split_path + ".sorted";
-  Result<storage::ExternalSortStats> sort_result =
-      storage::ExternalSort(split_path, sorted_split, sort_options);
-  if (!sort_result.ok()) return sort_result.status();
-
-  // Phase 3: pick equi-depth ranks from the sorted projection.
-  std::FILE* sorted = std::fopen(sorted_split.c_str(), "rb");
-  if (sorted == nullptr) {
-    return Status::IoError("cannot open: " + sorted_split);
-  }
-  RankPicker picker(info.num_rows, num_buckets);
-  std::vector<SplitRecord> buffer(8192);
-  int64_t index = 0;
-  size_t got;
-  while ((got = std::fread(buffer.data(), sizeof(SplitRecord), buffer.size(),
-                           sorted)) > 0) {
-    for (size_t i = 0; i < got; ++i) {
-      picker.Accept(index, buffer[i].value);
-      ++index;
-    }
-  }
-  std::fclose(sorted);
+  Result<BucketBoundaries> boundaries =
+      NaiveSortBoundariesFromFile(split_path, 0, num_buckets, sorted_split,
+                                  memory_budget_bytes, temp_dir);
   std::remove(sorted_split.c_str());
-  return BucketBoundaries::FromCutPoints(picker.TakeCuts());
+  return boundaries;
 }
 
 }  // namespace optrules::bucketing

@@ -487,9 +487,11 @@ Status MiningEngine::PlanBoundarySets(
       return Status::Ok();
     }
     case Bucketizer::kExactSort: {
-      // Exact depths need the full columns; buffer them from one scan.
-      // This is an in-memory fallback -- out-of-core exact bucketing goes
-      // through bucketing::NaiveSortBoundariesFromFile instead. Seeds are
+      // Exact depths need the full columns; buffer them from one scan,
+      // in memory even for a paged source. (The bounded-memory exact
+      // bucketizer is the Figure 9 baseline
+      // bucketing::NaiveSortBoundariesFromFile, an external sort over the
+      // same batch reader; the engine does not call it.) Seeds are
       // ignored, so sets sharing a bucket count copy the first set's
       // boundaries instead of re-sorting every column.
       std::vector<uint8_t> any_needs(static_cast<size_t>(num_numeric), 0);

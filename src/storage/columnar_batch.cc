@@ -405,72 +405,4 @@ std::unique_ptr<BatchReader> PagedFileBatchSource::CreateRangeReader(
                                                 end, batch_rows_, mode_);
 }
 
-// --------------------------------------------------------- tuple stream ----
-
-namespace {
-
-/// Copies TupleView rows into owned column buffers, one batch at a time.
-class TupleStreamBatchReader : public BatchReader {
- public:
-  TupleStreamBatchReader(TupleStream* stream, int64_t batch_rows)
-      : stream_(stream), batch_rows_(batch_rows) {
-    numeric_.assign(static_cast<size_t>(stream->num_numeric()),
-                    std::vector<double>(static_cast<size_t>(batch_rows)));
-    boolean_.assign(static_cast<size_t>(stream->num_boolean()),
-                    std::vector<uint8_t>(static_cast<size_t>(batch_rows)));
-  }
-
-  bool Next(ColumnarBatch* batch) override {
-    const int num_numeric = stream_->num_numeric();
-    const int num_boolean = stream_->num_boolean();
-    TupleView view;
-    int64_t rows = 0;
-    while (rows < batch_rows_ && stream_->Next(&view)) {
-      for (int i = 0; i < num_numeric; ++i) {
-        numeric_[static_cast<size_t>(i)][static_cast<size_t>(rows)] =
-            view.numeric[i];
-      }
-      for (int i = 0; i < num_boolean; ++i) {
-        boolean_[static_cast<size_t>(i)][static_cast<size_t>(rows)] =
-            view.booleans[i];
-      }
-      ++rows;
-    }
-    if (rows == 0) return false;
-    batch->Reset(num_numeric, num_boolean);
-    batch->SetRows(rows);
-    for (int i = 0; i < num_numeric; ++i) {
-      batch->SetNumeric(i,
-                        std::span<const double>(numeric_[static_cast<size_t>(i)])
-                            .first(static_cast<size_t>(rows)));
-    }
-    for (int i = 0; i < num_boolean; ++i) {
-      batch->SetBoolean(
-          i, std::span<const uint8_t>(boolean_[static_cast<size_t>(i)])
-                 .first(static_cast<size_t>(rows)));
-    }
-    return true;
-  }
-
- private:
-  TupleStream* stream_;
-  int64_t batch_rows_;
-  std::vector<std::vector<double>> numeric_;
-  std::vector<std::vector<uint8_t>> boolean_;
-};
-
-}  // namespace
-
-TupleStreamBatchSource::TupleStreamBatchSource(TupleStream* stream,
-                                               int64_t batch_rows)
-    : stream_(stream), batch_rows_(batch_rows) {
-  OPTRULES_CHECK(stream != nullptr);
-  OPTRULES_CHECK(batch_rows >= 1);
-}
-
-std::unique_ptr<BatchReader> TupleStreamBatchSource::DoCreateReader() {
-  stream_->Reset();
-  return std::make_unique<TupleStreamBatchReader>(stream_, batch_rows_);
-}
-
 }  // namespace optrules::storage

@@ -1,17 +1,16 @@
-// Columnar batch execution core.
+// Columnar batch execution core: the one way tables are scanned.
 //
-// The seed pipeline scanned tables one tuple at a time through a virtual
-// TupleStream::Next() call per row; the counting kernels therefore paid a
-// dispatch + copy per tuple and rescanned the table once per numeric
-// attribute. ColumnarBatch moves the scan granularity to fixed-capacity
-// blocks of whole columns: producers hand out batches of numeric column
-// slices plus Boolean byte-column slices, and the kernels iterate tight
-// span loops with one virtual call per *batch*. In-memory relations serve
-// zero-copy views into their columns; disk-resident PagedFiles serve
-// column slices pointing straight into v2 page images pinned in the
-// BufferPool (one read path: legacy row-major v1 files are decoded into v2
-// page images when a page loads); any legacy TupleStream can be adapted.
-// All feed the same hot loop (bucketing::MultiCountPlan).
+// Scans hand out fixed-capacity blocks of whole columns -- numeric column
+// slices plus Boolean byte-column slices -- so consumers iterate tight
+// span loops with one virtual call per *batch*, never per row. In-memory
+// relations serve zero-copy views into their columns; disk-resident
+// PagedFiles serve column slices pointing straight into v2 page images
+// pinned in a BufferPool (one read path: legacy row-major v1 files are
+// decoded into v2 page images when a page loads). Every table scan --
+// counting (bucketing::MultiCountPlan), boundary planning, the
+// distributed workers, and the Figure 9 sort baselines -- goes through a
+// BatchSource; only the bulk loader ReadRelationFromFile (the tests'
+// integrity oracle) reads pages on its own.
 
 #ifndef OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 #define OPTRULES_STORAGE_COLUMNAR_BATCH_H_
@@ -29,7 +28,6 @@
 #include "storage/paged_file.h"
 #include "storage/relation.h"
 #include "storage/scan_prune.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::storage {
 
@@ -271,26 +269,6 @@ class PagedFileBatchSource : public BatchSource {
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> pages_skipped_{0};
-};
-
-/// Adapter from any legacy TupleStream to the batch API. The stream is
-/// borrowed and rewound on every CreateReader(); only one reader may be
-/// active at a time (no range readers).
-class TupleStreamBatchSource : public BatchSource {
- public:
-  explicit TupleStreamBatchSource(TupleStream* stream,
-                                  int64_t batch_rows = kDefaultBatchRows);
-
-  int num_numeric() const override { return stream_->num_numeric(); }
-  int num_boolean() const override { return stream_->num_boolean(); }
-  int64_t NumTuples() const override { return stream_->NumTuples(); }
-
- protected:
-  std::unique_ptr<BatchReader> DoCreateReader() override;
-
- private:
-  TupleStream* stream_;
-  int64_t batch_rows_;
 };
 
 }  // namespace optrules::storage

@@ -1,6 +1,7 @@
 #include "storage/external_sort.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -19,14 +20,19 @@ double KeyAt(const uint8_t* record, size_t key_offset) {
   return key;
 }
 
-/// Comparator: double key first, full record bytes as tie-break.
+/// Comparator: double key first (NaN after every number, so the order
+/// stays a strict weak ordering on NaN-laden input), full record bytes as
+/// tie-break.
 struct RecordLess {
   size_t record_bytes;
   size_t key_offset;
   bool operator()(const uint8_t* a, const uint8_t* b) const {
     const double ka = KeyAt(a, key_offset);
     const double kb = KeyAt(b, key_offset);
-    if (ka != kb) return ka < kb;
+    const bool a_nan = std::isnan(ka);
+    const bool b_nan = std::isnan(kb);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && ka != kb) return ka < kb;
     return std::memcmp(a, b, record_bytes) < 0;
   }
 };
@@ -225,15 +231,8 @@ Result<ExternalSortStats> ExternalSort(const std::string& input_path,
   if (input.f == nullptr) {
     return Status::IoError("cannot open: " + input_path);
   }
-
-  std::vector<uint8_t> header(options.header_bytes);
-  if (options.header_bytes > 0 &&
-      std::fread(header.data(), 1, header.size(), input.f) != header.size()) {
-    return Status::Corruption("short header: " + input_path);
-  }
-
   FileRecordSource source(input.f, options.record_bytes);
-  return ExternalSortRecords(source, output_path, header, options);
+  return ExternalSortRecords(source, output_path, {}, options);
 }
 
 }  // namespace optrules::storage

@@ -3,14 +3,15 @@
 // Substrate for the "Naive Sort" and "Vertical Split Sort" baselines of
 // Figure 9: sorting a disk-resident table by one numeric attribute under a
 // bounded memory budget. Records are fixed-width byte strings compared by a
-// little-endian IEEE double at a fixed offset (ties broken by memcmp of the
-// whole record, making the sort deterministic).
+// little-endian IEEE double at a fixed offset -- NaN keys after every
+// number -- with ties broken by memcmp of the whole record, making the
+// sort deterministic.
 //
-// Input comes either from a file of back-to-back records (the classic
-// path) or from any RecordSource -- which is how a columnar v2 table is
+// Input comes either from a headerless file of back-to-back records or
+// from any RecordSource -- which is how a PagedFile of either format is
 // sorted without first being rewritten as a row-major temporary: the
-// bucketizer streams pages and packs rows straight into the run
-// generator.
+// naive-sort bucketizer packs rows out of scan batches straight into the
+// run generator.
 
 #ifndef OPTRULES_STORAGE_EXTERNAL_SORT_H_
 #define OPTRULES_STORAGE_EXTERNAL_SORT_H_
@@ -27,8 +28,6 @@ namespace optrules::storage {
 struct ExternalSortOptions {
   size_t record_bytes = 0;      ///< width of each record (required, > 0)
   size_t key_offset = 0;        ///< byte offset of the double sort key
-  size_t header_bytes = 0;      ///< input prefix copied verbatim to output
-                                ///< (file-input overload only)
   size_t memory_budget_bytes = 64 << 20;  ///< max bytes sorted in memory
   std::string temp_dir = "/tmp";          ///< directory for run files
 };
@@ -53,15 +52,14 @@ class RecordSource {
 /// Sorts the records produced by `source` into `output_path`, writing
 /// `header` verbatim before the first record. Run generation + k-way
 /// merge; never holds more than `memory_budget_bytes` of record data in
-/// memory (options.header_bytes is ignored here -- the header is the
-/// span).
+/// memory.
 Result<ExternalSortStats> ExternalSortRecords(
     RecordSource& source, const std::string& output_path,
     std::span<const uint8_t> header, const ExternalSortOptions& options);
 
-/// Sorts `input_path` into `output_path` (both fixed-width record files
-/// with an optional `options.header_bytes` header, copied verbatim).
-/// Thin wrapper over ExternalSortRecords with a file-backed source.
+/// Sorts `input_path` into `output_path` (both headerless fixed-width
+/// record files). Thin wrapper over ExternalSortRecords with a
+/// file-backed source.
 Result<ExternalSortStats> ExternalSort(const std::string& input_path,
                                        const std::string& output_path,
                                        const ExternalSortOptions& options);

@@ -1,5 +1,7 @@
 #include "storage/paged_file.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -19,6 +21,8 @@ constexpr size_t kZoneMapTrailerPrefixBytes = 8;
 /// Bit 0 of the v2 header's reserved word: a zone-map trailer follows the
 /// last page.
 constexpr uint32_t kHeaderFlagZoneMaps = 1;
+/// Write-buffer size of the v1 writer (v2 buffers exactly one page).
+constexpr size_t kV1WriteBufferBytes = size_t{1} << 20;
 
 void PutU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
 void PutU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, 8); }
@@ -252,22 +256,13 @@ Result<PagedFileWriter> PagedFileWriter::Create(
       PutU32(writer.zone_trailer_.data(), kZoneMapMagic);
     }
   } else {
-    writer.buffer_.resize(std::max(options.buffer_bytes, writer.row_bytes_));
+    writer.buffer_.resize(std::max(kV1WriteBufferBytes, writer.row_bytes_));
   }
   if (std::fwrite(header, 1, header_bytes, file) != header_bytes) {
     std::fclose(file);
     return Status::IoError("cannot write header: " + path);
   }
   return writer;
-}
-
-Result<PagedFileWriter> PagedFileWriter::Create(const std::string& path,
-                                                int num_numeric,
-                                                int num_boolean,
-                                                size_t buffer_bytes) {
-  PagedFileWriterOptions options;
-  options.buffer_bytes = buffer_bytes;
-  return Create(path, num_numeric, num_boolean, options);
 }
 
 PagedFileWriter::PagedFileWriter(PagedFileWriter&& other) noexcept {
@@ -468,10 +463,15 @@ Status PagedFileWriter::AppendRow(std::span<const double> numeric_values,
   // numeric attributes") never hit a fixed-size staging array.
   Result<uint8_t*> slot = ReserveRow();
   if (!slot.ok()) return slot.status();
-  std::memcpy(slot.value(), numeric_values.data(),
-              numeric_values.size() * sizeof(double));
-  std::memcpy(slot.value() + numeric_values.size() * sizeof(double),
-              boolean_values.data(), boolean_values.size());
+  // An empty span's data() may be null, which memcpy must never see.
+  if (!numeric_values.empty()) {
+    std::memcpy(slot.value(), numeric_values.data(),
+                numeric_values.size() * sizeof(double));
+  }
+  if (!boolean_values.empty()) {
+    std::memcpy(slot.value() + numeric_values.size() * sizeof(double),
+                boolean_values.data(), boolean_values.size());
+  }
   return Status::Ok();
 }
 
@@ -516,7 +516,13 @@ Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path) {
   if (file == nullptr) return Status::IoError("cannot open: " + path);
   uint8_t header[kPagedFileV2HeaderBytes];
   const size_t got = std::fread(header, 1, sizeof(header), file);
+  // fstat, not fseek(SEEK_END): glibc refills its buffer from the file's
+  // tail on a read-mode seek, and opening a table must read no page bytes.
+  struct stat st;
+  const bool stat_ok = ::fstat(::fileno(file), &st) == 0;
   std::fclose(file);
+  if (!stat_ok) return Status::IoError("cannot stat: " + path);
+  const auto file_bytes = static_cast<uint64_t>(st.st_size);
   // An empty v1 file is exactly 24 bytes, so only the common prefix is
   // required up front; v2 needs the full 32.
   if (got < kPagedFileHeaderBytes) {
@@ -546,6 +552,23 @@ Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path) {
       return Status::Corruption("zero rows_per_page: " + path);
     }
     info.has_zone_maps = (GetU32(header + 28) & kHeaderFlagZoneMaps) != 0;
+  }
+  if (info.num_numeric < 0 || info.num_boolean < 0 || info.num_rows < 0) {
+    return Status::Corruption("invalid header counts: " + path);
+  }
+  // The header must not promise more rows than the file holds, so a
+  // truncated table fails here, at open, instead of mid-scan. Checked by
+  // division: a corrupt row count cannot overflow the comparison.
+  const uint64_t payload = file_bytes - info.header_bytes;
+  const auto rows = static_cast<uint64_t>(info.num_rows);
+  const uint64_t units =
+      version == 1 ? rows
+                   : rows / info.rows_per_page +
+                         (rows % info.rows_per_page != 0 ? 1 : 0);
+  const uint64_t unit_bytes =
+      version == 1 ? info.row_bytes : info.page_stride();
+  if (unit_bytes > 0 && units > payload / unit_bytes) {
+    return Status::Corruption("truncated file: " + path);
   }
   return info;
 }

@@ -59,9 +59,9 @@ inline constexpr size_t kPagedFileV2HeaderBytes = 32;
 
 /// On-disk layout of a PagedFile; the numeric value is the header version.
 enum class PagedFileFormat : uint32_t {
-  kRowMajorV1 = 1,  ///< rows serialized back to back (legacy; still written
-                    ///< where a consumer needs fixed-width whole-row records,
-                    ///< e.g. as ExternalSort input)
+  kRowMajorV1 = 1,  ///< rows serialized back to back (legacy; still read
+                    ///< everywhere, and written by the naive-sort
+                    ///< bucketizer's sorted output and on request)
   kColumnarV2 = 2,  ///< per-column runs inside fixed-stride pages (default)
 };
 
@@ -71,8 +71,6 @@ struct PagedFileWriterOptions {
   /// Rows per v2 page; 0 = auto-size so a page's column payload is on the
   /// order of 1 MiB (clamped to [256, 65536]). Ignored for v1.
   uint32_t rows_per_page = 0;
-  /// Write-buffer size for v1 (v2 buffers exactly one page instead).
-  size_t buffer_bytes = 1 << 20;
   /// v2 only: accumulate per-page per-column min/max (NaN-skipped) while
   /// writing and append the zone-map trailer readers prune scans with.
   /// Flagged in the header's reserved word; files written without zone
@@ -83,16 +81,11 @@ struct PagedFileWriterOptions {
 /// Buffered sequential writer of a PagedFile.
 class PagedFileWriter {
  public:
-  /// Creates/truncates `path` for a table with the given attribute counts.
-  static Result<PagedFileWriter> Create(const std::string& path,
-                                        int num_numeric, int num_boolean,
-                                        const PagedFileWriterOptions& options);
-
-  /// Back-compat convenience: default options (columnar v2) with an
-  /// explicit v1-style buffer size.
-  static Result<PagedFileWriter> Create(const std::string& path,
-                                        int num_numeric, int num_boolean,
-                                        size_t buffer_bytes = 1 << 20);
+  /// Creates/truncates `path` for a table with the given attribute counts
+  /// (default options: columnar v2 with zone maps).
+  static Result<PagedFileWriter> Create(
+      const std::string& path, int num_numeric, int num_boolean,
+      const PagedFileWriterOptions& options = {});
 
   PagedFileWriter(PagedFileWriter&& other) noexcept;
   PagedFileWriter& operator=(PagedFileWriter&& other) noexcept;
@@ -144,7 +137,7 @@ class PagedFileWriter {
   int num_boolean_ = 0;
   size_t row_bytes_ = 0;
   int64_t num_rows_ = 0;
-  std::vector<uint8_t> buffer_;  ///< v1: row buffer; v2: one staged page
+  std::vector<uint8_t> buffer_;  ///< v1: 1 MiB row buffer; v2: one page
   size_t buffer_used_ = 0;       ///< v1 only
   // v2 page geometry (all zero for v1).
   uint32_t rows_per_page_ = 0;
@@ -248,6 +241,9 @@ Status ValidateV2Page(const PagedFileInfo& info, int64_t page_index,
                       std::span<const uint8_t> page);
 
 /// Reads and validates the header of `path` (either format version).
+/// Corruption when the file is shorter than the header implies (header +
+/// num_rows * row_bytes for v1, header + num_pages * page_stride for v2),
+/// so a truncated table fails when it is opened rather than mid-scan.
 Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path);
 
 /// The page geometry every scan of the file `info` describes sees, whatever

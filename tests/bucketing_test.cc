@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,6 @@
 #include "common/rng.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 namespace {
@@ -335,30 +336,6 @@ TEST(CountingTest, ConditionalCountsRestrictToC1) {
   EXPECT_EQ(counts.total_tuples, 4);
 }
 
-TEST(CountingTest, StreamCountingMatchesColumnCounting) {
-  storage::Relation relation(storage::Schema::Synthetic(2, 2));
-  Rng rng(13);
-  for (int i = 0; i < 3000; ++i) {
-    const double numeric[] = {rng.NextUniform(0, 100),
-                              rng.NextUniform(0, 100)};
-    const uint8_t boolean[] = {
-        static_cast<uint8_t>(rng.NextBernoulli(0.5) ? 1 : 0),
-        static_cast<uint8_t>(rng.NextBernoulli(0.1) ? 1 : 0)};
-    relation.AppendRow(numeric, boolean);
-  }
-  const BucketBoundaries b =
-      BucketBoundaries::FromCutPoints({25.0, 50.0, 75.0});
-  const std::vector<uint8_t>* targets[] = {&relation.BooleanColumn(0),
-                                           &relation.BooleanColumn(1)};
-  const BucketCounts columnar =
-      CountBuckets(relation.NumericColumn(1), targets, b);
-  storage::RelationTupleStream stream(&relation);
-  const BucketCounts streamed = CountBucketsFromStream(stream, 1, b);
-  EXPECT_EQ(streamed.u, columnar.u);
-  EXPECT_EQ(streamed.v, columnar.v);
-  EXPECT_EQ(streamed.total_tuples, columnar.total_tuples);
-}
-
 TEST(CountingTest, CompactRemovesEmptyBuckets) {
   const std::vector<double> values = {1.0, 30.0};
   const std::vector<uint8_t> target = {1, 0};
@@ -425,44 +402,94 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelCountTest,
 
 // ------------------------------------------------- sort-based on disk ----
 
-TEST(SortBucketizerFileTest, NaiveAndVerticalSplitAgreeWithInMemory) {
-  // Build a small table on disk, bucketize it three ways, and require that
-  // all three boundary sets induce equal bucket counts.
+/// Writes `relation` to `path` as v1, v2, and v2 without zone maps in
+/// turn, calling `check()` after each write.
+template <typename Check>
+void ForEachPagedFormat(const storage::Relation& relation,
+                        const std::string& path, Check check) {
+  storage::PagedFileWriterOptions v1;
+  v1.format = storage::PagedFileFormat::kRowMajorV1;
+  storage::PagedFileWriterOptions v2;
+  v2.rows_per_page = 1024;  // several pages, a partial last one
+  storage::PagedFileWriterOptions v2_no_zones = v2;
+  v2_no_zones.zone_maps = false;
+  const std::pair<const char*, storage::PagedFileWriterOptions> formats[] = {
+      {"v1", v1}, {"v2", v2}, {"v2_no_zone_maps", v2_no_zones}};
+  for (const auto& [name, options] : formats) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(storage::WriteRelationToFile(relation, path, options).ok());
+    check();
+  }
+}
+
+/// Both disk baselines must return exactly ExactEquiDepthBoundaries' cut
+/// points for every numeric column of `relation`, whatever the on-disk
+/// format, and with sort budgets small enough to force many runs.
+void ExpectSortBucketizersExact(const storage::Relation& relation,
+                                int num_buckets, const std::string& name) {
+  const std::string table = testing::TempDir() + "/" + name + ".optr";
+  const std::string sorted = testing::TempDir() + "/" + name + "_sorted.optr";
+  const std::string split = testing::TempDir() + "/" + name + "_split.optr";
+  ForEachPagedFormat(relation, table, [&] {
+    for (int a = 0; a < relation.schema().num_numeric(); ++a) {
+      SCOPED_TRACE(testing::Message() << "attr=" << a);
+      const BucketBoundaries expected =
+          ExactEquiDepthBoundaries(relation.NumericColumn(a), num_buckets);
+      Result<BucketBoundaries> naive = NaiveSortBoundariesFromFile(
+          table, a, num_buckets, sorted, 1 << 16, testing::TempDir());
+      ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+      EXPECT_EQ(naive.value().cut_points(), expected.cut_points());
+      Result<BucketBoundaries> vertical = VerticalSplitSortBoundariesFromFile(
+          table, a, num_buckets, split, 1 << 16, testing::TempDir());
+      ASSERT_TRUE(vertical.ok()) << vertical.status().ToString();
+      EXPECT_EQ(vertical.value().cut_points(), expected.cut_points());
+    }
+  });
+  std::remove(table.c_str());
+  std::remove(sorted.c_str());
+  std::remove(split.c_str());
+}
+
+TEST(SortBucketizerFileTest, NaiveAndVerticalSplitMatchInMemoryExactly) {
   storage::Relation relation(storage::Schema::Synthetic(2, 1));
   Rng rng(16);
   for (int i = 0; i < 20000; ++i) {
     const double numeric[] = {rng.NextUniform(0, 1),
                               rng.NextGaussian() * 10.0};
-    const uint8_t boolean[] = {0};
+    const uint8_t boolean[] = {static_cast<uint8_t>(i % 3 == 0 ? 1 : 0)};
     relation.AppendRow(numeric, boolean);
   }
-  const std::string table = testing::TempDir() + "/bucketize.optr";
-  ASSERT_TRUE(storage::WriteRelationToFile(relation, table).ok());
+  ExpectSortBucketizersExact(relation, 50, "bucketize");
+}
 
-  const int kBuckets = 50;
-  const BucketBoundaries in_memory =
-      ExactEquiDepthBoundaries(relation.NumericColumn(1), kBuckets);
-  Result<BucketBoundaries> naive = NaiveSortBoundariesFromFile(
-      table, 1, kBuckets, testing::TempDir() + "/sorted.optr", 1 << 16,
-      testing::TempDir());
-  ASSERT_TRUE(naive.ok());
-  Result<BucketBoundaries> vertical = VerticalSplitSortBoundariesFromFile(
-      table, 1, kBuckets, testing::TempDir() + "/split.bin", 1 << 16,
-      testing::TempDir());
-  ASSERT_TRUE(vertical.ok());
+TEST(SortBucketizerFileTest, NanLadenTablesMatchInMemoryExactly) {
+  // Every 7th value of column 0 is NaN and column 1 is heavily tied; NaN
+  // must sort after every number and stay out of the ranks (it counts
+  // toward N but lands in no bucket), so the cut points are exactly the
+  // in-memory ones over the non-NaN values.
+  storage::Relation relation(storage::Schema::Synthetic(2, 1));
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const double numeric[] = {
+        i % 7 == 0 ? std::nan("") : rng.NextUniform(-5, 5),
+        i % 11 == 0 ? std::nan("") : std::floor(rng.NextUniform(0, 20))};
+    const uint8_t boolean[] = {static_cast<uint8_t>(i % 2)};
+    relation.AppendRow(numeric, boolean);
+  }
+  ExpectSortBucketizersExact(relation, 40, "bucketize_nan");
+}
 
-  auto depth_profile = [&](const BucketBoundaries& b) {
-    std::vector<int64_t> counts(static_cast<size_t>(b.num_buckets()), 0);
-    for (double v : relation.NumericColumn(1)) {
-      ++counts[static_cast<size_t>(b.Locate(v))];
-    }
-    return counts;
-  };
-  EXPECT_EQ(depth_profile(naive.value()), depth_profile(in_memory));
-  EXPECT_EQ(depth_profile(vertical.value()), depth_profile(in_memory));
-  std::remove(table.c_str());
-  std::remove((testing::TempDir() + "/sorted.optr").c_str());
-  std::remove((testing::TempDir() + "/split.bin").c_str());
+TEST(SortBucketizerFileTest, AllNanAndEmptyColumnsYieldOneBucket) {
+  storage::Relation all_nan(storage::Schema::Synthetic(1, 1));
+  for (int i = 0; i < 100; ++i) {
+    const double v = std::nan("");
+    const uint8_t f = 0;
+    all_nan.AppendRow(std::span<const double>(&v, 1),
+                      std::span<const uint8_t>(&f, 1));
+  }
+  ExpectSortBucketizersExact(all_nan, 10, "bucketize_all_nan");
+  const storage::Relation empty(storage::Schema::Synthetic(1, 1));
+  ExpectSortBucketizersExact(empty, 10, "bucketize_empty");
 }
 
 TEST(SortBucketizerFileTest, RejectsBadAttribute) {

@@ -20,7 +20,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::rules {
 namespace {
@@ -89,27 +88,6 @@ TEST(BatchSourceTest, PagedFileBatchesMatchRelationBatches) {
   std::remove(path.c_str());
 }
 
-TEST(BatchSourceTest, TupleStreamAdapterMatchesRelation) {
-  const storage::Relation relation = SmallRelation(3001, 3);
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 128);
-  auto reader = source.CreateReader();
-  storage::ColumnarBatch batch;
-  int64_t row = 0;
-  while (reader->Next(&batch)) {
-    for (int64_t r = 0; r < batch.num_rows(); ++r, ++row) {
-      EXPECT_EQ(batch.numeric(2)[static_cast<size_t>(r)],
-                relation.NumericValue(row, 2));
-    }
-  }
-  EXPECT_EQ(row, relation.NumRows());
-  // A second reader rewinds the underlying stream.
-  auto reader2 = source.CreateReader();
-  ASSERT_TRUE(reader2->Next(&batch));
-  EXPECT_EQ(batch.numeric(0)[0], relation.NumericValue(0, 0));
-  EXPECT_EQ(source.scans_started(), 2);
-}
-
 // -------------------------------------------------- multi-count kernel ----
 
 TEST(MultiCountTest, PlanMatchesPerAttributeCountBuckets) {
@@ -174,34 +152,6 @@ TEST(MultiCountTest, ShardedExecutionIsBitIdenticalAndOneScan) {
       EXPECT_EQ(parallel.counts(a).total_tuples,
                 serial.counts(a).total_tuples);
     }
-  }
-}
-
-TEST(MultiCountTest, AttributeParallelPathMatchesSerial) {
-  // TupleStreamBatchSource has no range readers, so the pooled schedule
-  // fans attributes out per batch; results must still be bit-identical.
-  const storage::Relation relation = SmallRelation(8009, 6);
-  std::vector<BucketBoundaries> boundaries;
-  std::vector<const BucketBoundaries*> bounds;
-  for (int a = 0; a < 3; ++a) {
-    boundaries.push_back(BucketBoundaries::FromCutPoints({2.5e5, 7.5e5}));
-  }
-  for (const auto& b : boundaries) bounds.push_back(&b);
-
-  storage::RelationTupleStream serial_stream(&relation);
-  storage::TupleStreamBatchSource serial_source(&serial_stream, 512);
-  MultiCountPlan serial(bounds, 2);
-  bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
-
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 512);
-  ThreadPool pool(4);
-  MultiCountPlan parallel(bounds, 2);
-  bucketing::ExecuteMultiCount(source, &parallel, &pool);
-  EXPECT_EQ(source.scans_started(), 1);
-  for (int a = 0; a < 3; ++a) {
-    EXPECT_EQ(parallel.counts(a).u, serial.counts(a).u);
-    EXPECT_EQ(parallel.counts(a).v, serial.counts(a).v);
   }
 }
 
@@ -1128,6 +1078,57 @@ class ShortReadSource : public storage::BatchSource {
   storage::RelationBatchSource inner_;
   int64_t missing_ = 0;
 };
+
+TEST(MultiCountTest, PooledScanWithoutRangeReadersIsSerial) {
+  // A source without range readers cannot be row-sharded, so a pooled
+  // ExecuteMultiCount scans it serially with one reader: 1-D counts, sum
+  // chains and grid cells come out bit-identical to the nullptr-pool scan
+  // of the same rows, in exactly one scan.
+  const storage::Relation relation = SmallRelation(8009, 6);
+  const BucketBoundaries bx = BucketBoundaries::FromCutPoints({2.5e5, 7.5e5});
+  const BucketBoundaries by = BucketBoundaries::FromCutPoints({5e5});
+  const auto make_spec = [&] {
+    bucketing::MultiCountSpec spec;
+    spec.num_targets = 2;
+    for (int a = 0; a < 3; ++a) {
+      bucketing::CountChannel channel;
+      channel.column = a;
+      channel.boundaries = &bx;
+      if (a == 0) channel.sum_targets = {1, 2};
+      spec.channels.push_back(channel);
+    }
+    bucketing::GridChannel grid;
+    grid.x_column = 0;
+    grid.x_boundaries = &bx;
+    grid.y_column = 1;
+    grid.y_boundaries = &by;
+    spec.grid_channels.push_back(grid);
+    return spec;
+  };
+
+  storage::RelationBatchSource serial_source(&relation, 256);
+  MultiCountPlan serial(make_spec());
+  bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
+
+  ShortReadSource source(&relation);  // 256-row batches, nothing missing
+  ASSERT_FALSE(source.SupportsRangeReaders());
+  ThreadPool pool(4);
+  MultiCountPlan pooled(make_spec());
+  bucketing::ExecuteMultiCount(source, &pooled, &pool);
+  EXPECT_EQ(source.scans_started(), 1);
+  for (int a = 0; a < 3; ++a) {
+    EXPECT_EQ(pooled.counts(a).u, serial.counts(a).u);
+    EXPECT_EQ(pooled.counts(a).v, serial.counts(a).v);
+    EXPECT_EQ(pooled.counts(a).total_tuples, serial.counts(a).total_tuples);
+  }
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(pooled.MakeBucketSums(0, k).sum, serial.MakeBucketSums(0, k).sum);
+  }
+  EXPECT_EQ(pooled.grid_counts(0).u, serial.grid_counts(0).u);
+  EXPECT_EQ(pooled.grid_counts(0).v, serial.grid_counts(0).v);
+  EXPECT_EQ(pooled.grid_counts(0).total_tuples,
+            serial.grid_counts(0).total_tuples);
+}
 
 TEST(SampledPlanningTest, ShortReadsAreCorruptionNotAbort) {
   const storage::Relation relation = SmallRelation(4000, 82);

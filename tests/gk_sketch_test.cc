@@ -11,8 +11,6 @@
 #include "bucketing/gk_sketch.h"
 #include "common/rng.h"
 #include "datagen/distributions.h"
-#include "storage/relation.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 namespace {
@@ -141,24 +139,6 @@ TEST(GkBucketizerTest, EmptyInputSingleBucket) {
       BuildEquiDepthBoundariesGk(std::vector<double>{}, 10, 0.01)
           .num_buckets(),
       1);
-}
-
-TEST(GkBucketizerTest, StreamMatchesColumnVariant) {
-  storage::Relation relation(storage::Schema::Synthetic(1, 1));
-  Rng rng(8);
-  for (int i = 0; i < 20000; ++i) {
-    const double v = rng.NextUniform(0.0, 1000.0);
-    const uint8_t flag = 0;
-    relation.AppendRow(std::span<const double>(&v, 1),
-                       std::span<const uint8_t>(&flag, 1));
-  }
-  const BucketBoundaries from_column =
-      BuildEquiDepthBoundariesGk(relation.NumericColumn(0), 50, 0.005);
-  storage::RelationTupleStream stream(&relation);
-  const BucketBoundaries from_stream =
-      BuildEquiDepthBoundariesGkFromStream(stream, 0, 50, 0.005);
-  // Deterministic algorithm, same input order: identical cut points.
-  EXPECT_EQ(from_column.cut_points(), from_stream.cut_points());
 }
 
 TEST(GkBucketizerTest, DeterministicUnlikeSampling) {

@@ -1,5 +1,5 @@
 // End-to-end pipeline tests crossing module boundaries that the per-module
-// suites don't: CSV -> Miner, PagedFile -> streaming bucketizer -> rules,
+// suites don't: CSV -> Miner, PagedFile -> batch bucketizer -> rules,
 // report generation from a full sweep, and failure injection on truncated
 // files.
 
@@ -11,16 +11,18 @@
 
 #include "bucketing/counting.h"
 #include "bucketing/equidepth_sampler.h"
+#include "bucketing/parallel_count.h"
+#include "bucketing/sort_bucketizer.h"
 #include "common/ratio.h"
 #include "datagen/table_generator.h"
 #include "report/report.h"
 #include "rules/miner.h"
 #include "rules/optimized_confidence.h"
 #include "rules/optimized_support.h"
+#include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
 #include "storage/csv.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules {
 namespace {
@@ -67,10 +69,10 @@ TEST(PipelineTest, CsvRoundTripPreservesMinedRules) {
 }
 
 TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
-  // The out-of-core path (file stream -> sampled-row gather -> streaming
-  // counting -> O(M) rules) draws the in-memory path's sample, so with the
-  // Miner's generator (session seed + attribute salt 0) it must find the
-  // very same rule.
+  // The out-of-core path (paged batch source -> sampled-row gather ->
+  // one counting scan -> O(M) rules) draws the in-memory path's sample,
+  // so with the Miner's generator (session seed + attribute salt 0) it
+  // must find the very same rule.
   Rng rng(2);
   const storage::Relation table =
       datagen::GenerateTable(PlantedConfig(40000), rng);
@@ -81,19 +83,25 @@ TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
   options.num_buckets = 100;
   options.min_support = 0.10;
 
-  auto stream_or = storage::FileTupleStream::Open(path);
-  ASSERT_TRUE(stream_or.ok());
-  storage::FileTupleStream& stream = *stream_or.value();
-  storage::TupleStreamBatchSource source(&stream);
+  auto source_or = storage::PagedFileBatchSource::Open(path);
+  ASSERT_TRUE(source_or.ok());
+  storage::PagedFileBatchSource& source = *source_or.value();
   const bucketing::SampledColumn column{0, options.num_buckets,
                                         options.seed};
   const Result<std::vector<bucketing::BucketBoundaries>> boundaries =
       bucketing::SampleBoundaries(source, {&column, 1},
                                   options.sample_per_bucket);
   ASSERT_TRUE(boundaries.ok());
-  stream.Reset();
-  bucketing::BucketCounts counts = bucketing::CountBucketsFromStream(
-      stream, 0, boundaries.value().front());
+  bucketing::MultiCountSpec spec;
+  spec.num_targets = source.num_boolean();
+  bucketing::CountChannel channel;
+  channel.column = 0;
+  channel.boundaries = &boundaries.value().front();
+  spec.channels.push_back(channel);
+  bucketing::MultiCountPlan plan(std::move(spec));
+  bucketing::ExecuteMultiCount(source, &plan, nullptr);
+  EXPECT_EQ(source.scans_started(), 2);  // one gather, one counting scan
+  bucketing::BucketCounts counts = plan.TakeCounts(0);
   bucketing::CompactEmptyBuckets(&counts);
   const rules::RangeRule disk_rule = rules::OptimizedConfidenceRule(
       counts.u, counts.v[0], counts.total_tuples,
@@ -121,29 +129,49 @@ TEST(PipelineTest, TruncatedPagedFileIsDetected) {
   const storage::Relation table =
       datagen::GenerateTable(PlantedConfig(1000), rng);
   const std::string path = testing::TempDir() + "/truncated.optr";
-  ASSERT_TRUE(storage::WriteRelationToFile(table, path).ok());
-  // Chop the last 100 bytes off.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    bytes.resize(bytes.size() - 100);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
+  storage::PagedFileWriterOptions v1;
+  v1.format = storage::PagedFileFormat::kRowMajorV1;
+  storage::PagedFileWriterOptions v2;
+  storage::PagedFileWriterOptions v2_no_zones;
+  v2_no_zones.zone_maps = false;
+  for (const storage::PagedFileWriterOptions& format :
+       {v1, v2, v2_no_zones}) {
+    SCOPED_TRACE(testing::Message()
+                 << "format=" << static_cast<int>(format.format)
+                 << " zone_maps=" << format.zone_maps);
+    ASSERT_TRUE(storage::WriteRelationToFile(table, path, format).ok());
+    // Chop the last 100 bytes off.
+    {
+      std::ifstream in(path, std::ios::binary);
+      std::string bytes((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+      bytes.resize(bytes.size() - 100);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    // Bulk load detects the corruption...
+    EXPECT_EQ(storage::ReadRelationFromFile(
+                  path, storage::Schema::Synthetic(2, 2))
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    // ...and so does every batch reader, at open rather than mid-scan,
+    // including the sort baselines that used to rank a short scan as if
+    // it were complete.
+    storage::BufferPool pool(0);
+    EXPECT_EQ(storage::PagedFileBatchSource::Open(
+                  path, storage::kDefaultBatchRows,
+                  storage::PagedReadMode::kSynchronous, &pool)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(bucketing::NaiveSortBoundariesFromFile(
+                  path, 0, 10, testing::TempDir() + "/truncated_sorted.optr",
+                  1 << 16, testing::TempDir())
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
   }
-  // Bulk load detects the corruption...
-  EXPECT_EQ(storage::ReadRelationFromFile(path,
-                                          storage::Schema::Synthetic(2, 2))
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-  // ...and the streaming scanner stops early rather than fabricating rows.
-  auto stream_or = storage::FileTupleStream::Open(path);
-  ASSERT_TRUE(stream_or.ok());
-  storage::TupleView view;
-  int64_t rows = 0;
-  while (stream_or.value()->Next(&view)) ++rows;
-  EXPECT_LT(rows, 1000);
   std::remove(path.c_str());
 }
 

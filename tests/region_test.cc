@@ -10,15 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "bucketing/counting.h"
-#include "bucketing/parallel_count.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "region/grid.h"
 #include "region/rectangle.h"
 #include "region/xmonotone.h"
 #include "storage/columnar_batch.h"
 #include "storage/relation.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::region {
 namespace {
@@ -253,57 +250,6 @@ TEST(GridChannelTest, GridSharesLocatePassWithBaseChannelsAndMerges) {
       EXPECT_EQ(actual.v(x, y), expected.v(x, y));
     }
   }
-}
-
-TEST(GridChannelTest, ChannelParallelScheduleMatchesSerial) {
-  // TupleStreamBatchSource has no range readers, so the pooled executor
-  // fans channels -- grid channels included -- out per batch; grid cells
-  // must come out bit-identical to the serial scan.
-  storage::Relation relation(storage::Schema::Synthetic(2, 2));
-  Rng rng(406);
-  for (int row = 0; row < 4000; ++row) {
-    const std::vector<double> numeric = {rng.NextUniform(0, 50),
-                                         rng.NextUniform(0, 50)};
-    const std::vector<uint8_t> boolean = {
-        rng.NextBernoulli(0.3) ? uint8_t{1} : uint8_t{0},
-        rng.NextBernoulli(0.6) ? uint8_t{1} : uint8_t{0}};
-    relation.AppendRow(numeric, boolean);
-  }
-  const auto bx = bucketing::BucketBoundaries::FromCutPoints({20.0, 35.0});
-  const auto by = bucketing::BucketBoundaries::FromCutPoints({10.0, 40.0});
-  const auto make_spec = [&] {
-    bucketing::MultiCountSpec spec;
-    spec.num_targets = 2;
-    bucketing::CountChannel base;
-    base.column = 0;
-    base.boundaries = &bx;
-    spec.channels.push_back(std::move(base));
-    bucketing::GridChannel grid;
-    grid.x_column = 0;
-    grid.x_boundaries = &bx;
-    grid.y_column = 1;
-    grid.y_boundaries = &by;
-    spec.grid_channels.push_back(grid);
-    return spec;
-  };
-
-  storage::RelationTupleStream serial_stream(&relation);
-  storage::TupleStreamBatchSource serial_source(&serial_stream, 512);
-  bucketing::MultiCountPlan serial(make_spec());
-  bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
-
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 512);
-  ThreadPool pool(4);
-  bucketing::MultiCountPlan parallel(make_spec());
-  bucketing::ExecuteMultiCount(source, &parallel, &pool);
-  EXPECT_EQ(source.scans_started(), 1);
-
-  EXPECT_EQ(parallel.grid_counts(0).u, serial.grid_counts(0).u);
-  EXPECT_EQ(parallel.grid_counts(0).v, serial.grid_counts(0).v);
-  EXPECT_EQ(parallel.grid_counts(0).total_tuples,
-            serial.grid_counts(0).total_tuples);
-  EXPECT_EQ(parallel.counts(0).u, serial.counts(0).u);
 }
 
 // -------------------------------------------------------- rectangles ----

@@ -1,4 +1,5 @@
-// Tests for PagedFile, tuple streams, and the external merge sort.
+// Tests for PagedFile, the paged batch readers, and the external merge
+// sort.
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +16,6 @@
 #include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::storage {
 namespace {
@@ -36,6 +36,27 @@ Relation RandomRelation(int64_t rows, int num_numeric, int num_boolean,
     r.AppendRow(numeric, boolean);
   }
   return r;
+}
+
+std::vector<uint8_t> ReadAllBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteAllBytes(const std::string& path,
+                   const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  ASSERT_EQ(std::fclose(f), 0);
 }
 
 TEST(PagedFileTest, RoundTrip) {
@@ -118,75 +139,46 @@ TEST(PagedFileTest, InvalidAttributeCountsRejected) {
       PagedFileWriter::Create(TempPath("zero.optr"), 0, 0).ok());
 }
 
-TEST(TupleStreamTest, RelationStreamYieldsAllTuples) {
-  const Relation relation = RandomRelation(100, 2, 3, 3);
-  RelationTupleStream stream(&relation);
-  EXPECT_EQ(stream.NumTuples(), 100);
-  EXPECT_EQ(stream.num_numeric(), 2);
-  EXPECT_EQ(stream.num_boolean(), 3);
-  TupleView view;
-  int64_t count = 0;
-  while (stream.Next(&view)) {
-    EXPECT_DOUBLE_EQ(view.numeric[0], relation.NumericValue(count, 0));
-    EXPECT_EQ(view.booleans[2] != 0, relation.BooleanValue(count, 2));
-    ++count;
-  }
-  EXPECT_EQ(count, 100);
-}
-
-TEST(TupleStreamTest, ResetRewinds) {
-  const Relation relation = RandomRelation(10, 1, 1, 4);
-  RelationTupleStream stream(&relation);
-  TupleView view;
-  while (stream.Next(&view)) {
-  }
-  EXPECT_FALSE(stream.Next(&view));
-  stream.Reset();
-  int64_t count = 0;
-  while (stream.Next(&view)) ++count;
-  EXPECT_EQ(count, 10);
-}
-
-TEST(TupleStreamTest, FileStreamMatchesRelationStream) {
-  const std::string path = TempPath("stream.optr");
-  const Relation relation = RandomRelation(1000, 4, 2, 5);
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  PagedFileWriterOptions v2;
-  v2.rows_per_page = 64;  // many pages, so page refills are exercised
-  for (const PagedFileWriterOptions& options : {v1, v2}) {
-    SCOPED_TRACE(testing::Message()
-                 << "format=" << static_cast<int>(options.format));
-    ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
-    Result<std::unique_ptr<FileTupleStream>> file_or =
-        FileTupleStream::Open(path);
-    ASSERT_TRUE(file_or.ok());
-    FileTupleStream& file_stream = *file_or.value();
-    RelationTupleStream memory_stream(&relation);
-
-    EXPECT_EQ(file_stream.NumTuples(), memory_stream.NumTuples());
-    TupleView file_view;
-    TupleView memory_view;
-    while (memory_stream.Next(&memory_view)) {
-      ASSERT_TRUE(file_stream.Next(&file_view));
-      for (int c = 0; c < 4; ++c) {
-        EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
-      }
-      for (int c = 0; c < 2; ++c) {
-        EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
-      }
-    }
-    EXPECT_FALSE(file_stream.Next(&file_view));
-
-    file_stream.Reset();
-    int64_t count = 0;
-    while (file_stream.Next(&file_view)) ++count;
-    EXPECT_EQ(count, 1000);
-  }
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------ external sort ----
+
+/// Serializes `relation` as headerless fixed-width records in the v1 row
+/// layout (doubles, then Boolean bytes) -- the shape ExternalSort sorts.
+std::vector<uint8_t> RowRecords(const Relation& relation) {
+  const size_t row_bytes = relation.schema().RowBytes();
+  const int num_numeric = relation.schema().num_numeric();
+  std::vector<uint8_t> bytes(row_bytes *
+                             static_cast<size_t>(relation.NumRows()));
+  for (int64_t row = 0; row < relation.NumRows(); ++row) {
+    uint8_t* out = bytes.data() + static_cast<size_t>(row) * row_bytes;
+    for (int c = 0; c < num_numeric; ++c) {
+      const double value = relation.NumericValue(row, c);
+      std::memcpy(out + static_cast<size_t>(c) * sizeof(double), &value,
+                  sizeof(double));
+    }
+    for (int b = 0; b < relation.schema().num_boolean(); ++b) {
+      out[static_cast<size_t>(num_numeric) * sizeof(double) +
+          static_cast<size_t>(b)] = relation.BooleanValue(row, b) ? 1 : 0;
+    }
+  }
+  return bytes;
+}
+
+/// The `record_bytes`-wide records of `bytes`, one string each.
+std::vector<std::string> SplitRecords(const std::vector<uint8_t>& bytes,
+                                      size_t record_bytes) {
+  std::vector<std::string> records;
+  for (size_t at = 0; at + record_bytes <= bytes.size(); at += record_bytes) {
+    records.emplace_back(reinterpret_cast<const char*>(bytes.data() + at),
+                         record_bytes);
+  }
+  return records;
+}
+
+double DoubleAt(const std::string& record, size_t offset) {
+  double value;
+  std::memcpy(&value, record.data() + offset, sizeof(double));
+  return value;
+}
 
 struct ExternalSortCase {
   int64_t rows;
@@ -198,37 +190,37 @@ class ExternalSortTest : public testing::TestWithParam<ExternalSortCase> {};
 
 TEST_P(ExternalSortTest, SortsByKeyAttribute) {
   const ExternalSortCase& param = GetParam();
-  const std::string input = TempPath("sort_in.optr");
-  const std::string output = TempPath("sort_out.optr");
+  const std::string input = TempPath("sort_in.bin");
+  const std::string output = TempPath("sort_out.bin");
   const Relation relation = RandomRelation(param.rows, 2, 1, param.seed);
-  // ExternalSort shuffles fixed-width whole-row records, so it only
-  // applies to the row-major v1 layout.
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(WriteRelationToFile(relation, input, v1).ok());
+  const std::vector<uint8_t> records = RowRecords(relation);
+  WriteAllBytes(input, records);
 
   ExternalSortOptions options;
   options.record_bytes = relation.schema().RowBytes();
   options.key_offset = sizeof(double);  // sort by numeric attribute 1
-  options.header_bytes = kPagedFileHeaderBytes;
   options.memory_budget_bytes = param.memory_budget;
   options.temp_dir = testing::TempDir();
   Result<ExternalSortStats> stats = ExternalSort(input, output, options);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().num_records, param.rows);
 
-  Result<Relation> sorted =
-      ReadRelationFromFile(output, Schema::Synthetic(2, 1));
-  ASSERT_TRUE(sorted.ok());
-  ASSERT_EQ(sorted.value().NumRows(), param.rows);
-  // Keys ascending and multiset of keys preserved.
-  std::vector<double> expected = relation.NumericColumn(1);
+  const std::vector<uint8_t> sorted_bytes = ReadAllBytes(output);
+  ASSERT_EQ(sorted_bytes.size(), records.size());
+  const std::vector<std::string> sorted =
+      SplitRecords(sorted_bytes, options.record_bytes);
+  // Keys ascending, and the multiset of whole records preserved.
+  std::vector<double> keys;
+  for (const std::string& record : sorted) {
+    keys.push_back(DoubleAt(record, options.key_offset));
+  }
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  std::vector<std::string> expected =
+      SplitRecords(records, options.record_bytes);
+  std::vector<std::string> got = sorted;
   std::sort(expected.begin(), expected.end());
-  const std::vector<double>& got = sorted.value().NumericColumn(1);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  std::vector<double> got_sorted = got;
-  std::sort(got_sorted.begin(), got_sorted.end());
-  EXPECT_EQ(got_sorted, expected);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
   std::remove(input.c_str());
   std::remove(output.c_str());
 }
@@ -272,8 +264,8 @@ TEST(ExternalSortErrorsTest, MissingInputIsIoError) {
 TEST(ExternalSortTest, PreservesWholeRecords) {
   // Sorting must move whole rows, not just keys: check that the boolean
   // payload still matches its numeric partner after the sort.
-  const std::string input = TempPath("pairs_in.optr");
-  const std::string output = TempPath("pairs_out.optr");
+  const std::string input = TempPath("pairs_in.bin");
+  const std::string output = TempPath("pairs_out.bin");
   Relation relation(Schema::Synthetic(1, 1));
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
@@ -282,23 +274,65 @@ TEST(ExternalSortTest, PreservesWholeRecords) {
     const double row[] = {v};
     relation.AppendRow(row, std::span<const uint8_t>(&flag, 1));
   }
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(WriteRelationToFile(relation, input, v1).ok());
+  WriteAllBytes(input, RowRecords(relation));
   ExternalSortOptions options;
   options.record_bytes = relation.schema().RowBytes();
   options.key_offset = 0;
-  options.header_bytes = kPagedFileHeaderBytes;
   options.memory_budget_bytes = 512;
   options.temp_dir = testing::TempDir();
   ASSERT_TRUE(ExternalSort(input, output, options).ok());
-  Result<Relation> sorted =
-      ReadRelationFromFile(output, Schema::Synthetic(1, 1));
-  ASSERT_TRUE(sorted.ok());
-  for (int64_t row = 0; row < sorted.value().NumRows(); ++row) {
-    EXPECT_EQ(sorted.value().BooleanValue(row, 0),
-              sorted.value().NumericValue(row, 0) > 0.5);
+  const std::vector<std::string> sorted =
+      SplitRecords(ReadAllBytes(output), options.record_bytes);
+  ASSERT_EQ(sorted.size(), 1000u);
+  for (const std::string& record : sorted) {
+    EXPECT_EQ(record[sizeof(double)] != 0, DoubleAt(record, 0) > 0.5);
   }
+  std::remove(input.c_str());
+  std::remove(output.c_str());
+}
+
+TEST(ExternalSortTest, NanKeysSortAfterEveryNumber) {
+  // NaN keys are not ordered by <; the sort must still be a strict weak
+  // ordering (runs and merge agree), placing every NaN after +inf.
+  const std::string input = TempPath("nan_in.bin");
+  const std::string output = TempPath("nan_out.bin");
+  Relation relation(Schema::Synthetic(1, 1));
+  Rng rng(8);
+  const double specials[] = {std::nan(""), -std::nan(""), INFINITY,
+                             -INFINITY, 0.0, -0.0};
+  int64_t nan_rows = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const double v = i % 5 == 0 ? specials[(i / 5) % 6]
+                                : rng.NextUniform(-10.0, 10.0);
+    nan_rows += std::isnan(v) ? 1 : 0;
+    const uint8_t flag = static_cast<uint8_t>(i % 2);
+    relation.AppendRow(std::span<const double>(&v, 1),
+                       std::span<const uint8_t>(&flag, 1));
+  }
+  const std::vector<uint8_t> records = RowRecords(relation);
+  WriteAllBytes(input, records);
+  ExternalSortOptions options;
+  options.record_bytes = relation.schema().RowBytes();
+  options.memory_budget_bytes = 9 * 64;  // many runs: the merge decides
+  options.temp_dir = testing::TempDir();
+  ASSERT_TRUE(ExternalSort(input, output, options).ok());
+  const std::vector<std::string> sorted =
+      SplitRecords(ReadAllBytes(output), options.record_bytes);
+  ASSERT_EQ(sorted.size(), 3000u);
+  const auto numbers = static_cast<size_t>(3000 - nan_rows);
+  std::vector<double> keys;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const double key = DoubleAt(sorted[i], 0);
+    EXPECT_EQ(std::isnan(key), i >= numbers) << i;
+    if (i < numbers) keys.push_back(key);
+  }
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  std::vector<std::string> expected =
+      SplitRecords(records, options.record_bytes);
+  std::vector<std::string> got = sorted;
+  std::sort(expected.begin(), expected.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
   std::remove(input.c_str());
   std::remove(output.c_str());
 }
@@ -413,17 +447,6 @@ TEST(PagedFileBatchSourceTest, DoubleBufferedReaderAbandonedMidScan) {
 }
 
 // ------------------------------------------- columnar v2 page format ----
-
-std::vector<uint8_t> ReadAllBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return bytes;
-}
 
 TEST(PagedFileV2Test, RoundTripAcrossFormatVersions) {
   const Relation original = RandomRelation(1013, 3, 2, 11);
@@ -658,36 +681,6 @@ TEST(PagedFileV2Test, RangeReadersStartMidPage) {
   }
   std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
-}
-
-TEST(PagedFileV2Test, TupleStreamGathersFromColumnRuns) {
-  const std::string path = TempPath("tuples_v2.optr");
-  const Relation relation = RandomRelation(1000, 4, 2, 16);
-  PagedFileWriterOptions options;
-  options.rows_per_page = 128;  // several pages incl. a partial last one
-  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
-  Result<std::unique_ptr<FileTupleStream>> file_or =
-      FileTupleStream::Open(path);
-  ASSERT_TRUE(file_or.ok());
-  FileTupleStream& stream = *file_or.value();
-  RelationTupleStream memory_stream(&relation);
-  TupleView file_view;
-  TupleView memory_view;
-  while (memory_stream.Next(&memory_view)) {
-    ASSERT_TRUE(stream.Next(&file_view));
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
-    }
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
-    }
-  }
-  EXPECT_FALSE(stream.Next(&file_view));
-  stream.Reset();
-  int64_t count = 0;
-  while (stream.Next(&file_view)) ++count;
-  EXPECT_EQ(count, 1000);
-  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- zone maps ----
