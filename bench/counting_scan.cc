@@ -9,12 +9,14 @@
 // channels per attribute sharing ONE generalized boundary set (Section
 // 4.3), and one sum channel per attribute (Section 5). A standalone
 // point-location loop isolates Locate/LocateBatch throughput from the
-// scatter passes.
+// scatter passes, once on the scan's own column and once per cut layout
+// (sampled uniform, affine, exponential, lognormal, heavy-tie, M = 32).
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +27,7 @@
 #include "bench/bench_util.h"
 #include "bucketing/boundaries.h"
 #include "bucketing/counting.h"
+#include "bucketing/equiwidth.h"
 #include "bucketing/parallel_count.h"
 #include "common/timer.h"
 #include "datagen/table_generator.h"
@@ -121,6 +124,22 @@ double TimeScan(optrules::storage::BatchSource& source,
   return best;
 }
 
+/// Best-of-kReps LocateBatch throughput of `values` against `boundaries`,
+/// in Mrows/s; leaves the last rep's buckets in *out.
+double LocateBatchMrowsPerSec(const BucketBoundaries& boundaries,
+                              std::span<const double> values,
+                              std::vector<int32_t>* out) {
+  out->resize(values.size());
+  double best = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    optrules::WallTimer timer;
+    boundaries.LocateBatch(values, *out);
+    const double seconds = timer.ElapsedSeconds();
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return static_cast<double>(values.size()) / best / 1e6;
+}
+
 /// Drops `path` from the OS page cache so every out-of-core rep measures
 /// genuinely cold reads (a warm page cache makes fread a memcpy and hides
 /// any I/O overlap). The fdatasync matters: DONTNEED silently skips dirty
@@ -184,22 +203,62 @@ int main() {
                 scalar_mps, static_cast<long long>(sink));
     json.Add("locate_scalar_mrows_per_sec", scalar_mps);
 
-    std::vector<int32_t> out(values.size());
-    double batch_best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      optrules::WallTimer timer;
-      boundaries.LocateBatch(values, out);
-      const double seconds = timer.ElapsedSeconds();
-      if (rep == 0 || seconds < batch_best) batch_best = seconds;
-    }
+    std::vector<int32_t> out;
+    const double batch_mps = LocateBatchMrowsPerSec(boundaries, values, &out);
     int64_t batch_sink = 0;
     for (const int32_t bucket : out) batch_sink += bucket;
     // The scalar loop folded its checksum once per rep.
     OPTRULES_CHECK(batch_sink * kReps == sink);
-    const double batch_mps =
-        static_cast<double>(rows) / batch_best / 1e6;
     std::printf("LocateBatch:       %8.1f Mrows/s\n", batch_mps);
     json.Add("locate_batch_mrows_per_sec", batch_mps);
+  }
+
+  // ---- LocateBatch per cut layout: each column drawn from the layout's
+  // distribution and bucketed by Alg. 3.1 sampling (affine: equi-width).
+  optrules::bench::PrintHeader("LocateBatch by cut layout");
+  {
+    struct Layout {
+      const char* name;
+      int num_buckets;
+      bool equi_width;
+      double (*draw)(optrules::Rng&);
+    };
+    const Layout layouts[] = {
+        {"uniform", kNumBuckets, false,
+         [](optrules::Rng& r) { return r.NextUniform(0.0, 1e6); }},
+        {"affine", kNumBuckets, true,
+         [](optrules::Rng& r) { return r.NextUniform(0.0, 1e6); }},
+        {"exponential", kNumBuckets, false,
+         [](optrules::Rng& r) { return -std::log1p(-r.NextDouble()); }},
+        {"lognormal", kNumBuckets, false,
+         [](optrules::Rng& r) { return std::exp(3.0 * r.NextGaussian()); }},
+        {"heavy_tie", kNumBuckets, false,
+         [](optrules::Rng& r) {
+           return r.NextBernoulli(0.5) ? static_cast<double>(r.NextInt(0, 4))
+                                       : r.NextUniform(0.0, 4.0);
+         }},
+        {"uniform_m32", 32, false,
+         [](optrules::Rng& r) { return r.NextUniform(0.0, 1e6); }},
+    };
+    std::vector<double> values(static_cast<size_t>(rows));
+    std::vector<int32_t> out;
+    for (const Layout& layout : layouts) {
+      optrules::Rng layout_rng(4242);
+      for (double& v : values) v = layout.draw(layout_rng);
+      BoundaryPlan plan;
+      plan.num_buckets = layout.num_buckets;
+      const BucketBoundaries boundaries =
+          layout.equi_width
+              ? optrules::bucketing::EquiWidthBoundaries(values,
+                                                         layout.num_buckets)
+              : BuildBoundaries(values, plan);
+      const double mps = LocateBatchMrowsPerSec(boundaries, values, &out);
+      std::printf("%-12s M=%-5d %8.1f Mrows/s\n", layout.name,
+                  layout.num_buckets, mps);
+      json.Add(std::string("locate_batch_") + layout.name +
+                   "_mrows_per_sec",
+               mps);
+    }
   }
 
   // ---- in-memory grid: attrs x conditional channels --------------------

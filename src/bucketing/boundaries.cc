@@ -6,6 +6,7 @@
 
 #include "bucketing/equidepth_sampler.h"
 #include "bucketing/gk_sketch.h"
+#include "bucketing/simd_kernels_scalar.inl.h"
 #include "bucketing/sort_bucketizer.h"
 #include "common/rng.h"
 
@@ -13,6 +14,10 @@ namespace optrules::bucketing {
 
 BucketBoundaries BucketBoundaries::FromCutPoints(
     std::vector<double> cut_points) {
+  // is_sorted alone accepts NaN anywhere ({1, NaN, 0} compares false both
+  // ways), so NaN is ruled out first: it is never a cut point.
+  OPTRULES_CHECK(std::none_of(cut_points.begin(), cut_points.end(),
+                              [](double c) { return std::isnan(c); }));
   OPTRULES_CHECK(std::is_sorted(cut_points.begin(), cut_points.end()));
   return BucketBoundaries(std::move(cut_points));
 }
@@ -39,23 +44,17 @@ BucketBoundaries BucketBoundaries::FromSortedValues(
 
 namespace {
 
-/// Drift audit gating the equi-width fast path: the fix-up walk in
-/// LocateEquiWidth is only O(1) when the arithmetic guess lands within a
-/// couple of slots of the true lower_bound index for every cut. Sub-ulp
-/// steps violate that -- hundreds of cuts collapse onto a few distinct
-/// doubles (long duplicate runs) while the affine model keeps stepping,
-/// which would turn each fix-up into an O(M) crawl. Such layouts must
-/// stay on the O(log M) branchless path; results are identical either way.
-bool EquiWidthGuessesAreTight(std::span<const double> cuts, double first,
-                              double inv_step) {
-  for (size_t i = 0; i < cuts.size(); ++i) {
-    // The true lower_bound index of x == cuts[i] is the first index
-    // holding that value; any duplicate means the step is sub-ulp.
-    if (i + 1 < cuts.size() && cuts[i + 1] == cuts[i]) return false;
-    const double guess = std::ceil((cuts[i] - first) * inv_step);
-    if (!(std::fabs(guess - static_cast<double>(i)) <= 2.0)) return false;
-  }
-  return true;
+/// Guide slots per cut point, and the cap that keeps a huge M from
+/// allocating an unbounded table (2^16 slots = 256 KiB).
+constexpr size_t kGuideSlotsPerCut = 4;
+constexpr size_t kMaxGuideSlots = size_t{1} << 16;
+
+/// Search steps that cover `width` candidates past the base:
+/// ceil(log2(width + 1)).
+int StepsFor(size_t width) {
+  int steps = 0;
+  while ((size_t{1} << steps) <= width) ++steps;
+  return steps;
 }
 
 }  // namespace
@@ -68,95 +67,59 @@ BucketBoundaries BucketBoundaries::FromEquiWidth(double lo, double step,
   for (int i = 1; i < num_buckets; ++i) {
     cuts.push_back(lo + step * static_cast<double>(i));
   }
-  BucketBoundaries boundaries(std::move(cuts));
-  // Enable the arithmetic fast path directly from the known parameters;
-  // per-cut rounding can fail the constructor's bitwise reconstruction
-  // even though the layout IS equi-width. The same denormal / overflow
-  // guards and drift audit as the auto-detection apply.
-  if (!boundaries.equi_width_ && !boundaries.cut_points_.empty() &&
-      std::isfinite(lo) && step > 0.0 && std::isfinite(step) &&
-      std::isfinite(1.0 / step) &&
-      std::isfinite(boundaries.cut_points_.back()) &&
-      EquiWidthGuessesAreTight(boundaries.cut_points_,
-                               boundaries.cut_points_.front(), 1.0 / step)) {
-    boundaries.equi_width_ = true;
-    boundaries.first_cut_ = boundaries.cut_points_.front();
-    boundaries.inv_step_ = 1.0 / step;
-  }
-  return boundaries;
+  return BucketBoundaries(std::move(cuts));
 }
 
 BucketBoundaries::BucketBoundaries(std::vector<double> cut_points)
     : cut_points_(std::move(cut_points)) {
-  // Equi-width detection: the arithmetic fast path is only taken when
-  // every cut is EXACTLY first + i * step (bitwise double equality), so
-  // affine cut sets qualify while sampled quantiles fall back to the
-  // branchless search. The bitwise test alone is not enough: a sub-ulp
-  // step can reproduce a duplicate-laden layout bitwise (the rounding
-  // that collapsed the cuts collapses the reconstruction identically),
-  // so the drift audit below gates the fast path too.
   const size_t n = cut_points_.size();
-  if (n < 2) return;
-  const double first = cut_points_.front();
-  const double step =
-      (cut_points_.back() - first) / static_cast<double>(n - 1);
-  if (!std::isfinite(first) || !(step > 0.0) || !std::isfinite(step)) return;
-  // A denormal step makes 1/step overflow to +inf, and the fast path's
-  // (x - first) * inv_step_ would then produce 0 * inf = NaN for
-  // x == first -- whose integer cast is UB. Such layouts stay on the
-  // branchless path.
-  if (!std::isfinite(1.0 / step)) return;
-  for (size_t i = 0; i < n; ++i) {
-    if (cut_points_[i] != first + static_cast<double>(i) * step) return;
+  // The search runs on 32-bit indices up to n + 2^steps <= 3n + 2.
+  OPTRULES_CHECK(n < (size_t{1} << 29));
+  // Without a usable table the search covers all n cuts from index 0.
+  const int full_steps = StepsFor(n);
+  slot_lo_ = {0};
+  guide_steps_ = full_steps;
+  if (n >= 2) {
+    const size_t slots = std::min(kGuideSlotsPerCut * n, kMaxGuideSlots);
+    const double first = cut_points_.front();
+    const double last = cut_points_.back();
+    // A denormal or zero range overflows the scale; an overflowing range
+    // (lowest() .. max()) flushes it to zero. Both keep the one slot.
+    const double scale = static_cast<double>(slots) / (last - first);
+    if (std::isfinite(first) && std::isfinite(last) && scale > 0.0 &&
+        std::isfinite(scale)) {
+      // Bin the cuts with the exact slot function the kernels apply to
+      // values, so lower_bound(x) always lies in the slot's window.
+      const simd::LocateGuide binning = {nullptr, nullptr, first, scale,
+                                         static_cast<double>(slots - 1), 0};
+      std::vector<int32_t> counts(slots, 0);
+      for (const double cut : cut_points_) {
+        ++counts[static_cast<size_t>(simd::internal::GuideSlot(binning, cut))];
+      }
+      const int steps = StepsFor(static_cast<size_t>(
+          *std::max_element(counts.begin(), counts.end())));
+      // Keep the table only when it saves at least one dependent load
+      // (the table gather itself costs one).
+      if (steps + 1 < full_steps) {
+        slot_lo_.assign(slots, 0);
+        for (size_t s = 1; s < slots; ++s) {
+          slot_lo_[s] = slot_lo_[s - 1] + counts[s - 1];
+        }
+        guide_first_ = first;
+        guide_scale_ = scale;
+        guide_steps_ = steps;
+      }
+    }
   }
-  if (!EquiWidthGuessesAreTight(cut_points_, first, 1.0 / step)) return;
-  equi_width_ = true;
-  first_cut_ = first;
-  inv_step_ = 1.0 / step;
-}
-
-int BucketBoundaries::LocateBranchless(double x) const {
-  // Branchless lower_bound: `base` advances by `half` iff the probed cut is
-  // still < x; the multiply-by-bool form compiles to a conditional move, so
-  // the loop has no data-dependent branch to mispredict (the scalar
-  // std::lower_bound paid one mispredict per probe on random data).
-  const double* base = cut_points_.data();
-  size_t n = cut_points_.size();
-  if (n == 0) return 0;
-  while (n > 1) {
-    const size_t half = n / 2;
-    base += static_cast<size_t>(base[half - 1] < x) * half;
-    n -= half;
-  }
-  return static_cast<int>(base - cut_points_.data()) +
-         static_cast<int>(*base < x);
-}
-
-int BucketBoundaries::LocateEquiWidth(double x) const {
-  // The lower_bound index is the number of cuts < x; with cuts affine that
-  // is ceil((x - first) / step) in real arithmetic. The double guess can be
-  // off by a few ulps, so it is clamped and then corrected against the
-  // stored cuts -- the fix-up loops run at most one or two iterations and
-  // make the result exactly lower_bound's, bit-identical to the slow path.
-  const auto n = static_cast<int64_t>(cut_points_.size());
-  double guess = std::ceil((x - first_cut_) * inv_step_);
-  // Clamp to [0, n] in double first: the raw guess can be +/-inf for
-  // infinite x, which must not reach the integer cast.
-  guess = std::min(guess, static_cast<double>(n));
-  guess = std::max(guess, 0.0);
-  int64_t index = static_cast<int64_t>(guess);
-  while (index < n && cut_points_[static_cast<size_t>(index)] < x) ++index;
-  while (index > 0 && cut_points_[static_cast<size_t>(index - 1)] >= x) {
-    --index;
-  }
-  return static_cast<int>(index);
+  padded_cuts_.assign(n + (size_t{1} << guide_steps_),
+                      std::numeric_limits<double>::infinity());
+  std::copy(cut_points_.begin(), cut_points_.end(), padded_cuts_.begin());
 }
 
 int BucketBoundaries::Locate(double x) const {
   // Bucket i covers (p_i, p_{i+1}]; the lower_bound index (first cut >= x)
   // is exactly the index of the covering bucket.
-  if (std::isnan(x)) return kNoBucket;
-  return equi_width_ ? LocateEquiWidth(x) : LocateBranchless(x);
+  return simd::internal::GuidedLocateOne(Guide(), x);
 }
 
 int64_t BucketBoundaries::LocateBatch(std::span<const double> values,
@@ -168,13 +131,7 @@ int64_t BucketBoundaries::LocateBatchWithKernels(
     const simd::Kernels& kernels, std::span<const double> values,
     std::span<int32_t> out) const {
   OPTRULES_CHECK(values.size() == out.size());
-  if (equi_width_) {
-    return kernels.locate_equi_width(values.data(), values.size(),
-                                     cut_points_.data(), cut_points_.size(),
-                                     first_cut_, inv_step_, out.data());
-  }
-  return kernels.locate_search(values.data(), values.size(),
-                               cut_points_.data(), cut_points_.size(),
+  return kernels.locate_guided(values.data(), values.size(), Guide(),
                                out.data());
 }
 

@@ -24,11 +24,22 @@ enum class Bucketizer {
   kExactSort,  ///< full sort of the column ("Naive Sort"; exact depths)
 };
 
-/// Immutable set of bucket cut points with O(log M) point location.
+/// Immutable set of bucket cut points with table-guided point location.
+///
+/// Every instance carries a guide table (simd::LocateGuide), built in the
+/// constructor every factory goes through in O(T + M) time: T ~ 4 x cuts
+/// equal slots between the first and last cut, each recording how many
+/// cuts fall in earlier slots. Locate reads the table, then runs a
+/// compare-and-add search whose trip count is fixed by the widest slot, so
+/// sampled cut layouts cost O(1) expected per value instead of O(log M).
+/// Layouts the table cannot narrow (non-finite ends or scale, fewer than
+/// two cuts, or a widest slot that saves no search step) get one slot --
+/// a plain power-of-two search over all cuts. Either way the answer is
+/// exactly std::lower_bound's, on every SIMD arm.
 class BucketBoundaries {
  public:
-  /// From interior cut points (must be sorted ascending); yields
-  /// `cut_points.size() + 1` buckets.
+  /// From interior cut points (must be sorted ascending and free of NaN);
+  /// yields `cut_points.size() + 1` buckets.
   static BucketBoundaries FromCutPoints(std::vector<double> cut_points);
 
   /// Exact equi-depth boundaries from a fully sorted value array: cut point
@@ -37,11 +48,8 @@ class BucketBoundaries {
   static BucketBoundaries FromSortedValues(std::span<const double> sorted,
                                            int num_buckets);
 
-  /// Affine cuts lo + i * step (i = 1 .. num_buckets-1) with the
-  /// equi-width LocateBatch fast path pre-enabled whenever the parameters
-  /// allow it -- unlike the constructor's bitwise reconstruction, this
-  /// survives per-cut rounding (the neighbor fix-up keeps location exact
-  /// either way).
+  /// Affine cuts lo + i * step (i = 1 .. num_buckets-1). Such layouts
+  /// need no special path: the guide gives them a 1- or 2-step search.
   static BucketBoundaries FromEquiWidth(double lo, double step,
                                         int num_buckets);
 
@@ -57,17 +65,17 @@ class BucketBoundaries {
   /// is NaN. NaN compares false against every cut point, so without the
   /// sentinel it would silently land in bucket 0 and inflate the u-count
   /// of every range touching the leftmost bucket; the repo-wide policy is
-  /// that NaN rows count toward total_tuples but toward no bucket.
+  /// that NaN rows count toward total_tuples but toward no bucket. Runs
+  /// the same guided search as the batch kernels.
   int Locate(double x) const;
 
   /// Batch point location: out[i] = Locate(values[i]) for every i,
   /// bit-identical to the scalar call (including the NaN -> kNoBucket
-  /// policy) but without per-value function dispatch. Runs on the active
-  /// SIMD kernel arm (simd::Active()): vectorized arithmetic location when
-  /// the cut points are affine (equi_width()), a vectorized gather/compare
-  /// ladder otherwise, or the branchless scalar kernels under
-  /// OPTRULES_FORCE_SCALAR=1. Returns the number of kNoBucket entries
-  /// written (the NaN count). The spans must have equal lengths.
+  /// policy) but without per-value function dispatch. Runs the guided
+  /// search on the active SIMD kernel arm (simd::Active()), or on the
+  /// scalar kernel under OPTRULES_FORCE_SCALAR=1. Returns the number of
+  /// kNoBucket entries written (the NaN count). The spans must have equal
+  /// lengths.
   int64_t LocateBatch(std::span<const double> values,
                       std::span<int32_t> out) const;
 
@@ -77,10 +85,11 @@ class BucketBoundaries {
                                  std::span<const double> values,
                                  std::span<int32_t> out) const;
 
-  /// True when the cut points were detected as exactly affine
-  /// (cut[i] == cut[0] + i * step with step > 0), enabling the arithmetic
-  /// LocateBatch fast path. Exposed so tests can assert the detection.
-  bool equi_width() const { return equi_width_; }
+  /// Search steps after the table lookup (ceil(log2(widest slot + 1))),
+  /// and the number of guide slots (1 = the full-search fallback).
+  /// Exposed so tests can assert which layouts the guide narrows.
+  int guide_steps() const { return guide_steps_; }
+  int guide_slots() const { return static_cast<int>(slot_lo_.size()); }
 
   /// Interior cut points, ascending.
   const std::vector<double>& cut_points() const { return cut_points_; }
@@ -93,18 +102,22 @@ class BucketBoundaries {
  private:
   explicit BucketBoundaries(std::vector<double> cut_points);
 
-  /// lower_bound index of `x` (number of cut points < x) via a branchless
-  /// binary search; `x` must not be NaN.
-  int LocateBranchless(double x) const;
-  /// lower_bound index of `x` on the equi-width fast path: an arithmetic
-  /// guess from the affine cut layout, then a bounded neighbor fix-up that
-  /// makes the result exact despite floating-point rounding in the guess.
-  int LocateEquiWidth(double x) const;
+  /// The guide over this object's own storage. Built per call, so copies
+  /// and moves never point into another instance's buffers.
+  simd::LocateGuide Guide() const {
+    return {padded_cuts_.data(), slot_lo_.data(), guide_first_,
+            guide_scale_, static_cast<double>(guide_slots() - 1),
+            guide_steps_};
+  }
 
   std::vector<double> cut_points_;
-  bool equi_width_ = false;
-  double first_cut_ = 0.0;
-  double inv_step_ = 0.0;  ///< 1 / step of the affine layout
+  /// cut_points_ followed by +inf up to size + 2^guide_steps_.
+  std::vector<double> padded_cuts_;
+  /// slot_lo_[s] = number of cuts whose slot is < s.
+  std::vector<int32_t> slot_lo_;
+  double guide_first_ = 0.0;
+  double guide_scale_ = 0.0;
+  int guide_steps_ = 0;
 };
 
 /// Strategy + parameters for boundary planning. This is the single

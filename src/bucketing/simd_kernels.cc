@@ -11,28 +11,11 @@ namespace optrules::bucketing::simd {
 
 namespace {
 
-using internal::ScalarLocateEquiWidthOne;
-using internal::ScalarLocateSearchOne;
-
-int64_t LocateSearchScalar(const double* values, size_t n, const double* cuts,
-                           size_t num_cuts, int32_t* out) {
+int64_t LocateGuidedScalar(const double* values, size_t n,
+                           const LocateGuide& guide, int32_t* out) {
   int64_t no_bucket = 0;
   for (size_t i = 0; i < n; ++i) {
-    const int32_t bucket = ScalarLocateSearchOne(cuts, num_cuts, values[i]);
-    out[i] = bucket;
-    no_bucket += static_cast<int64_t>(bucket < 0);
-  }
-  return no_bucket;
-}
-
-int64_t LocateEquiWidthScalar(const double* values, size_t n,
-                              const double* cuts, size_t num_cuts,
-                              double first_cut, double inv_step,
-                              int32_t* out) {
-  int64_t no_bucket = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t bucket = ScalarLocateEquiWidthOne(cuts, num_cuts, first_cut,
-                                                    inv_step, values[i]);
+    const int32_t bucket = internal::GuidedLocateOne(guide, values[i]);
     out[i] = bucket;
     no_bucket += static_cast<int64_t>(bucket < 0);
   }
@@ -52,8 +35,8 @@ void FoldCellsScalar(const int32_t* x, const int32_t* y, size_t n,
   }
 }
 
-const Kernels kScalar = {"scalar", LocateSearchScalar, LocateEquiWidthScalar,
-                         MaskAndScalar, FoldCellsScalar};
+const Kernels kScalar = {"scalar", LocateGuidedScalar, MaskAndScalar,
+                         FoldCellsScalar};
 
 bool ReadForceScalarEnv() {
   // Strict 0/1 flag: "1abc" used to silently pin scalar; now it warns and

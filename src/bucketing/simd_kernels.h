@@ -13,10 +13,11 @@
 // Bit-identity contract: every kernel of every arm must produce EXACTLY
 // the bytes the scalar reference produces -- locate results are the unique
 // std::lower_bound index (NaN lanes -> kNoBucket, lane for lane), mask and
-// fold results are pure integer ops. The SIMD locate arms guarantee this
-// by validating each lane against the lower_bound invariant and falling
-// back to the scalar walk for any lane the bounded vector fix-up did not
-// settle.
+// fold results are pure integer ops. Locate is exact by construction on
+// every arm: each one evaluates the guide's slot function with the same
+// IEEE operations the guide was built with, so the table's candidate
+// range always contains the answer and the bounded search finds it --
+// there is no per-lane validation and no scalar fallback.
 
 #ifndef OPTRULES_BUCKETING_SIMD_KERNELS_H_
 #define OPTRULES_BUCKETING_SIMD_KERNELS_H_
@@ -27,27 +28,38 @@
 
 namespace optrules::bucketing::simd {
 
+/// Guide table over sorted cut points (built by BucketBoundaries), the
+/// shared input of every arm's locate kernel. A value x maps to
+///   slot(x) = clamp(floor((x - first) * scale), 0, last_slot)
+/// evaluated as t = (x - first) * scale; t = t < last_slot ? t : last_slot;
+/// t = t > 0 ? t : 0; then a truncating cast -- the operand order of
+/// SSE/AVX min/max, so a NaN x lands on last_slot in every arm, and the
+/// clamp before the cast makes truncation equal floor. slot_lo[s] is the
+/// number of cuts c with slot(c) < s; because slot() is monotone,
+/// lower_bound(x) lies in [slot_lo[slot(x)], slot_lo[slot(x)] + 2^steps
+/// - 1], and `steps` gathered compare-and-add halvings find it.
+struct LocateGuide {
+  /// Sorted cuts followed by +inf padding up to num_cuts + 2^steps
+  /// entries, so no probe needs a clamp or a bound mask.
+  const double* cuts;
+  const int32_t* slot_lo;  ///< last_slot + 1 entries
+  double first;
+  double scale;
+  double last_slot;
+  int steps;
+};
+
 /// One instruction-set arm of the counting kernels. All function pointers
 /// are always non-null within a registered table.
 struct Kernels {
   /// Human-readable arm name ("scalar", "avx2", "avx512").
   const char* name;
 
-  /// General sorted-cuts point location: out[i] = lower_bound(cuts, x) for
+  /// Guided point location: out[i] = lower_bound(cuts, values[i]) for
   /// every value, except NaN values which map to -1 (kNoBucket). Returns
   /// the number of -1 entries written (the NaN lane count).
-  int64_t (*locate_search)(const double* values, size_t n,
-                           const double* cuts, size_t num_cuts,
-                           int32_t* out);
-
-  /// Equi-width arithmetic point location over affine cuts
-  /// (cuts[i] ~= first_cut + i / inv_step): same contract as locate_search
-  /// but O(1) per value. Callers must only use it on layouts that passed
-  /// the BucketBoundaries drift audit.
-  int64_t (*locate_equi_width)(const double* values, size_t n,
-                               const double* cuts, size_t num_cuts,
-                               double first_cut, double inv_step,
-                               int32_t* out);
+  int64_t (*locate_guided)(const double* values, size_t n,
+                           const LocateGuide& guide, int32_t* out);
 
   /// In-place byte conjunction: mask[i] &= condition[i].
   void (*mask_and)(uint8_t* mask, const uint8_t* condition, size_t n);

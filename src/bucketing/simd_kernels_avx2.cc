@@ -16,9 +16,6 @@ namespace optrules::bucketing::simd {
 
 namespace {
 
-using internal::ScalarLocateEquiWidthOne;
-using internal::ScalarLocateSearchOne;
-
 /// Low 32 bits of each 64-bit lane, compacted into the low 128 bits.
 inline __m128i PackQwordsToDwords(__m256i v) {
   const __m256i perm = _mm256_permutevar8x32_epi32(
@@ -26,156 +23,59 @@ inline __m128i PackQwordsToDwords(__m256i v) {
   return _mm256_castsi256_si128(perm);
 }
 
-/// Vectorized branchless lower_bound for four values at once: the same
-/// conditional-advance ladder as the scalar walk (the probe sequence is a
-/// function of num_cuts only, so all lanes share one trip count), with the
-/// cut loads turned into gathers. NaN lanes compare false everywhere and
-/// settle on index 0; the caller blends them to -1.
-inline __m256i LowerBound4(__m256d x, const double* cuts, size_t num_cuts) {
-  __m256i base = _mm256_setzero_si256();  // four int64 indices
-  size_t n = num_cuts;
-  while (n > 1) {
-    const size_t half = n / 2;
-    const __m256i probe_index = _mm256_add_epi64(
-        base, _mm256_set1_epi64x(static_cast<long long>(half - 1)));
-    const __m256d probe = _mm256_i64gather_pd(cuts, probe_index, 8);
-    const __m256d lt = _mm256_cmp_pd(probe, x, _CMP_LT_OQ);
-    base = _mm256_add_epi64(
-        base, _mm256_and_si256(_mm256_castpd_si256(lt),
-                               _mm256_set1_epi64x(
-                                   static_cast<long long>(half))));
-    n -= half;
-  }
-  const __m256d last = _mm256_i64gather_pd(cuts, base, 8);
-  const __m256d lt = _mm256_cmp_pd(last, x, _CMP_LT_OQ);
-  // The compare mask is 0 or -1 per lane; subtracting it adds the final
-  // "*base < x" step of the scalar walk.
-  return _mm256_sub_epi64(base, _mm256_castpd_si256(lt));
-}
+/// Independent four-lane searches advanced together per step, so the
+/// gathers of one chain execute under the latency of the others'.
+constexpr int kChains = 4;
 
-int64_t LocateSearchAvx2(const double* values, size_t n, const double* cuts,
-                         size_t num_cuts, int32_t* out) {
+/// The guided search for 4 * kChains values: per chain one slot_lo gather,
+/// then `steps` gathered compare-and-add halvings -- the scalar
+/// GuidedLowerBound lane for lane. Indices ride in 64-bit lanes so no
+/// step pays a pack; they stay below 2^31. A NaN lane lands on last_slot
+/// and settles on an in-range index, then is blended to -1.
+int64_t LocateGuidedAvx2(const double* values, size_t n,
+                         const LocateGuide& guide, int32_t* out) {
+  const __m256d first = _mm256_set1_pd(guide.first);
+  const __m256d scale = _mm256_set1_pd(guide.scale);
+  const __m256d last_slot = _mm256_set1_pd(guide.last_slot);
+  const __m128i no_bucket_vec = _mm_set1_epi32(-1);
   int64_t no_bucket = 0;
   size_t i = 0;
-  if (num_cuts > 0) {
-    const __m128i no_bucket_vec = _mm_set1_epi32(-1);
-    // Two independent four-lane ladders per iteration: the gathers of one
-    // chain execute under the latency of the other's.
-    for (; i + 8 <= n; i += 8) {
-      const __m256d x0 = _mm256_loadu_pd(values + i);
-      const __m256d x1 = _mm256_loadu_pd(values + i + 4);
-      const __m256d nan0 = _mm256_cmp_pd(x0, x0, _CMP_UNORD_Q);
-      const __m256d nan1 = _mm256_cmp_pd(x1, x1, _CMP_UNORD_Q);
-      __m128i idx0 = PackQwordsToDwords(LowerBound4(x0, cuts, num_cuts));
-      __m128i idx1 = PackQwordsToDwords(LowerBound4(x1, cuts, num_cuts));
-      idx0 = _mm_blendv_epi8(idx0, no_bucket_vec,
-                             PackQwordsToDwords(_mm256_castpd_si256(nan0)));
-      idx1 = _mm_blendv_epi8(idx1, no_bucket_vec,
-                             PackQwordsToDwords(_mm256_castpd_si256(nan1)));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), idx0);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4), idx1);
-      no_bucket += __builtin_popcount(
-          static_cast<unsigned>(_mm256_movemask_pd(nan0)) |
-          (static_cast<unsigned>(_mm256_movemask_pd(nan1)) << 4));
+  for (; i + 4 * kChains <= n; i += 4 * kChains) {
+    __m256d x[kChains];
+    __m256i base[kChains];
+    for (int c = 0; c < kChains; ++c) {
+      x[c] = _mm256_loadu_pd(values + i + 4 * c);
+      __m256d t = _mm256_mul_pd(_mm256_sub_pd(x[c], first), scale);
+      t = _mm256_min_pd(t, last_slot);
+      t = _mm256_max_pd(t, _mm256_setzero_pd());
+      base[c] = _mm256_cvtepi32_epi64(
+          _mm_i32gather_epi32(guide.slot_lo, _mm256_cvttpd_epi32(t), 4));
     }
-  }
-  for (; i < n; ++i) {
-    const int32_t bucket = ScalarLocateSearchOne(cuts, num_cuts, values[i]);
-    out[i] = bucket;
-    no_bucket += static_cast<int64_t>(bucket < 0);
-  }
-  return no_bucket;
-}
-
-int64_t LocateEquiWidthAvx2(const double* values, size_t n,
-                            const double* cuts, size_t num_cuts,
-                            double first_cut, double inv_step, int32_t* out) {
-  int64_t no_bucket = 0;
-  size_t i = 0;
-  if (num_cuts > 0) {
-    const __m256d vfirst = _mm256_set1_pd(first_cut);
-    const __m256d vinv = _mm256_set1_pd(inv_step);
-    const __m256d vn_pd = _mm256_set1_pd(static_cast<double>(num_cuts));
-    const __m128i vn = _mm_set1_epi32(static_cast<int32_t>(num_cuts));
-    const __m128i vn_minus_1 =
-        _mm_set1_epi32(static_cast<int32_t>(num_cuts) - 1);
-    const __m128i vzero = _mm_setzero_si128();
-    const __m128i vone = _mm_set1_epi32(1);
-    const __m128i vall = _mm_set1_epi32(-1);
-    for (; i + 4 <= n; i += 4) {
-      const __m256d x = _mm256_loadu_pd(values + i);
-      const __m256d nan_pd = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-      // ceil((x - first) / step), clamped to [0, n] exactly like the
-      // scalar walk. min_pd maps a NaN guess (NaN x) to n -- in range for
-      // the gathers; the lane is blended to -1 below regardless.
-      __m256d guess = _mm256_round_pd(
-          _mm256_mul_pd(_mm256_sub_pd(x, vfirst), vinv),
-          _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
-      guess = _mm256_min_pd(guess, vn_pd);
-      guess = _mm256_max_pd(guess, _mm256_setzero_pd());
-      __m128i idx = _mm256_cvttpd_epi32(guess);
-      // Bounded fix-up, two up then two down steps (the drift audit
-      // guarantees guesses land within two slots of the answer at cut
-      // points; anything the walk does not settle falls back to scalar).
-      for (int step = 0; step < 2; ++step) {
-        const __m128i can_up = _mm_cmplt_epi32(idx, vn);
-        const __m128i probe_index = _mm_min_epi32(idx, vn_minus_1);
-        const __m256d probe = _mm256_i32gather_pd(cuts, probe_index, 8);
-        const __m256d lt = _mm256_cmp_pd(probe, x, _CMP_LT_OQ);
-        const __m128i up = _mm_and_si128(
-            can_up, PackQwordsToDwords(_mm256_castpd_si256(lt)));
-        idx = _mm_sub_epi32(idx, up);  // up mask is -1: subtracts -1
-      }
-      for (int step = 0; step < 2; ++step) {
-        const __m128i can_down = _mm_cmpgt_epi32(idx, vzero);
-        const __m128i probe_index =
-            _mm_max_epi32(_mm_sub_epi32(idx, vone), vzero);
-        const __m256d probe = _mm256_i32gather_pd(cuts, probe_index, 8);
-        const __m256d ge = _mm256_cmp_pd(probe, x, _CMP_GE_OQ);
-        const __m128i down = _mm_and_si128(
-            can_down, PackQwordsToDwords(_mm256_castpd_si256(ge)));
-        idx = _mm_add_epi32(idx, down);  // down mask is -1: subtracts 1
-      }
-      // Per-lane lower_bound invariant:
-      //   (idx == 0 || cuts[idx-1] < x) && (idx == n || cuts[idx] >= x).
-      // lower_bound's answer is the unique index satisfying it, so a lane
-      // that validates IS bit-identical to the scalar result.
-      const __m128i is_zero = _mm_cmpeq_epi32(idx, vzero);
-      const __m256d below = _mm256_i32gather_pd(
-          cuts, _mm_max_epi32(_mm_sub_epi32(idx, vone), vzero), 8);
-      const __m128i low_ok = _mm_or_si128(
-          is_zero, PackQwordsToDwords(_mm256_castpd_si256(
-                       _mm256_cmp_pd(below, x, _CMP_LT_OQ))));
-      const __m128i is_n = _mm_cmpeq_epi32(idx, vn);
-      const __m256d at = _mm256_i32gather_pd(
-          cuts, _mm_min_epi32(idx, vn_minus_1), 8);
-      const __m128i high_ok = _mm_or_si128(
-          is_n, PackQwordsToDwords(_mm256_castpd_si256(
-                    _mm256_cmp_pd(at, x, _CMP_GE_OQ))));
-      const __m128i nan32 = PackQwordsToDwords(_mm256_castpd_si256(nan_pd));
-      // NaN lanes are settled by definition (they become -1).
-      const __m128i valid =
-          _mm_or_si128(_mm_and_si128(low_ok, high_ok), nan32);
-      idx = _mm_blendv_epi8(idx, vall, nan32);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), idx);
-      no_bucket +=
-          __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(nan_pd)));
-      const int unsettled =
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_xor_si128(valid, vall)));
-      if (unsettled != 0) {
-        for (int lane = 0; lane < 4; ++lane) {
-          if ((unsettled >> lane) & 1) {
-            out[i + static_cast<size_t>(lane)] = ScalarLocateEquiWidthOne(
-                cuts, num_cuts, first_cut, inv_step,
-                values[i + static_cast<size_t>(lane)]);
-          }
-        }
+    for (int step = guide.steps - 1; step >= 0; --step) {
+      const long long half = 1LL << step;
+      const __m256i probe_offset = _mm256_set1_epi64x(half - 1);
+      const __m256i advance = _mm256_set1_epi64x(half);
+      for (int c = 0; c < kChains; ++c) {
+        const __m256d probe = _mm256_i64gather_pd(
+            guide.cuts, _mm256_add_epi64(base[c], probe_offset), 8);
+        const __m256d lt = _mm256_cmp_pd(probe, x[c], _CMP_LT_OQ);
+        base[c] = _mm256_add_epi64(
+            base[c], _mm256_and_si256(_mm256_castpd_si256(lt), advance));
       }
     }
+    unsigned nan_bits = 0;
+    for (int c = 0; c < kChains; ++c) {
+      const __m256d nan = _mm256_cmp_pd(x[c], x[c], _CMP_UNORD_Q);
+      const __m128i idx =
+          _mm_blendv_epi8(PackQwordsToDwords(base[c]), no_bucket_vec,
+                          PackQwordsToDwords(_mm256_castpd_si256(nan)));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4 * c), idx);
+      nan_bits |= static_cast<unsigned>(_mm256_movemask_pd(nan)) << (4 * c);
+    }
+    no_bucket += __builtin_popcount(nan_bits);
   }
   for (; i < n; ++i) {
-    const int32_t bucket = ScalarLocateEquiWidthOne(cuts, num_cuts, first_cut,
-                                                    inv_step, values[i]);
+    const int32_t bucket = internal::GuidedLocateOne(guide, values[i]);
     out[i] = bucket;
     no_bucket += static_cast<int64_t>(bucket < 0);
   }
@@ -218,8 +118,8 @@ void FoldCellsAvx2(const int32_t* x, const int32_t* y, size_t n, int32_t nx,
   }
 }
 
-const Kernels kAvx2 = {"avx2", LocateSearchAvx2, LocateEquiWidthAvx2,
-                       MaskAndAvx2, FoldCellsAvx2};
+const Kernels kAvx2 = {"avx2", LocateGuidedAvx2, MaskAndAvx2,
+                       FoldCellsAvx2};
 
 }  // namespace
 

@@ -15,129 +15,56 @@ namespace optrules::bucketing::simd {
 
 namespace {
 
-using internal::ScalarLocateEquiWidthOne;
-using internal::ScalarLocateSearchOne;
+/// Independent eight-lane searches advanced together per step, so the
+/// gathers of one chain execute under the latency of the others'.
+constexpr int kChains = 4;
 
-/// Branchless lower_bound for eight values: same ladder as the scalar
-/// walk (shared trip count, a function of num_cuts only) with gathered
-/// probes. NaN lanes compare false everywhere and settle on 0; the caller
-/// overrides them with -1.
-inline __m512i LowerBound8(__m512d x, const double* cuts, size_t num_cuts) {
-  __m512i base = _mm512_setzero_si512();  // eight int64 indices
-  size_t n = num_cuts;
-  while (n > 1) {
-    const size_t half = n / 2;
-    const __m512i probe_index = _mm512_add_epi64(
-        base, _mm512_set1_epi64(static_cast<long long>(half - 1)));
-    const __m512d probe = _mm512_i64gather_pd(probe_index, cuts, 8);
-    const __mmask8 lt = _mm512_cmp_pd_mask(probe, x, _CMP_LT_OQ);
-    base = _mm512_mask_add_epi64(
-        base, lt, base, _mm512_set1_epi64(static_cast<long long>(half)));
-    n -= half;
-  }
-  const __m512d last = _mm512_i64gather_pd(base, cuts, 8);
-  const __mmask8 lt = _mm512_cmp_pd_mask(last, x, _CMP_LT_OQ);
-  return _mm512_mask_add_epi64(base, lt, base, _mm512_set1_epi64(1));
-}
-
-int64_t LocateSearchAvx512(const double* values, size_t n, const double* cuts,
-                           size_t num_cuts, int32_t* out) {
+/// The guided search for 8 * kChains values: per chain one slot_lo gather,
+/// then `steps` gathered compare-and-add halvings over 32-bit indices --
+/// the scalar GuidedLowerBound lane for lane. A NaN lane lands on
+/// last_slot and settles on an in-range index, then is blended to -1.
+int64_t LocateGuidedAvx512(const double* values, size_t n,
+                           const LocateGuide& guide, int32_t* out) {
+  const __m512d first = _mm512_set1_pd(guide.first);
+  const __m512d scale = _mm512_set1_pd(guide.scale);
+  const __m512d last_slot = _mm512_set1_pd(guide.last_slot);
+  const __m256i no_bucket_vec = _mm256_set1_epi32(-1);
   int64_t no_bucket = 0;
   size_t i = 0;
-  if (num_cuts > 0) {
-    const __m256i no_bucket_vec = _mm256_set1_epi32(-1);
-    for (; i + 8 <= n; i += 8) {
-      const __m512d x = _mm512_loadu_pd(values + i);
-      const __mmask8 nan = _mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q);
-      __m256i idx = _mm512_cvtepi64_epi32(LowerBound8(x, cuts, num_cuts));
-      idx = _mm256_mask_blend_epi32(nan, idx, no_bucket_vec);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), idx);
-      no_bucket += __builtin_popcount(static_cast<unsigned>(nan));
+  for (; i + 8 * kChains <= n; i += 8 * kChains) {
+    __m512d x[kChains];
+    __m256i base[kChains];
+    for (int c = 0; c < kChains; ++c) {
+      x[c] = _mm512_loadu_pd(values + i + 8 * c);
+      __m512d t = _mm512_mul_pd(_mm512_sub_pd(x[c], first), scale);
+      t = _mm512_min_pd(t, last_slot);
+      t = _mm512_max_pd(t, _mm512_setzero_pd());
+      base[c] =
+          _mm256_i32gather_epi32(guide.slot_lo, _mm512_cvttpd_epi32(t), 4);
     }
-  }
-  for (; i < n; ++i) {
-    const int32_t bucket = ScalarLocateSearchOne(cuts, num_cuts, values[i]);
-    out[i] = bucket;
-    no_bucket += static_cast<int64_t>(bucket < 0);
-  }
-  return no_bucket;
-}
-
-int64_t LocateEquiWidthAvx512(const double* values, size_t n,
-                              const double* cuts, size_t num_cuts,
-                              double first_cut, double inv_step,
-                              int32_t* out) {
-  int64_t no_bucket = 0;
-  size_t i = 0;
-  if (num_cuts > 0) {
-    const __m512d vfirst = _mm512_set1_pd(first_cut);
-    const __m512d vinv = _mm512_set1_pd(inv_step);
-    const __m512d vn_pd = _mm512_set1_pd(static_cast<double>(num_cuts));
-    const __m256i vn = _mm256_set1_epi32(static_cast<int32_t>(num_cuts));
-    const __m256i vn_minus_1 =
-        _mm256_set1_epi32(static_cast<int32_t>(num_cuts) - 1);
-    const __m256i vzero = _mm256_setzero_si256();
-    const __m256i vone = _mm256_set1_epi32(1);
-    const __m256i vall = _mm256_set1_epi32(-1);
-    for (; i + 8 <= n; i += 8) {
-      const __m512d x = _mm512_loadu_pd(values + i);
-      const __mmask8 nan = _mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q);
-      // ceil((x - first) / step) clamped to [0, n], exactly as the scalar
-      // walk does it. min_pd maps a NaN guess to n (safe gather range).
-      __m512d guess = _mm512_roundscale_pd(
-          _mm512_mul_pd(_mm512_sub_pd(x, vfirst), vinv),
-          _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
-      guess = _mm512_min_pd(guess, vn_pd);
-      guess = _mm512_max_pd(guess, _mm512_setzero_pd());
-      __m256i idx = _mm512_cvttpd_epi32(guess);
-      for (int step = 0; step < 2; ++step) {
-        const __mmask8 can_up = _mm256_cmplt_epi32_mask(idx, vn);
-        const __m256i probe_index = _mm256_min_epi32(idx, vn_minus_1);
-        const __m512d probe = _mm512_i32gather_pd(probe_index, cuts, 8);
-        const __mmask8 up =
-            can_up & _mm512_cmp_pd_mask(probe, x, _CMP_LT_OQ);
-        idx = _mm256_mask_add_epi32(idx, up, idx, vone);
-      }
-      for (int step = 0; step < 2; ++step) {
-        const __mmask8 can_down = _mm256_cmpgt_epi32_mask(idx, vzero);
-        const __m256i probe_index =
-            _mm256_max_epi32(_mm256_sub_epi32(idx, vone), vzero);
-        const __m512d probe = _mm512_i32gather_pd(probe_index, cuts, 8);
-        const __mmask8 down =
-            can_down & _mm512_cmp_pd_mask(probe, x, _CMP_GE_OQ);
-        idx = _mm256_mask_sub_epi32(idx, down, idx, vone);
-      }
-      // Per-lane lower_bound invariant check (unique answer => a lane that
-      // validates is bit-identical to the scalar result).
-      const __mmask8 is_zero = _mm256_cmpeq_epi32_mask(idx, vzero);
-      const __m512d below = _mm512_i32gather_pd(
-          _mm256_max_epi32(_mm256_sub_epi32(idx, vone), vzero), cuts, 8);
-      const __mmask8 low_ok =
-          is_zero | _mm512_cmp_pd_mask(below, x, _CMP_LT_OQ);
-      const __mmask8 is_n = _mm256_cmpeq_epi32_mask(idx, vn);
-      const __m512d at =
-          _mm512_i32gather_pd(_mm256_min_epi32(idx, vn_minus_1), cuts, 8);
-      const __mmask8 high_ok =
-          is_n | _mm512_cmp_pd_mask(at, x, _CMP_GE_OQ);
-      const __mmask8 valid = (low_ok & high_ok) | nan;
-      idx = _mm256_mask_blend_epi32(nan, idx, vall);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), idx);
-      no_bucket += __builtin_popcount(static_cast<unsigned>(nan));
-      const unsigned unsettled = static_cast<unsigned>(valid) ^ 0xffu;
-      if (unsettled != 0) {
-        for (int lane = 0; lane < 8; ++lane) {
-          if ((unsettled >> lane) & 1) {
-            out[i + static_cast<size_t>(lane)] = ScalarLocateEquiWidthOne(
-                cuts, num_cuts, first_cut, inv_step,
-                values[i + static_cast<size_t>(lane)]);
-          }
-        }
+    for (int step = guide.steps - 1; step >= 0; --step) {
+      const int32_t half = int32_t{1} << step;
+      const __m256i probe_offset = _mm256_set1_epi32(half - 1);
+      const __m256i advance = _mm256_set1_epi32(half);
+      for (int c = 0; c < kChains; ++c) {
+        const __m512d probe = _mm512_i32gather_pd(
+            _mm256_add_epi32(base[c], probe_offset), guide.cuts, 8);
+        const __mmask8 lt = _mm512_cmp_pd_mask(probe, x[c], _CMP_LT_OQ);
+        base[c] = _mm256_mask_add_epi32(base[c], lt, base[c], advance);
       }
     }
+    unsigned nan_bits = 0;
+    for (int c = 0; c < kChains; ++c) {
+      const __mmask8 nan = _mm512_cmp_pd_mask(x[c], x[c], _CMP_UNORD_Q);
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + i + 8 * c),
+          _mm256_mask_blend_epi32(nan, base[c], no_bucket_vec));
+      nan_bits |= static_cast<unsigned>(nan) << (8 * c);
+    }
+    no_bucket += __builtin_popcount(nan_bits);
   }
   for (; i < n; ++i) {
-    const int32_t bucket = ScalarLocateEquiWidthOne(cuts, num_cuts, first_cut,
-                                                    inv_step, values[i]);
+    const int32_t bucket = internal::GuidedLocateOne(guide, values[i]);
     out[i] = bucket;
     no_bucket += static_cast<int64_t>(bucket < 0);
   }
@@ -175,8 +102,8 @@ void FoldCellsAvx512(const int32_t* x, const int32_t* y, size_t n, int32_t nx,
   }
 }
 
-const Kernels kAvx512 = {"avx512", LocateSearchAvx512, LocateEquiWidthAvx512,
-                         MaskAndAvx512, FoldCellsAvx512};
+const Kernels kAvx512 = {"avx512", LocateGuidedAvx512, MaskAndAvx512,
+                         FoldCellsAvx512};
 
 }  // namespace
 

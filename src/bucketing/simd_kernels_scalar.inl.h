@@ -1,66 +1,49 @@
-// Scalar cores shared by every kernel arm (internal header).
+// Scalar locate core shared by every kernel arm (internal header).
 //
-// The SIMD translation units handle remainder tails and unsettled lanes
-// with these exact functions, so tail rows and fallback lanes are
-// bit-identical to the scalar reference arm BY CONSTRUCTION, not by
-// parallel maintenance of two copies. Include only from simd_kernels*.cc.
+// The SIMD translation units handle remainder tails with this exact
+// function, and BucketBoundaries::Locate runs it for single values, so
+// scalar calls, tail rows and vector lanes are bit-identical BY
+// CONSTRUCTION, not by parallel maintenance of several copies. Include
+// only from simd_kernels*.cc and boundaries.cc.
 
 #ifndef OPTRULES_BUCKETING_SIMD_KERNELS_SCALAR_INL_H_
 #define OPTRULES_BUCKETING_SIMD_KERNELS_SCALAR_INL_H_
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
+
+#include "bucketing/simd_kernels.h"
 
 namespace optrules::bucketing::simd::internal {
 
-/// Branchless lower_bound over sorted cuts: the number of cuts < x. `x`
-/// must not be NaN. Identical to the pre-SIMD
-/// BucketBoundaries::LocateBranchless loop (conditional-move advance).
-inline int32_t ScalarLowerBound(const double* cuts, size_t num_cuts,
-                                double x) {
-  if (num_cuts == 0) return 0;
-  const double* base = cuts;
-  size_t n = num_cuts;
-  while (n > 1) {
-    const size_t half = n / 2;
-    base += static_cast<size_t>(base[half - 1] < x) * half;
-    n -= half;
+/// The guide's slot function, spelled with the same IEEE operations (and
+/// the same min/max operand order) as the vector arms. The clamp runs in
+/// double before the truncating cast, which makes the cast floor()'s
+/// answer on [0, last_slot]; a NaN x lands on last_slot.
+inline int32_t GuideSlot(const LocateGuide& guide, double x) {
+  double t = (x - guide.first) * guide.scale;
+  t = t < guide.last_slot ? t : guide.last_slot;
+  t = t > 0.0 ? t : 0.0;
+  return static_cast<int32_t>(t);
+}
+
+/// Guided lower_bound: the number of cuts < x. The table narrows the
+/// answer to a window of 2^steps - 1 candidates past slot_lo[slot(x)];
+/// `steps` conditional-move halvings settle it. Probes past the last cut
+/// read the +inf padding, which never advances the base. A NaN x settles
+/// on some in-range index; callers map it to -1.
+inline int32_t GuidedLowerBound(const LocateGuide& guide, double x) {
+  int32_t base = guide.slot_lo[GuideSlot(guide, x)];
+  for (int step = guide.steps - 1; step >= 0; --step) {
+    const int32_t half = int32_t{1} << step;
+    base += static_cast<int32_t>(guide.cuts[base + half - 1] < x) * half;
   }
-  return static_cast<int32_t>(base - cuts) + static_cast<int32_t>(*base < x);
+  return base;
 }
 
-/// Arithmetic lower_bound over affine cuts with the bounded neighbor
-/// fix-up walk; `x` must not be NaN. Identical to the pre-SIMD
-/// BucketBoundaries::LocateEquiWidth.
-inline int32_t ScalarEquiWidthLowerBound(const double* cuts, size_t num_cuts,
-                                         double first_cut, double inv_step,
-                                         double x) {
-  const auto n = static_cast<int64_t>(num_cuts);
-  double guess = std::ceil((x - first_cut) * inv_step);
-  // Clamp in double first: the raw guess can be +/-inf for infinite x,
-  // which must not reach the integer cast.
-  guess = std::min(guess, static_cast<double>(n));
-  guess = std::max(guess, 0.0);
-  int64_t index = static_cast<int64_t>(guess);
-  while (index < n && cuts[static_cast<size_t>(index)] < x) ++index;
-  while (index > 0 && cuts[static_cast<size_t>(index - 1)] >= x) --index;
-  return static_cast<int32_t>(index);
-}
-
-/// One full scalar locate step (NaN policy applied): returns the bucket
-/// index or -1, used for SIMD tail rows.
-inline int32_t ScalarLocateSearchOne(const double* cuts, size_t num_cuts,
-                                     double x) {
-  if (std::isnan(x)) return -1;
-  return ScalarLowerBound(cuts, num_cuts, x);
-}
-
-inline int32_t ScalarLocateEquiWidthOne(const double* cuts, size_t num_cuts,
-                                        double first_cut, double inv_step,
-                                        double x) {
-  if (std::isnan(x)) return -1;
-  return ScalarEquiWidthLowerBound(cuts, num_cuts, first_cut, inv_step, x);
+/// One full scalar locate (NaN policy applied): the bucket index or -1.
+inline int32_t GuidedLocateOne(const LocateGuide& guide, double x) {
+  return std::isnan(x) ? -1 : GuidedLowerBound(guide, x);
 }
 
 }  // namespace optrules::bucketing::simd::internal

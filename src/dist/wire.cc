@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -267,6 +268,12 @@ Result<ScanRequestFrame> DecodeScanRequest(
   for (uint32_t i = 0; i < num_boundaries; ++i) {
     std::vector<double> cuts;
     OPTRULES_RETURN_IF_ERROR(reader.ReadArray(&cuts));
+    // NaN fails every comparison, so the pairwise check alone would pass
+    // a one-element [NaN] table; reject NaN at any position first.
+    if (std::any_of(cuts.begin(), cuts.end(),
+                    [](double c) { return std::isnan(c); })) {
+      return Status::Corruption("NaN cut point in scan request");
+    }
     for (size_t j = 0; j + 1 < cuts.size(); ++j) {
       if (!(cuts[j] <= cuts[j + 1])) {
         return Status::Corruption("unsorted cut points in scan request");

@@ -16,14 +16,17 @@
 // disarm it with ScopedFaultsOff, and fault-specific tests override it
 // with their own token-gated spec.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -545,6 +548,41 @@ TEST(WireTest, ScanRequestRoundTrips) {
   std::vector<uint8_t> truncated(payload.begin(),
                                  payload.begin() + payload.size() / 2);
   EXPECT_FALSE(DecodeScanRequest(truncated).ok());
+}
+
+TEST(WireTest, NanCutPointIsCorruption) {
+  // A hostile frame must not reach BucketBoundaries with a NaN cut (that
+  // aborts the worker); the decoder rejects it at any table position,
+  // including a one-element table the pairwise sort check cannot see.
+  const std::vector<std::vector<double>> tables = {
+      {0.5}, {0.5, 2.0, 3.0}, {-1.0, 0.0, 0.5}};
+  for (const std::vector<double>& cuts : tables) {
+    const BucketBoundaries boundaries = BucketBoundaries::FromCutPoints(cuts);
+    MultiCountSpec spec;
+    spec.num_targets = 1;
+    CountChannel channel;
+    channel.column = 0;
+    channel.boundaries = &boundaries;
+    spec.channels.push_back(channel);
+    std::vector<uint8_t> payload;
+    EncodeScanRequest("/p.optr", 64, storage::PagedReadMode::kSynchronous,
+                      spec, &payload);
+    ASSERT_TRUE(DecodeScanRequest(payload).ok());
+    // Overwrite the encoded 0.5 cut with a quiet NaN.
+    const double half = 0.5;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    uint8_t half_bytes[sizeof(double)];
+    std::memcpy(half_bytes, &half, sizeof(double));
+    const auto at = std::search(payload.begin(), payload.end(),
+                                std::begin(half_bytes), std::end(half_bytes));
+    ASSERT_NE(at, payload.end());
+    std::memcpy(&*at, &nan, sizeof(double));
+    const Result<ScanRequestFrame> frame = DecodeScanRequest(payload);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(frame.status().ToString().find("NaN"), std::string::npos)
+        << frame.status().ToString();
+  }
 }
 
 TEST(WireTest, PartialPlanStateRoundTripsBitExactly) {

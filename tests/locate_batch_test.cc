@@ -1,13 +1,18 @@
 // Differential tests for BucketBoundaries::LocateBatch against the scalar
-// Locate and an independent std::lower_bound reference: random, duplicated,
-// affine (equi-width fast path), and empty cut-point sets, probed with
-// random values, exact cut values, their ulp neighbors, NaN, +/-inf, and
-// signed zero. The batch kernel must be bit-identical to the scalar call
-// everywhere, including the NaN -> kNoBucket policy.
+// Locate and an independent std::lower_bound reference: random, sampled
+// (uniform, exponential, lognormal, heavy-tie), duplicated, affine,
+// infinite-ended, overflowing, denormal, single and empty cut-point sets,
+// probed with random values inside and outside the cut range, exact cut
+// values, their ulp neighbors, NaN, +/-inf, and signed zero. Every kernel
+// arm must be bit-identical to the reference everywhere, including the
+// NaN -> kNoBucket policy; the guide-shape assertions pin which layouts
+// the guide table narrows and which take the one-slot full search.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,24 +42,42 @@ std::vector<double> ProbeValues(const std::vector<double>& cuts, Rng& rng) {
   std::vector<double> values = {kNaN, kInf, -kInf, 0.0, -0.0,
                                 std::numeric_limits<double>::max(),
                                 std::numeric_limits<double>::lowest(),
-                                std::numeric_limits<double>::denorm_min()};
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min()};
   for (const double cut : cuts) {
     values.push_back(cut);
     values.push_back(std::nextafter(cut, -kInf));
     values.push_back(std::nextafter(cut, kInf));
   }
-  const double lo = cuts.empty() ? -10.0 : cuts.front() - 10.0;
-  const double hi = cuts.empty() ? 10.0 : cuts.back() + 10.0;
+  // Finite ends only: an infinite or overflowing range would make the
+  // uniform draws non-finite.
+  const double lo = cuts.empty() || !std::isfinite(cuts.front() - 10.0)
+                        ? -10.0
+                        : cuts.front() - 10.0;
+  const double hi = cuts.empty() || !std::isfinite(cuts.back() + 10.0)
+                        ? 10.0
+                        : cuts.back() + 10.0;
   for (int i = 0; i < 500; ++i) values.push_back(rng.NextUniform(lo, hi));
+  // Far outside the cut range on both sides.
+  if (!cuts.empty() && std::isfinite(cuts.front()) &&
+      std::isfinite(cuts.back())) {
+    const double span = std::max(1.0, cuts.back() - cuts.front());
+    for (const double factor : {2.0, 1e3, 1e12}) {
+      values.push_back(cuts.front() - factor * span);
+      values.push_back(cuts.back() + factor * span);
+    }
+  }
   return values;
 }
 
 void ExpectBoundariesMatchReference(const BucketBoundaries& boundaries,
                                     uint64_t seed) {
   const std::vector<double>& cuts = boundaries.cut_points();
-  SCOPED_TRACE(testing::Message() << "cuts=" << cuts.size()
-                                  << " equi_width=" << boundaries.equi_width()
-                                  << " seed=" << seed);
+  SCOPED_TRACE(testing::Message()
+               << "cuts=" << cuts.size()
+               << " guide_slots=" << boundaries.guide_slots()
+               << " guide_steps=" << boundaries.guide_steps()
+               << " seed=" << seed);
   Rng rng(seed);
   const std::vector<double> values = ProbeValues(cuts, rng);
   std::vector<int32_t> batch(values.size());
@@ -70,13 +93,14 @@ void ExpectBoundariesMatchReference(const BucketBoundaries& boundaries,
   }
   // EVERY registered kernel arm (scalar, avx2, avx512 -- whatever this
   // machine offers) must be bit-identical to the reference on the same
-  // probes, including the remainder tails shorter than the vector width:
-  // each arm runs over every prefix length up to two vector widths plus
-  // the full probe set.
+  // probes, including the remainder tails shorter than one loop
+  // iteration: each arm runs over every prefix length up to two of its
+  // widest iterations (AVX-512: 4 searches x 8 lanes) plus the full probe
+  // set.
   for (const simd::Kernels* kernels : simd::AvailableKernels()) {
     SCOPED_TRACE(testing::Message() << "arm=" << kernels->name);
     std::vector<size_t> lengths;
-    for (size_t n = 0; n <= std::min<size_t>(17, values.size()); ++n) {
+    for (size_t n = 0; n <= std::min<size_t>(65, values.size()); ++n) {
       lengths.push_back(n);
     }
     lengths.push_back(values.size());
@@ -124,22 +148,41 @@ TEST(LocateBatchTest, InfiniteCutPoints) {
   ExpectBatchMatchesScalarAndReference({-kInf, -kInf}, 6);
 }
 
-TEST(LocateBatchTest, EquiWidthCutsUseFastPathAndStayExact) {
-  // An exactly affine layout (power-of-two step, so first + i * step is
-  // exact) must enable the fast path and still agree everywhere.
+/// Search steps of a plain power-of-two search over n cuts.
+int FullSearchSteps(size_t n) {
+  int steps = 0;
+  while ((size_t{1} << steps) <= n) ++steps;
+  return steps;
+}
+
+/// `count` draws from `draw`, bucketed the way the engine's kSampling
+/// planner does it (Algorithm 3.1 at `num_buckets`, S = 40 per bucket).
+template <typename Draw>
+BucketBoundaries SampledBoundaries(int num_buckets, int count, uint64_t seed,
+                                   Draw draw) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<size_t>(count));
+  for (double& v : values) v = draw(rng);
+  BoundaryPlan plan;
+  plan.num_buckets = num_buckets;
+  return BuildBoundaries(values, plan);
+}
+
+TEST(LocateBatchTest, AffineCutsGetOneStepGuide) {
+  // An exactly affine layout needs one search step after the table.
   std::vector<double> cuts;
   for (int i = 0; i < 1000; ++i) {
     cuts.push_back(-4.0 + 0.25 * static_cast<double>(i));
   }
   const BucketBoundaries boundaries = BucketBoundaries::FromCutPoints(cuts);
-  EXPECT_TRUE(boundaries.equi_width());
+  EXPECT_GT(boundaries.guide_slots(), 1);
+  EXPECT_LE(boundaries.guide_steps(), 1);
   ExpectBatchMatchesScalarAndReference(cuts, 7);
 }
 
-TEST(LocateBatchTest, EquiWidthBucketizerOutputEnablesFastPath) {
-  // The actual equi-width bucketizer must hand out fast-path boundaries
-  // (its cuts are built through FromEquiWidth, so per-cut rounding cannot
-  // defeat the detection) -- and stay exact on arbitrary ranges.
+TEST(LocateBatchTest, EquiWidthBucketizerOutputGetsShortGuide) {
+  // The equi-width bucketizer's affine cuts round per cut, which must not
+  // cost more than a step -- and must stay exact on arbitrary ranges.
   Rng rng(99);
   for (int round = 0; round < 20; ++round) {
     std::vector<double> values(257);
@@ -147,57 +190,177 @@ TEST(LocateBatchTest, EquiWidthBucketizerOutputEnablesFastPath) {
     const double hi = lo + rng.NextUniform(1e-3, 1e6);
     for (double& v : values) v = rng.NextUniform(lo, hi);
     const BucketBoundaries boundaries = EquiWidthBoundaries(values, 64);
-    ASSERT_TRUE(boundaries.equi_width());
+    ASSERT_GT(boundaries.guide_slots(), 1);
+    ASSERT_LE(boundaries.guide_steps(), 2);
     ExpectBoundariesMatchReference(boundaries,
                                    500 + static_cast<uint64_t>(round));
   }
 }
 
 TEST(LocateBatchTest, FromEquiWidthMatchesReferenceOnDegenerateSteps) {
-  // Zero and denormal steps must NOT enable the arithmetic path (a
-  // denormal step's reciprocal overflows to +inf and would turn the
-  // guess into a NaN) -- and must still locate correctly.
+  // A zero step collapses every cut onto one value, and a denormal step's
+  // range overflows the guide scale: both take the one-slot full search
+  // and still locate exactly.
   const BucketBoundaries zero = BucketBoundaries::FromEquiWidth(1.0, 0.0, 8);
-  EXPECT_FALSE(zero.equi_width());
+  EXPECT_EQ(zero.guide_slots(), 1);
   ExpectBoundariesMatchReference(zero, 601);
   const BucketBoundaries denormal = BucketBoundaries::FromEquiWidth(
       0.0, std::numeric_limits<double>::denorm_min(), 8);
-  EXPECT_FALSE(denormal.equi_width());
+  EXPECT_EQ(denormal.guide_slots(), 1);
   ExpectBoundariesMatchReference(denormal, 602);
 }
 
-TEST(LocateBatchTest, SubUlpStepsRejectFastPathButStayExact) {
+TEST(LocateBatchTest, SubUlpCollapseTakesFullSearch) {
   // A near-constant large-magnitude column: the equi-width step is below
-  // one ulp of the values, so the rounded cuts collapse onto a couple of
-  // distinct doubles while the affine model keeps stepping. The drift
-  // audit must refuse the arithmetic path (whose fix-up walk would turn
-  // O(M) per row) and the branchless path must still be exact.
+  // one ulp of the values, so the rounded cuts collapse onto two distinct
+  // doubles. Half the cuts share one slot, so the table would save
+  // nothing: the guide keeps one slot, and the search stays exact.
   const double base = 1e15;
   std::vector<double> values = {base, std::nextafter(base, kInf)};
   const BucketBoundaries boundaries = EquiWidthBoundaries(values, 1000);
-  EXPECT_FALSE(boundaries.equi_width());
+  EXPECT_EQ(boundaries.guide_slots(), 1);
+  EXPECT_EQ(boundaries.guide_steps(),
+            FullSearchSteps(boundaries.cut_points().size()));
   ExpectBoundariesMatchReference(boundaries, 603);
 }
 
-TEST(LocateBatchTest, NonAffineCutsRejectFastPath) {
-  // One perturbed interior cut must fall back to the branchless search --
-  // and keep the answers exact either way.
+TEST(LocateBatchTest, PerturbedAffineCutsKeepShortGuide) {
+  // One perturbed interior cut changes nothing about the guide's shape --
+  // and the answers stay exact.
   std::vector<double> cuts;
   for (int i = 0; i < 64; ++i) cuts.push_back(static_cast<double>(i));
   cuts[31] = std::nextafter(cuts[31], kInf);
   const BucketBoundaries boundaries = BucketBoundaries::FromCutPoints(cuts);
-  EXPECT_FALSE(boundaries.equi_width());
+  EXPECT_GT(boundaries.guide_slots(), 1);
+  EXPECT_LE(boundaries.guide_steps(), 1);
   ExpectBatchMatchesScalarAndReference(cuts, 8);
 }
 
-TEST(LocateBatchTest, DegenerateAffineLayoutsRejectFastPath) {
-  // Fewer than two cuts, zero step (duplicates), and infinite ends never
-  // qualify for the arithmetic path.
-  EXPECT_FALSE(BucketBoundaries::FromCutPoints({}).equi_width());
-  EXPECT_FALSE(BucketBoundaries::FromCutPoints({1.0}).equi_width());
-  EXPECT_FALSE(BucketBoundaries::FromCutPoints({2.0, 2.0}).equi_width());
-  EXPECT_FALSE(
-      BucketBoundaries::FromCutPoints({-kInf, 0.0, kInf}).equi_width());
+TEST(LocateBatchTest, DegenerateLayoutsUseOneSlot) {
+  // Fewer than two cuts, a zero range, infinite ends, an overflowing
+  // range and a denormal range all take the one-slot full search.
+  const double lowest = std::numeric_limits<double>::lowest();
+  const double max = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> layouts = {
+      {},
+      {1.0},
+      {2.0, 2.0},
+      {-kInf, 0.0, kInf},
+      {-kInf, 1.0, 2.0, 3.0, 4.0, 5.0},
+      {1.0, 2.0, 3.0, 4.0, 5.0, kInf},
+      {lowest, -1.0, 0.0, 1.0, max},
+      {0.0, tiny, 2 * tiny, 3 * tiny, 4 * tiny, 5 * tiny}};
+  for (size_t i = 0; i < layouts.size(); ++i) {
+    const BucketBoundaries boundaries =
+        BucketBoundaries::FromCutPoints(layouts[i]);
+    EXPECT_EQ(boundaries.guide_slots(), 1) << "layout " << i;
+    EXPECT_EQ(boundaries.guide_steps(), FullSearchSteps(layouts[i].size()))
+        << "layout " << i;
+    ExpectBoundariesMatchReference(boundaries, 610 + i);
+  }
+}
+
+TEST(LocateBatchTest, WideLayoutsStayExact) {
+  // Ranges whose width overflows, or whose scale overflows, spread over
+  // many cuts (the fallback's window is wider than a vector step).
+  std::vector<double> overflow;
+  for (int i = -50; i <= 50; ++i) {
+    overflow.push_back(std::ldexp(static_cast<double>(i), 1018));
+  }
+  ASSERT_FALSE(std::isfinite(overflow.back() - overflow.front()));
+  ExpectBatchMatchesScalarAndReference(overflow, 620);
+  std::vector<double> denormal;
+  for (int i = 0; i < 100; ++i) {
+    denormal.push_back(static_cast<double>(i) *
+                       std::numeric_limits<double>::denorm_min());
+  }
+  ExpectBatchMatchesScalarAndReference(denormal, 621);
+}
+
+TEST(LocateBatchTest, AllEqualCutsTakeFullSearch) {
+  const std::vector<double> cuts(999, 4.0);
+  const BucketBoundaries boundaries = BucketBoundaries::FromCutPoints(cuts);
+  EXPECT_EQ(boundaries.guide_slots(), 1);
+  ExpectBatchMatchesScalarAndReference(cuts, 630);
+}
+
+TEST(LocateBatchTest, SampledUniformCutsGetShortGuide) {
+  // The benchmark of record's shape: uniform columns, M = 1000.
+  const BucketBoundaries boundaries = SampledBoundaries(
+      1000, 100000, 640, [](Rng& rng) { return rng.NextUniform(0.0, 1e6); });
+  ASSERT_EQ(boundaries.num_buckets(), 1000);
+  EXPECT_GT(boundaries.guide_slots(), 1);
+  EXPECT_LE(boundaries.guide_steps(), 2);
+  ExpectBoundariesMatchReference(boundaries, 641);
+}
+
+TEST(LocateBatchTest, SampledExponentialCutsGetShortGuide) {
+  const BucketBoundaries boundaries =
+      SampledBoundaries(1000, 100000, 650, [](Rng& rng) {
+        return -std::log1p(-rng.NextDouble());
+      });
+  EXPECT_GT(boundaries.guide_slots(), 1);
+  EXPECT_LE(boundaries.guide_steps(), 3);
+  ExpectBoundariesMatchReference(boundaries, 651);
+}
+
+TEST(LocateBatchTest, SampledLognormalCutsTakeFullSearch) {
+  // lognormal(0, 3): the top cuts stretch the range so far that most cuts
+  // share the first slots; the table would save nothing.
+  const BucketBoundaries boundaries =
+      SampledBoundaries(1000, 100000, 660, [](Rng& rng) {
+        return std::exp(3.0 * rng.NextGaussian());
+      });
+  EXPECT_EQ(boundaries.guide_slots(), 1);
+  ExpectBoundariesMatchReference(boundaries, 661);
+}
+
+TEST(LocateBatchTest, SampledHeavyTieCutsStayExact) {
+  // Half the values sit on a handful of repeated points, so long runs of
+  // equal cuts fill single slots.
+  const BucketBoundaries boundaries =
+      SampledBoundaries(1000, 100000, 670, [](Rng& rng) {
+        return rng.NextBernoulli(0.5)
+                   ? static_cast<double>(rng.NextInt(0, 4))
+                   : rng.NextUniform(0.0, 4.0);
+      });
+  EXPECT_LT(boundaries.guide_steps(),
+            FullSearchSteps(boundaries.cut_points().size()));
+  ExpectBoundariesMatchReference(boundaries, 671);
+}
+
+TEST(LocateBatchTest, RegionGridLayoutsStayExact) {
+  // 32-bucket layouts, the region grid's default axis size.
+  const BucketBoundaries uniform = SampledBoundaries(
+      32, 5000, 680, [](Rng& rng) { return rng.NextUniform(-1.0, 1.0); });
+  ASSERT_EQ(uniform.num_buckets(), 32);
+  EXPECT_GT(uniform.guide_slots(), 1);
+  ExpectBoundariesMatchReference(uniform, 681);
+  const BucketBoundaries gaussian = SampledBoundaries(
+      32, 5000, 682, [](Rng& rng) { return rng.NextGaussian(); });
+  ExpectBoundariesMatchReference(gaussian, 683);
+}
+
+TEST(LocateBatchTest, CopiesAndMovesLocateIdentically) {
+  // The guide is rebuilt from each object's own storage on every call, so
+  // a copy or a move never reads the source's (here: freed) buffers.
+  std::vector<double> cuts;
+  for (int i = 0; i < 300; ++i) cuts.push_back(std::sqrt(i * 7.0));
+  auto original =
+      std::make_unique<BucketBoundaries>(BucketBoundaries::FromCutPoints(cuts));
+  const BucketBoundaries copied = *original;
+  BucketBoundaries assigned = BucketBoundaries::FromCutPoints({0.0});
+  assigned = *original;
+  BucketBoundaries moved = std::move(*original);
+  original.reset();
+  ASSERT_GT(copied.guide_slots(), 1);
+  const std::vector<const BucketBoundaries*> all = {&copied, &assigned,
+                                                    &moved};
+  for (const BucketBoundaries* b : all) {
+    EXPECT_EQ(b->guide_steps(), copied.guide_steps());
+    ExpectBoundariesMatchReference(*b, 690);
+  }
 }
 
 TEST(LocateBatchTest, FuzzRandomCutSets) {
