@@ -5,12 +5,18 @@
 // rows x attrs x channels grid, in-memory (RelationBatchSource) and
 // out-of-core (PagedFileBatchSource), so the scan's perf trajectory is
 // machine-readable (OPTRULES_BENCH_JSON=1). Channel shapes mirror the
-// MiningEngine: base channels (attr x all Boolean targets), C conditional
-// channels per attribute sharing ONE generalized boundary set (Section
-// 4.3), and one sum channel per attribute (Section 5). A standalone
-// point-location loop isolates Locate/LocateBatch throughput from the
-// scatter passes, once on the scan's own column and once per cut layout
-// (sampled uniform, affine, exponential, lognormal, heavy-tie, M = 32).
+// MiningEngine of earlier releases: base channels (attr x all Boolean
+// targets), C conditional channels per attribute sharing ONE generalized
+// boundary set (Section 4.3), and one sum channel per attribute (Section
+// 5); they stay fixed so the history in BENCH_counting_scan.json compares
+// like with like. A per-kind section times the scatter of each channel
+// kind alone (base, conditional, sum, grid), and a T = 9 shape covers a
+// second target plane. A standalone point-location loop isolates
+// Locate/LocateBatch throughput from the scatter passes, once on the
+// scan's own column and once per cut layout (sampled uniform, affine,
+// exponential, lognormal, heavy-tie, M = 32). Every scan's checksum folds
+// u, every v row and every grid plane, and the scalar reference arm must
+// reproduce the active arm's checksum.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -29,6 +35,7 @@
 #include "bucketing/counting.h"
 #include "bucketing/equiwidth.h"
 #include "bucketing/parallel_count.h"
+#include "bucketing/simd_kernels.h"
 #include "common/timer.h"
 #include "datagen/table_generator.h"
 #include "dist/coordinator.h"
@@ -47,6 +54,7 @@ using optrules::bucketing::BucketBoundaries;
 using optrules::bucketing::BuildBoundaries;
 using optrules::bucketing::CountChannel;
 using optrules::bucketing::ExecuteMultiCount;
+using optrules::bucketing::GridChannel;
 using optrules::bucketing::MultiCountPlan;
 using optrules::bucketing::MultiCountSpec;
 
@@ -95,6 +103,47 @@ MultiCountSpec MakeSpec(const std::vector<BucketBoundaries>& base,
   return spec;
 }
 
+/// Position-weighted fold of everything a plan counted -- every channel's
+/// u and v rows and every grid's u and v planes -- so a scatter that
+/// drops, duplicates or misplaces a count changes the checksum.
+int64_t PlanChecksum(const MultiCountPlan& plan) {
+  int64_t checksum = 0;
+  const auto fold = [&checksum](const std::vector<int64_t>& row,
+                                int64_t weight) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      checksum += row[i] * static_cast<int64_t>(i + 1) * weight;
+    }
+  };
+  for (int ch = 0; ch < plan.num_channels(); ++ch) {
+    const auto& counts = plan.counts(ch);
+    fold(counts.u, 1);
+    for (size_t t = 0; t < counts.v.size(); ++t) {
+      fold(counts.v[t], static_cast<int64_t>(t + 2));
+    }
+  }
+  for (int g = 0; g < plan.num_grid_channels(); ++g) {
+    const auto& grid = plan.grid_counts(g);
+    fold(grid.u, 1);
+    for (size_t t = 0; t < grid.v.size(); ++t) {
+      fold(grid.v[t], static_cast<int64_t>(t + 2));
+    }
+  }
+  return checksum;
+}
+
+/// The checksum of one serial scan on the scalar reference arm
+/// (OPTRULES_FORCE_SCALAR): every timed configuration CHECKs its
+/// active-arm checksum against this.
+int64_t ScalarArmChecksum(optrules::storage::BatchSource& source,
+                          const MultiCountSpec& spec) {
+  const bool was_forced = optrules::bucketing::simd::ForceScalar();
+  optrules::bucketing::simd::SetForceScalarForTest(true);
+  MultiCountPlan plan(spec);
+  ExecuteMultiCount(source, &plan, nullptr);
+  optrules::bucketing::simd::SetForceScalarForTest(was_forced);
+  return PlanChecksum(plan);
+}
+
 /// Runs `spec` over one serial scan of `source` kReps times; returns the
 /// best wall time and folds a checksum into *checksum so the work cannot
 /// be dead-code-eliminated (and so before/after runs can be diffed).
@@ -112,14 +161,7 @@ double TimeScan(optrules::storage::BatchSource& source,
     const bool is_best = rep == 0 || seconds < best;
     if (is_best) best = seconds;
     if (is_best && best_phases != nullptr) *best_phases = phases;
-    if (rep == 0) {
-      for (int ch = 0; ch < plan.num_channels(); ++ch) {
-        const auto& counts = plan.counts(ch);
-        for (size_t b = 0; b < counts.u.size(); ++b) {
-          *checksum += counts.u[b] * static_cast<int64_t>(b + 1);
-        }
-      }
-    }
+    if (rep == 0) *checksum += PlanChecksum(plan);
   }
   return best;
 }
@@ -280,6 +322,7 @@ int main() {
       optrules::bucketing::ScanPhaseTimes phases;
       const double seconds = TimeScan(source, spec, &config_checksum,
                                       &phases);
+      OPTRULES_CHECK(config_checksum == ScalarArmChecksum(source, spec));
       if (attrs == 8 && conditions == 3) a8_c3_checksum = config_checksum;
       checksum += config_checksum;
       const double throughput = static_cast<double>(rows) * channels /
@@ -298,6 +341,78 @@ int main() {
     }
   }
   json.Add("inmem_checksum", checksum);
+
+  // ---- scatter by channel kind ------------------------------------------
+  // Each kind alone over all 8 attributes, so its scatter phase reads
+  // directly: base (u/min-max + every target), conditional (the same over
+  // a ~50% condition's rows), sum (u/min-max + one Neumaier sum, no
+  // targets), grid (4 axis pairs at 32 x 32 cells, u + every target).
+  // Then the a8/c3 shape over a 9-target table: a second, one-target plane.
+  optrules::bench::PrintHeader("Scatter by channel kind (a8, T = 8)");
+  {
+    std::vector<BucketBoundaries> grid_axes;
+    BoundaryPlan grid_plan;
+    grid_plan.num_buckets = 32;
+    for (int a = 0; a < num_numeric; ++a) {
+      grid_axes.push_back(BuildBoundaries(table.NumericColumn(a), grid_plan,
+                                          static_cast<uint64_t>(a)));
+    }
+    const auto kind_spec = [&](const std::string& kind) {
+      MultiCountSpec spec;
+      spec.num_targets = num_boolean;
+      if (kind == "conditional") spec.conditions.push_back({0});
+      for (int a = 0; a < num_numeric && kind != "grid"; ++a) {
+        CountChannel channel;
+        channel.column = a;
+        channel.boundaries = &base[static_cast<size_t>(a)];
+        if (kind == "conditional") channel.condition = 0;
+        if (kind == "sum") {
+          channel.count_targets = false;
+          channel.sum_targets = {(a + 1) % num_numeric};
+        }
+        spec.channels.push_back(std::move(channel));
+      }
+      for (int a = 0; a + 1 < num_numeric && kind == "grid"; a += 2) {
+        GridChannel grid;
+        grid.x_column = a;
+        grid.x_boundaries = &grid_axes[static_cast<size_t>(a)];
+        grid.y_column = a + 1;
+        grid.y_boundaries = &grid_axes[static_cast<size_t>(a + 1)];
+        spec.grid_channels.push_back(grid);
+      }
+      return spec;
+    };
+    for (const char* kind : {"base", "conditional", "sum", "grid"}) {
+      const MultiCountSpec spec = kind_spec(kind);
+      optrules::storage::RelationBatchSource source(&table);
+      int64_t kind_checksum = 0;
+      optrules::bucketing::ScanPhaseTimes phases;
+      const double seconds = TimeScan(source, spec, &kind_checksum, &phases);
+      OPTRULES_CHECK(kind_checksum == ScalarArmChecksum(source, spec));
+      std::printf("%-12s %8.3f s (scatter %.3f)\n", kind, seconds,
+                  phases.scatter_seconds);
+      json.Add(std::string("kind_") + kind + "_scatter_seconds",
+               phases.scatter_seconds);
+    }
+  }
+  {
+    optrules::datagen::TableConfig t9_config = config;
+    t9_config.num_boolean = 9;
+    optrules::Rng t9_rng(9002);
+    const optrules::storage::Relation t9_table =
+        optrules::datagen::GenerateTable(t9_config, t9_rng);
+    const MultiCountSpec spec = MakeSpec(base, generalized, num_numeric, 3,
+                                         9, /*with_sums=*/true);
+    optrules::storage::RelationBatchSource source(&t9_table);
+    int64_t t9_checksum = 0;
+    optrules::bucketing::ScanPhaseTimes phases;
+    const double seconds = TimeScan(source, spec, &t9_checksum, &phases);
+    OPTRULES_CHECK(t9_checksum == ScalarArmChecksum(source, spec));
+    std::printf("a8/c3, T = 9  %8.3f s (scatter %.3f)\n", seconds,
+                phases.scatter_seconds);
+    json.Add("inmem_t9_a8_c3_seconds", seconds);
+    json.Add("inmem_t9_a8_c3_scatter_seconds", phases.scatter_seconds);
+  }
 
   // ---- metrics overhead: registry off vs on, a8/c3 (40 channels) -------
   // The observability acceptance gate: the registry's per-scan activity is
@@ -385,15 +500,7 @@ int main() {
             mode_io_wait[buffered ? 1 : 0] =
                 source_or.value()->TotalIoWaitSeconds();
           }
-          if (rep == 0) {
-            int64_t& checksum_out = mode_checksum[buffered ? 1 : 0];
-            for (int ch = 0; ch < plan.num_channels(); ++ch) {
-              const auto& counts = plan.counts(ch);
-              for (size_t b = 0; b < counts.u.size(); ++b) {
-                checksum_out += counts.u[b] * static_cast<int64_t>(b + 1);
-              }
-            }
-          }
+          if (rep == 0) mode_checksum[buffered ? 1 : 0] = PlanChecksum(plan);
         }
         mode_seconds[buffered ? 1 : 0] = best;
       }
@@ -446,14 +553,7 @@ int main() {
       optrules::WallTimer timer;
       ExecuteMultiCount(*source_or.value(), &plan, nullptr);
       const double seconds = timer.ElapsedSeconds();
-      if (checksum_out != nullptr) {
-        for (int ch = 0; ch < plan.num_channels(); ++ch) {
-          const auto& counts = plan.counts(ch);
-          for (size_t b = 0; b < counts.u.size(); ++b) {
-            *checksum_out += counts.u[b] * static_cast<int64_t>(b + 1);
-          }
-        }
-      }
+      if (checksum_out != nullptr) *checksum_out += PlanChecksum(plan);
       if (hit_rate != nullptr) {
         *hit_rate = source_or.value()->SourceStats().cache_hit_rate();
       }
@@ -532,12 +632,7 @@ int main() {
         const double seconds = timer.ElapsedSeconds();
         if (rep == 0 || seconds < best) best = seconds;
         if (rep == 0) {
-          for (int ch = 0; ch < plan.num_channels(); ++ch) {
-            const auto& counts = plan.counts(ch);
-            for (size_t b = 0; b < counts.u.size(); ++b) {
-              checksum_out += counts.u[b] * static_cast<int64_t>(b + 1);
-            }
-          }
+          checksum_out = PlanChecksum(plan);
           if (pages_skipped != nullptr) {
             *pages_skipped = source_or.value()->SourceStats().pages_skipped;
           }
@@ -620,15 +715,7 @@ int main() {
         OPTRULES_CHECK(coordinator.Execute(&plan).ok());
         const double seconds = timer.ElapsedSeconds();
         if (rep == 0 || seconds < best) best = seconds;
-        if (rep == 0) {
-          dist_checksum = 0;
-          for (int ch = 0; ch < plan.num_channels(); ++ch) {
-            const auto& counts = plan.counts(ch);
-            for (size_t b = 0; b < counts.u.size(); ++b) {
-              dist_checksum += counts.u[b] * static_cast<int64_t>(b + 1);
-            }
-          }
-        }
+        if (rep == 0) dist_checksum = PlanChecksum(plan);
       }
       OPTRULES_CHECK(dist_checksum == a8_c3_checksum);  // sharded == memory
       if (workers == 1) one_worker = best;
@@ -701,14 +788,7 @@ int main() {
             OPTRULES_CHECK(coordinator.Execute(&plan).ok());
             const double seconds = timer.ElapsedSeconds();
             if (rep == 0 || seconds < best) best = seconds;
-            if (rep == 0) {
-              for (int ch = 0; ch < plan.num_channels(); ++ch) {
-                const auto& counts = plan.counts(ch);
-                for (size_t b = 0; b < counts.u.size(); ++b) {
-                  checksum += counts.u[b] * static_cast<int64_t>(b + 1);
-                }
-              }
-            }
+            if (rep == 0) checksum = PlanChecksum(plan);
           }
           OPTRULES_CHECK(checksum == a8_c3_checksum);  // schedule == memory
           return best;

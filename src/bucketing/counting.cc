@@ -81,18 +81,19 @@ void NeumaierAdd(double value, double& sum, double& compensation) {
   sum = next;
 }
 
-/// The scatter passes of one channel over one batch, templated on the row
+/// The u/min-max and sum passes of one channel over one batch (the v
+/// counts go through the target block instead), templated on the row
 /// source so the hot loops compile guard- and indirection-free. kCompact
 /// reads rows through `sel` (a compacted ascending index list; m is its
 /// length) instead of scanning all m rows densely; kGuard keeps the
 /// kNoBucket skip (needed only when the batch has NaN rows -- the caller
 /// drops it when the locate pass reported none). Every variant visits the
 /// surviving rows in the same ascending order as the guarded reference
-/// arm, so u/v/min-max and the per-bucket Neumaier chains are
-/// bit-identical across all four instantiations.
+/// arm, so u/min-max and the per-bucket Neumaier chains are bit-identical
+/// across all four instantiations.
 template <bool kCompact, bool kGuard>
 void ChannelScatterPasses(const storage::ColumnarBatch& batch,
-                          const CountChannel& channel, int num_targets,
+                          const CountChannel& channel,
                           std::span<const double> values,
                           const int32_t* buckets, const int32_t* sel,
                           size_t m, BucketCounts& counts,
@@ -114,22 +115,6 @@ void ChannelScatterPasses(const storage::ColumnarBatch& batch,
     double& hi = counts.max_value[b];
     lo = (std::isnan(lo) || value < lo) ? value : lo;
     hi = (std::isnan(hi) || value > hi) ? value : hi;
-  }
-  // One v pass per Boolean target.
-  if (channel.count_targets) {
-    for (int t = 0; t < num_targets; ++t) {
-      const std::span<const uint8_t> target = batch.boolean(t);
-      std::vector<int64_t>& v = counts.v[static_cast<size_t>(t)];
-      for (size_t k = 0; k < m; ++k) {
-        const size_t row = kCompact ? static_cast<size_t>(sel[k]) : k;
-        const int32_t bucket = buckets[row];
-        if constexpr (kGuard) {
-          if (bucket == BucketBoundaries::kNoBucket) continue;
-        }
-        v[static_cast<size_t>(bucket)] +=
-            static_cast<int64_t>(target[row] != 0);
-      }
-    }
   }
   // One Neumaier-compensated sum pass per sum target (strictly sequential
   // scalar chain; row order fixed => bit-identical sums).
@@ -163,6 +148,26 @@ size_t CompactByU(std::span<const int64_t> u, MoveRow&& move_row) {
     ++write;
   }
   return write;
+}
+
+/// Target planes of a plan with T Boolean targets.
+size_t NumPlanes(int num_targets) {
+  return (static_cast<size_t>(num_targets) + 7) / 8;
+}
+
+/// Adds block lanes into the public per-target arrays and zeroes them:
+/// lane t of slot s in plane g is v[8g + t][s]. Lanes past T are padding
+/// that no packed bit ever sets.
+template <typename Block>
+void FoldBlock(Block& block, size_t slots,
+               std::vector<std::vector<int64_t>>& v) {
+  if (block.empty()) return;
+  for (size_t t = 0; t < v.size(); ++t) {
+    const int64_t* lanes = block.data() + (t / 8) * slots * 8 + t % 8;
+    std::vector<int64_t>& row = v[t];
+    for (size_t s = 0; s < slots; ++s) row[s] += lanes[8 * s];
+  }
+  std::fill(block.begin(), block.end(), 0);
 }
 
 }  // namespace
@@ -296,6 +301,9 @@ MultiCountPlan::MultiCountPlan(MultiCountSpec spec) : spec_(std::move(spec)) {
   sums_.reserve(spec_.channels.size());
   sum_comp_.reserve(spec_.channels.size());
   sums_taken_.assign(spec_.channels.size(), 0);
+  counts_pending_.reserve(spec_.channels.size());
+  blocks_.reserve(spec_.channels.size());
+  target_planes_.resize(NumPlanes(spec_.num_targets));
   scratch_.resize(spec_.channels.size());
   channel_group_.reserve(spec_.channels.size());
   condition_masks_.resize(spec_.conditions.size());
@@ -314,12 +322,19 @@ MultiCountPlan::MultiCountPlan(MultiCountSpec spec) : spec_(std::move(spec)) {
         std::vector<double>(
             static_cast<size_t>(channel.boundaries->num_buckets()), 0.0));
     sum_comp_.push_back(sums_.back());
+    counts_pending_.push_back(channel.count_targets ? 1 : 0);
+    blocks_.emplace_back(
+        channel.count_targets
+            ? target_planes_.size() * counts_.back().u.size() * 8
+            : 0,
+        0);
     channel_group_.push_back(
         EnsureLocateGroup(channel.column, channel.boundaries));
   }
   grids_.reserve(spec_.grid_channels.size());
   grid_groups_.reserve(spec_.grid_channels.size());
   grid_scratch_.resize(spec_.grid_channels.size());
+  grid_blocks_.reserve(spec_.grid_channels.size());
   for (const GridChannel& channel : spec_.grid_channels) {
     OPTRULES_CHECK(channel.x_boundaries != nullptr);
     OPTRULES_CHECK(channel.y_boundaries != nullptr);
@@ -334,6 +349,7 @@ MultiCountPlan::MultiCountPlan(MultiCountSpec spec) : spec_(std::move(spec)) {
     grid.u.assign(cells, 0);
     grid.v.assign(static_cast<size_t>(spec_.num_targets),
                   std::vector<int64_t>(cells, 0));
+    grid_blocks_.emplace_back(target_planes_.size() * cells * 8, 0);
     grids_.push_back(std::move(grid));
     grid_groups_.emplace_back(
         EnsureLocateGroup(channel.x_column, channel.x_boundaries),
@@ -360,6 +376,18 @@ void MultiCountPlan::PrepareBatch(const storage::ColumnarBatch& batch) {
     const size_t kept =
         simd::CompactMaskIndices(mask.data(), rows, rows_list.data());
     rows_list.resize(kept);
+  }
+  // Pack the Boolean targets once for every channel and grid: bit t of
+  // plane g is target 8g + t.
+  const uint8_t* columns[8];
+  for (size_t g = 0; g < target_planes_.size(); ++g) {
+    const int first = static_cast<int>(8 * g);
+    const int count = std::min(8, spec_.num_targets - first);
+    for (int t = 0; t < count; ++t) {
+      columns[t] = batch.boolean(first + t).data();
+    }
+    target_planes_[g].resize(rows);
+    kernels.pack_targets(columns, count, rows, target_planes_[g].data());
   }
   if (phase_times_ != nullptr) {
     phase_times_->mask_seconds += timer.ElapsedSeconds();
@@ -412,23 +440,22 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
     const bool guard = group.no_bucket != 0;
     if (sel != nullptr) {
       if (guard) {
-        ChannelScatterPasses<true, true>(batch, channel, spec_.num_targets,
-                                         values, buckets, sel, m, counts,
-                                         sums_[ci], sum_comp_[ci]);
+        ChannelScatterPasses<true, true>(batch, channel, values, buckets, sel,
+                                         m, counts, sums_[ci], sum_comp_[ci]);
       } else {
-        ChannelScatterPasses<true, false>(batch, channel, spec_.num_targets,
-                                          values, buckets, sel, m, counts,
-                                          sums_[ci], sum_comp_[ci]);
+        ChannelScatterPasses<true, false>(batch, channel, values, buckets,
+                                          sel, m, counts, sums_[ci],
+                                          sum_comp_[ci]);
       }
     } else if (guard) {
-      ChannelScatterPasses<false, true>(batch, channel, spec_.num_targets,
-                                        values, buckets, sel, m, counts,
-                                        sums_[ci], sum_comp_[ci]);
+      ChannelScatterPasses<false, true>(batch, channel, values, buckets, sel,
+                                        m, counts, sums_[ci], sum_comp_[ci]);
     } else {
-      ChannelScatterPasses<false, false>(batch, channel, spec_.num_targets,
-                                         values, buckets, sel, m, counts,
-                                         sums_[ci], sum_comp_[ci]);
+      ChannelScatterPasses<false, false>(batch, channel, values, buckets, sel,
+                                         m, counts, sums_[ci], sum_comp_[ci]);
     }
+    // All Boolean targets in one vector add per row and plane.
+    ScatterTargets(buckets, sel, m, guard, counts.u.size(), blocks_[ci]);
     counts.total_tuples += static_cast<int64_t>(rows);
     if (phase_times_ != nullptr) {
       phase_times_->scatter_seconds += timer.ElapsedSeconds();
@@ -436,8 +463,9 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
     return;
   }
 
-  // Reference arm (OPTRULES_FORCE_SCALAR=1): the pre-SIMD guarded scatter,
-  // kept verbatim as the bit-identity baseline the differential tests pin.
+  // Reference arm (OPTRULES_FORCE_SCALAR=1): the pre-SIMD guarded scatter
+  // with one v pass per target straight into counts.v, kept verbatim as
+  // the bit-identity baseline the differential tests pin.
   // Conditional channels overlay the condition mask onto the shared cache
   // once (into the channel's scratch); the scatter passes below then
   // treat condition-failing rows exactly like NaN rows.
@@ -527,20 +555,52 @@ void MultiCountPlan::AccumulateGridChannel(const storage::ColumnarBatch& batch,
     if (cell == BucketBoundaries::kNoBucket) continue;
     ++grid.u[static_cast<size_t>(cell)];
   }
-  for (int t = 0; t < spec_.num_targets; ++t) {
-    const std::span<const uint8_t> target = batch.boolean(t);
-    std::vector<int64_t>& v = grid.v[static_cast<size_t>(t)];
-    for (size_t row = 0; row < rows; ++row) {
-      const int32_t cell = cells[row];
-      if (cell == BucketBoundaries::kNoBucket) continue;
-      v[static_cast<size_t>(cell)] += static_cast<int64_t>(target[row] != 0);
-    }
-  }
+  const bool guard = locate_groups_[grid_groups_[gi].first].no_bucket +
+                         locate_groups_[grid_groups_[gi].second].no_bucket !=
+                     0;
+  ScatterTargets(cells.data(), nullptr, rows, guard, grid.u.size(),
+                 grid_blocks_[gi]);
   // NaN rows still count toward the support denominator N.
   grid.total_tuples += static_cast<int64_t>(rows);
   if (phase_times_ != nullptr) {
     phase_times_->scatter_seconds += timer.ElapsedSeconds();
   }
+}
+
+void MultiCountPlan::ScatterTargets(const int32_t* buckets, const int32_t* sel,
+                                    size_t m, bool guard, size_t slots,
+                                    TargetBlock& block) const {
+  if (block.empty()) return;
+  const simd::Kernels& kernels =
+      simd::ForceScalar() ? simd::ScalarKernels() : simd::Active();
+  for (size_t g = 0; g < target_planes_.size(); ++g) {
+    kernels.scatter_targets(buckets, sel, m, target_planes_[g].data(),
+                            block.data() + g * slots * 8, guard);
+  }
+}
+
+void MultiCountPlan::FoldTargetBlocks() const {
+  for (size_t c = 0; c < counts_.size(); ++c) {
+    FoldBlock(blocks_[c], counts_[c].u.size(), counts_[c].v);
+  }
+  for (size_t g = 0; g < grids_.size(); ++g) {
+    FoldBlock(grid_blocks_[g], grids_[g].u.size(), grids_[g].v);
+  }
+}
+
+const BucketCounts& MultiCountPlan::counts(int channel) const {
+  OPTRULES_CHECK(0 <= channel && channel < num_channels());
+  BucketCounts& counts = counts_[static_cast<size_t>(channel)];
+  FoldBlock(blocks_[static_cast<size_t>(channel)], counts.u.size(), counts.v);
+  return counts;
+}
+
+const GridBucketCounts& MultiCountPlan::grid_counts(int grid_channel) const {
+  OPTRULES_CHECK(0 <= grid_channel && grid_channel < num_grid_channels());
+  GridBucketCounts& grid = grids_[static_cast<size_t>(grid_channel)];
+  FoldBlock(grid_blocks_[static_cast<size_t>(grid_channel)], grid.u.size(),
+            grid.v);
+  return grid;
 }
 
 void MultiCountPlan::Accumulate(const storage::ColumnarBatch& batch) {
@@ -556,6 +616,8 @@ void MultiCountPlan::Accumulate(const storage::ColumnarBatch& batch) {
 void MultiCountPlan::Merge(const MultiCountPlan& other) {
   OPTRULES_CHECK(other.num_channels() == num_channels());
   OPTRULES_CHECK(other.spec_.num_targets == spec_.num_targets);
+  // This plan's own block may stay unfolded: the adds commute.
+  other.FoldTargetBlocks();
   for (int channel = 0; channel < num_channels(); ++channel) {
     const auto ci = static_cast<size_t>(channel);
     BucketCounts& mine = counts_[ci];
@@ -648,12 +710,21 @@ storage::ScanPruneSpec DerivePruneSpec(const MultiCountSpec& spec) {
 
 BucketCounts MultiCountPlan::TakeCounts(int channel) {
   OPTRULES_CHECK(0 <= channel && channel < num_channels());
-  return std::move(counts_[static_cast<size_t>(channel)]);
+  const auto ci = static_cast<size_t>(channel);
+  BucketCounts& counts = counts_[ci];
+  FoldBlock(blocks_[ci], counts.u.size(), counts.v);
+  counts_pending_[ci] = 0;
+  // Sum targets still to be taken read u/min/max: hand out a copy.
+  if (sums_taken_[ci] < sums_[ci].size()) return counts;
+  return std::move(counts);
 }
 
 GridBucketCounts MultiCountPlan::TakeGridCounts(int grid_channel) {
   OPTRULES_CHECK(0 <= grid_channel && grid_channel < num_grid_channels());
-  return std::move(grids_[static_cast<size_t>(grid_channel)]);
+  GridBucketCounts& grid = grids_[static_cast<size_t>(grid_channel)];
+  FoldBlock(grid_blocks_[static_cast<size_t>(grid_channel)], grid.u.size(),
+            grid.v);
+  return std::move(grid);
 }
 
 BucketSums MultiCountPlan::MakeBucketSums(int channel, int k) const {
@@ -693,9 +764,9 @@ BucketSums MultiCountPlan::TakeBucketSums(int channel, int k) {
   comp.clear();
   sums.total_tuples = counts.total_tuples;
   ++sums_taken_[ci];
-  if (sums_taken_[ci] == sums_[ci].size()) {
-    // Last outstanding sum target of the channel: move the parallel arrays
-    // instead of deep-copying them.
+  if (sums_taken_[ci] == sums_[ci].size() && counts_pending_[ci] == 0) {
+    // Last outstanding reader of the channel's u/min/max: move the
+    // parallel arrays instead of deep-copying them.
     sums.u = std::move(counts.u);
     sums.min_value = std::move(counts.min_value);
     sums.max_value = std::move(counts.max_value);
@@ -732,6 +803,7 @@ using bytes::AppendScalar;
 
 void MultiCountPlan::AppendPartialState(std::vector<uint8_t>* out) const {
   OPTRULES_CHECK(out != nullptr);
+  FoldTargetBlocks();
   AppendScalar(out, kPartialStateMagic);
   AppendScalar(out, kPartialStateVersion);
   AppendScalar<uint32_t>(out, static_cast<uint32_t>(counts_.size()));
@@ -761,6 +833,8 @@ void MultiCountPlan::AppendPartialState(std::vector<uint8_t>* out) const {
 }
 
 Status MultiCountPlan::LoadPartialState(std::span<const uint8_t> bytes) {
+  // Empty the blocks: the loaded v arrays below are the whole state.
+  FoldTargetBlocks();
   bytes::ByteReader reader(bytes);
   uint32_t magic = 0;
   uint32_t version = 0;

@@ -6,7 +6,9 @@
 #ifndef OPTRULES_BUCKETING_COUNTING_H_
 #define OPTRULES_BUCKETING_COUNTING_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -90,8 +92,10 @@ struct BucketSums {
 /// its bucket boundaries, optionally restricted to rows satisfying a
 /// Boolean conjunction (generalized rules, Section 4.3) and optionally
 /// accumulating per-bucket sums of other numeric columns (the Section 5
-/// average operator). The plain all-pairs scan uses one unconditional
-/// channel per numeric attribute.
+/// average operator). The engine's session scan uses one unconditional
+/// channel per numeric attribute that counts every Boolean target AND
+/// carries every registered sum target, so the u/min/max pass is paid
+/// once per attribute; conditional channels share its boundaries.
 struct CountChannel {
   /// Numeric column index of the batch this channel buckets.
   int column = 0;
@@ -144,10 +148,12 @@ struct GridBucketCounts {
 /// Per-phase wall-clock breakdown of a counting scan, accumulated by a
 /// MultiCountPlan when a sink is attached via set_phase_times(). The three
 /// phases partition the plan's own CPU work: point location (the shared
-/// LocateBatch passes), condition-mask evaluation + compaction, and the
-/// u/v/min-max/sum scatter passes. I/O wait is the caller's to measure
-/// (the bench times its reader separately). Accumulation is not
-/// synchronized -- attach a sink only to serially-executed plans.
+/// LocateBatch passes), per-batch Boolean preparation (condition-mask
+/// evaluation + compaction, and packing the Boolean targets into byte
+/// planes), and the scatter passes (u/min-max, sums, and the target
+/// scatter). I/O wait is the caller's to measure (the bench times its
+/// reader separately). Accumulation is not synchronized -- attach a sink
+/// only to serially-executed plans.
 struct ScanPhaseTimes {
   double locate_seconds = 0.0;
   double mask_seconds = 0.0;
@@ -169,6 +175,24 @@ struct MultiCountSpec {
   int num_targets = 0;
 };
 
+/// 64-byte-aligned allocator for the target blocks, so one bucket's eight
+/// int64 lanes are exactly one cache line (the scatter kernels use
+/// aligned loads).
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}  // NOLINT
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p, kAlign); }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) = default;
+};
+
 /// Counts EVERY channel of a spec -- plain, conditional, summing, and
 /// two-dimensional grid -- in one shared scan: the columnar core of
 /// Algorithm 3.1 step 4 generalized to the paper's "all combinations of
@@ -178,6 +202,19 @@ struct MultiCountSpec {
 /// (each with one v-row per target) plus the channel's sum arrays and a
 /// GridBucketCounts per grid channel; partial plans from sharded scans
 /// Merge() exactly, so parallel execution is bit-identical to serial.
+///
+/// Per batch, each distinct (column, boundaries) pair is located once,
+/// and the T Boolean targets are packed once into ceil(T / 8) byte planes
+/// (bit t of plane g = target 8g + t). Every counting channel and grid
+/// then accumulates its v counts in a TARGET BLOCK: per plane, 8 int64
+/// lanes per bucket (or cell), bucket-major, so one row costs one vector
+/// add per plane for all of its targets (simd::Kernels::scatter_targets)
+/// instead of T scalar passes. The public layouts never see the block:
+/// counts(), TakeCounts(), grid_counts(), TakeGridCounts(), Merge() and
+/// AppendPartialState() first fold it into BucketCounts::v[t][b] /
+/// GridBucketCounts::v[t][cell] (an exact integer transpose-and-add), so
+/// v and the partial-state bytes are what the per-target reference arm
+/// (OPTRULES_FORCE_SCALAR) produces.
 class MultiCountPlan {
  public:
   /// Plain all-pairs plan: one unconditional channel per numeric attribute
@@ -212,18 +249,20 @@ class MultiCountPlan {
     return counts_.empty() ? 0 : counts_[0].total_tuples;
   }
 
-  /// Per-channel counts accumulated so far. For conditional channels u/v
-  /// cover only the satisfying rows (total_tuples covers all rows).
-  const BucketCounts& counts(int channel) const {
-    return counts_[static_cast<size_t>(channel)];
-  }
-  /// Moves channel `channel`'s counts out of the plan.
+  /// Per-channel counts accumulated so far (the target block folded into
+  /// v first, so a read between batches is exact). For conditional
+  /// channels u/v cover only the satisfying rows (total_tuples covers all
+  /// rows). The fold writes plan state: do not call concurrently with
+  /// another reader or with accumulation.
+  const BucketCounts& counts(int channel) const;
+  /// Moves channel `channel`'s counts out of the plan. When the channel
+  /// still has sum targets to take, the counts are copied instead, so a
+  /// later TakeBucketSums sees u/min/max intact.
   BucketCounts TakeCounts(int channel);
 
-  /// Per-cell counts of grid channel `grid_channel` accumulated so far.
-  const GridBucketCounts& grid_counts(int grid_channel) const {
-    return grids_[static_cast<size_t>(grid_channel)];
-  }
+  /// Per-cell counts of grid channel `grid_channel` accumulated so far
+  /// (block folded first; same caveat as counts()).
+  const GridBucketCounts& grid_counts(int grid_channel) const;
   /// Moves grid channel `grid_channel`'s counts out of the plan.
   GridBucketCounts TakeGridCounts(int grid_channel);
 
@@ -233,10 +272,12 @@ class MultiCountPlan {
   BucketSums MakeBucketSums(int channel, int k) const;
 
   /// Destructive MakeBucketSums: moves the k-th sum array out of the plan,
-  /// and once every sum target of the channel has been taken the last take
-  /// moves u/min/max too instead of deep-copying them. Extraction loops
+  /// and once every sum target of the channel has been taken -- and the
+  /// channel's counts were taken too, or it counts no targets -- the last
+  /// take moves u/min/max instead of deep-copying them. Extraction loops
   /// (the engine drains every (channel, k) exactly once per scan) stop
-  /// reallocating; each (channel, k) may be taken at most once.
+  /// reallocating; each (channel, k) may be taken at most once, in either
+  /// order with TakeCounts.
   BucketSums TakeBucketSums(int channel, int k);
 
   /// The spec the plan was built from (shared with sharded partials).
@@ -267,11 +308,12 @@ class MultiCountPlan {
 
  private:
   /// Per-batch shared preparation: computes the per-row mask of every
-  /// condition AND locates every distinct (column, boundaries) pair ONCE
-  /// into the shared bucket-index cache that all of its channels consume
-  /// (C conditional channels over one generalized boundary set would
-  /// otherwise re-run Locate C times over identical boundaries). Accumulate
-  /// calls it once per batch before the channel passes below.
+  /// condition, packs the Boolean targets into byte planes, AND locates
+  /// every distinct (column, boundaries) pair ONCE into the shared
+  /// bucket-index cache that all of its channels consume (a base channel,
+  /// its C conditional channels and a same-count grid axis would otherwise
+  /// re-run Locate over identical boundaries). Accumulate calls it once
+  /// per batch before the channel passes below.
   void PrepareBatch(const storage::ColumnarBatch& batch);
 
   /// Accumulates only channel `channel` of the prepared batch.
@@ -280,6 +322,18 @@ class MultiCountPlan {
   /// Accumulates only grid channel `grid_channel` of the prepared batch.
   void AccumulateGridChannel(const storage::ColumnarBatch& batch,
                              int grid_channel);
+
+  /// Per plane, 8 int64 lanes per bucket or cell (see the class comment).
+  using TargetBlock = std::vector<int64_t, CacheLineAllocator<int64_t>>;
+
+  /// Adds the prepared batch's target planes into `block` (one scatter
+  /// kernel call per plane) for the rows the caller selects.
+  void ScatterTargets(const int32_t* buckets, const int32_t* sel, size_t m,
+                      bool guard, size_t slots, TargetBlock& block) const;
+
+  /// Folds every channel's and grid's target block into its public v
+  /// arrays and zeroes the blocks. Idempotent, and exact: integer adds.
+  void FoldTargetBlocks() const;
 
   /// One distinct (column, boundaries) pair shared by >= 1 channels, with
   /// the per-batch bucket-index cache every consumer reads.
@@ -297,9 +351,17 @@ class MultiCountPlan {
   size_t EnsureLocateGroup(int column, const BucketBoundaries* boundaries);
 
   MultiCountSpec spec_;
-  std::vector<BucketCounts> counts_;
+  /// Mutable because the const readers fold the target blocks in first.
+  mutable std::vector<BucketCounts> counts_;
   /// Per-grid-channel cell counts, aligned with spec_.grid_channels.
-  std::vector<GridBucketCounts> grids_;
+  mutable std::vector<GridBucketCounts> grids_;
+  /// Target blocks not yet folded into counts_[c].v / grids_[g].v
+  /// (empty for channels that count no targets, or when T = 0).
+  mutable std::vector<TargetBlock> blocks_;
+  mutable std::vector<TargetBlock> grid_blocks_;
+  /// The batch's Boolean targets packed into ceil(T / 8) byte planes
+  /// (written by PrepareBatch, read by every channel and grid).
+  std::vector<std::vector<uint8_t>> target_planes_;
   /// Locate-group indices of each grid channel's two axes.
   std::vector<std::pair<size_t, size_t>> grid_groups_;
   /// sums_[channel][k][bucket]: per-bucket running sum of the channel's
@@ -312,6 +374,9 @@ class MultiCountPlan {
   std::vector<std::vector<std::vector<double>>> sum_comp_;
   /// Sum targets already moved out via TakeBucketSums, per channel.
   std::vector<size_t> sums_taken_;
+  /// Per channel: counts still to be taken (TakeCounts), so the last sum
+  /// take must copy u/min/max rather than move them.
+  std::vector<uint8_t> counts_pending_;
   /// Distinct (column, boundaries) pairs across all channels; each is
   /// located exactly once per batch by PrepareBatch.
   std::vector<LocateGroup> locate_groups_;

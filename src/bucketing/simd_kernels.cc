@@ -35,8 +35,27 @@ void FoldCellsScalar(const int32_t* x, const int32_t* y, size_t n,
   }
 }
 
-const Kernels kScalar = {"scalar", LocateGuidedScalar, MaskAndScalar,
-                         FoldCellsScalar};
+void PackTargetsScalar(const uint8_t* const* columns, int count, size_t n,
+                       uint8_t* plane) {
+  for (size_t i = 0; i < n; ++i) {
+    plane[i] = internal::PackTargetsOne(columns, count, i);
+  }
+}
+
+void ScatterTargetsScalar(const int32_t* buckets, const int32_t* sel,
+                          size_t m, const uint8_t* plane, int64_t* block,
+                          bool guard) {
+  internal::ForEachBucketedRow(
+      buckets, sel, m, guard, [plane, block](size_t row, size_t bucket) {
+        int64_t* lanes = block + 8 * bucket;
+        const unsigned byte = plane[row];
+        for (int t = 0; t < 8; ++t) lanes[t] += (byte >> t) & 1u;
+      });
+}
+
+const Kernels kScalar = {"scalar",          LocateGuidedScalar,
+                         MaskAndScalar,     FoldCellsScalar,
+                         PackTargetsScalar, ScatterTargetsScalar};
 
 bool ReadForceScalarEnv() {
   // Strict 0/1 flag: "1abc" used to silently pin scalar; now it warns and

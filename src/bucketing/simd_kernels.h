@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD counting kernels.
 //
 // The counting scan's per-row work -- point location, condition-mask
-// conjunction, and the 2-D cell fold -- is data-parallel with no
-// cross-row dependencies, so it vectorizes. This header is the single
+// conjunction, the 2-D cell fold, Boolean-target packing and the target
+// scatter -- is data-parallel (the scatter's only cross-row dependency is
+// two rows landing in one bucket), so it vectorizes. This header is the single
 // dispatch point: one Kernels table per instruction-set arm (scalar
 // reference, AVX2, AVX-512), resolved once at startup via cpuid, with the
 // branchless scalar kernels as the bit-identical fallback on every
@@ -12,8 +13,10 @@
 //
 // Bit-identity contract: every kernel of every arm must produce EXACTLY
 // the bytes the scalar reference produces -- locate results are the unique
-// std::lower_bound index (NaN lanes -> kNoBucket, lane for lane), mask and
-// fold results are pure integer ops. Locate is exact by construction on
+// std::lower_bound index (NaN lanes -> kNoBucket, lane for lane); mask,
+// fold, pack and scatter results are pure integer ops, and the scatter's
+// int64 adds commute, so every arm's block holds the same counts whatever
+// order its lanes were added in. Locate is exact by construction on
 // every arm: each one evaluates the guide's slot function with the same
 // IEEE operations the guide was built with, so the table's candidate
 // range always contains the answer and the bounded search finds it --
@@ -68,6 +71,23 @@ struct Kernels {
   /// index is -1 (the NaN policy applied per axis pair).
   void (*fold_cells)(const int32_t* x, const int32_t* y, size_t n,
                      int32_t nx, int32_t* cells);
+
+  /// Boolean-target packing: plane[i] = sum over t < count of
+  /// (columns[t][i] != 0) << t, for 1 <= count <= 8 (unused high bits are
+  /// 0). The counting scan packs a batch's T targets once into
+  /// ceil(T / 8) such planes, column 8g + t into bit t of plane g.
+  void (*pack_targets)(const uint8_t* const* columns, int count, size_t n,
+                       uint8_t* plane);
+
+  /// Target scatter over one plane: for k < m, with row = sel[k] (or k when
+  /// sel is null) and b = buckets[row], adds bit t of plane[row] into
+  /// block[8 * b + t] for t = 0..7 -- all of a row's targets in one
+  /// 64-byte lane group, so `block` must be 64-byte aligned. With `guard`,
+  /// rows whose bucket is -1 (kNoBucket) are skipped; without it every
+  /// bucket must be >= 0.
+  void (*scatter_targets)(const int32_t* buckets, const int32_t* sel,
+                          size_t m, const uint8_t* plane, int64_t* block,
+                          bool guard);
 };
 
 /// The always-available scalar reference arm.

@@ -118,8 +118,52 @@ void FoldCellsAvx2(const int32_t* x, const int32_t* y, size_t n, int32_t nx,
   }
 }
 
-const Kernels kAvx2 = {"avx2", LocateGuidedAvx2, MaskAndAvx2,
-                       FoldCellsAvx2};
+/// 32 rows per step: per column one byte compare against zero, its
+/// complement masked to the column's bit, OR-ed into the plane.
+void PackTargetsAvx2(const uint8_t* const* columns, int count, size_t n,
+                     uint8_t* plane) {
+  const __m256i zero = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256i packed = zero;
+    for (int t = 0; t < count; ++t) {
+      const __m256i column =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(columns[t] + i));
+      const __m256i is_zero = _mm256_cmpeq_epi8(column, zero);
+      packed = _mm256_or_si256(
+          packed, _mm256_andnot_si256(
+                      is_zero, _mm256_set1_epi8(static_cast<char>(1 << t))));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane + i), packed);
+  }
+  for (; i < n; ++i) plane[i] = internal::PackTargetsOne(columns, count, i);
+}
+
+/// Per row: the byte broadcast to 4 x int64, AND-ed with each half's
+/// lane bits and compared back, gives -1 in every set lane; subtracting
+/// that from the bucket's two lane quads adds the row's 8 target bits.
+void ScatterTargetsAvx2(const int32_t* buckets, const int32_t* sel, size_t m,
+                        const uint8_t* plane, int64_t* block, bool guard) {
+  const __m256i bits_lo = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i bits_hi = _mm256_setr_epi64x(16, 32, 64, 128);
+  internal::ForEachBucketedRow(
+      buckets, sel, m, guard, [&](size_t row, size_t bucket) {
+        auto* lanes = reinterpret_cast<__m256i*>(block + 8 * bucket);
+        const __m256i byte = _mm256_set1_epi64x(plane[row]);
+        const __m256i lo = _mm256_cmpeq_epi64(
+            _mm256_and_si256(byte, bits_lo), bits_lo);
+        const __m256i hi = _mm256_cmpeq_epi64(
+            _mm256_and_si256(byte, bits_hi), bits_hi);
+        _mm256_store_si256(lanes,
+                           _mm256_sub_epi64(_mm256_load_si256(lanes), lo));
+        _mm256_store_si256(
+            lanes + 1, _mm256_sub_epi64(_mm256_load_si256(lanes + 1), hi));
+      });
+}
+
+const Kernels kAvx2 = {"avx2",          LocateGuidedAvx2,
+                       MaskAndAvx2,     FoldCellsAvx2,
+                       PackTargetsAvx2, ScatterTargetsAvx2};
 
 }  // namespace
 

@@ -102,8 +102,46 @@ void FoldCellsAvx512(const int32_t* x, const int32_t* y, size_t n, int32_t nx,
   }
 }
 
-const Kernels kAvx512 = {"avx512", LocateGuidedAvx512, MaskAndAvx512,
-                         FoldCellsAvx512};
+/// 32 rows per step over 256-bit byte vectors (the arm's f+dq+vl subset
+/// has no 512-bit byte compare): the AVX2 arm's packing, VEX-encoded.
+void PackTargetsAvx512(const uint8_t* const* columns, int count, size_t n,
+                       uint8_t* plane) {
+  const __m256i zero = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256i packed = zero;
+    for (int t = 0; t < count; ++t) {
+      const __m256i column =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(columns[t] + i));
+      const __m256i is_zero = _mm256_cmpeq_epi8(column, zero);
+      packed = _mm256_or_si256(
+          packed, _mm256_andnot_si256(
+                      is_zero, _mm256_set1_epi8(static_cast<char>(1 << t))));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane + i), packed);
+  }
+  for (; i < n; ++i) plane[i] = internal::PackTargetsOne(columns, count, i);
+}
+
+/// One masked add per row: the row's packed byte IS the k-mask selecting
+/// which of the bucket's 8 int64 lanes (one cache line) gain 1.
+void ScatterTargetsAvx512(const int32_t* buckets, const int32_t* sel,
+                          size_t m, const uint8_t* plane, int64_t* block,
+                          bool guard) {
+  const __m512i one = _mm512_set1_epi64(1);
+  internal::ForEachBucketedRow(
+      buckets, sel, m, guard, [&](size_t row, size_t bucket) {
+        int64_t* lanes = block + 8 * bucket;
+        const __m512i acc = _mm512_load_si512(lanes);
+        _mm512_store_si512(
+            lanes, _mm512_mask_add_epi64(acc, static_cast<__mmask8>(plane[row]),
+                                         acc, one));
+      });
+}
+
+const Kernels kAvx512 = {"avx512",          LocateGuidedAvx512,
+                         MaskAndAvx512,     FoldCellsAvx512,
+                         PackTargetsAvx512, ScatterTargetsAvx512};
 
 }  // namespace
 

@@ -1,7 +1,9 @@
-// Scalar locate core shared by every kernel arm (internal header).
+// Scalar cores shared by every kernel arm (internal header): the locate
+// search, the target-byte packing, and the scatter's row visitor.
 //
-// The SIMD translation units handle remainder tails with this exact
-// function, and BucketBoundaries::Locate runs it for single values, so
+// The SIMD translation units handle remainder tails with these exact
+// functions, and BucketBoundaries::Locate runs the search for single
+// values, so
 // scalar calls, tail rows and vector lanes are bit-identical BY
 // CONSTRUCTION, not by parallel maintenance of several copies. Include
 // only from simd_kernels*.cc and boundaries.cc.
@@ -10,6 +12,7 @@
 #define OPTRULES_BUCKETING_SIMD_KERNELS_SCALAR_INL_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "bucketing/simd_kernels.h"
@@ -44,6 +47,49 @@ inline int32_t GuidedLowerBound(const LocateGuide& guide, double x) {
 /// One full scalar locate (NaN policy applied): the bucket index or -1.
 inline int32_t GuidedLocateOne(const LocateGuide& guide, double x) {
   return std::isnan(x) ? -1 : GuidedLowerBound(guide, x);
+}
+
+/// Bit t of the packed target byte of row i: columns[t][i] != 0.
+inline uint8_t PackTargetsOne(const uint8_t* const* columns, int count,
+                              size_t i) {
+  unsigned byte = 0;
+  for (int t = 0; t < count; ++t) {
+    byte |= static_cast<unsigned>(columns[t][i] != 0) << t;
+  }
+  return static_cast<uint8_t>(byte);
+}
+
+/// Visits the rows a scatter counts: row = sel[k] (or k), skipping
+/// kNoBucket rows when kGuard; fn(row, bucket) per surviving row, in
+/// ascending k.
+template <bool kSel, bool kGuard, typename Fn>
+inline void ForEachBucketedRowImpl(const int32_t* buckets, const int32_t* sel,
+                                   size_t m, Fn& fn) {
+  for (size_t k = 0; k < m; ++k) {
+    const size_t row = kSel ? static_cast<size_t>(sel[k]) : k;
+    const int32_t bucket = buckets[row];
+    if (kGuard && bucket < 0) continue;
+    fn(row, static_cast<size_t>(bucket));
+  }
+}
+
+/// Runtime (sel, guard) dispatch onto the four guard- and
+/// indirection-free loops above; every arm's scatter kernel runs its
+/// per-row add through this.
+template <typename Fn>
+inline void ForEachBucketedRow(const int32_t* buckets, const int32_t* sel,
+                               size_t m, bool guard, Fn&& fn) {
+  if (sel != nullptr) {
+    if (guard) {
+      ForEachBucketedRowImpl<true, true>(buckets, sel, m, fn);
+    } else {
+      ForEachBucketedRowImpl<true, false>(buckets, sel, m, fn);
+    }
+  } else if (guard) {
+    ForEachBucketedRowImpl<false, true>(buckets, sel, m, fn);
+  } else {
+    ForEachBucketedRowImpl<false, false>(buckets, sel, m, fn);
+  }
 }
 
 }  // namespace optrules::bucketing::simd::internal

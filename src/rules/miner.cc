@@ -21,18 +21,14 @@ namespace {
 
 /// Per-attribute salt decorrelating sampling seeds while keeping the whole
 /// run reproducible; shared by Miner and MiningEngine so their boundaries
-/// are identical.
+/// are identical. An attribute's boundaries at bucket count M are drawn
+/// from options.seed + this salt alone, so every rule kind that buckets
+/// the attribute at M -- plain, generalized (Section 4.3), average
+/// (Section 5) and region axes (Section 1.4) -- shares one bucketing, as
+/// in Alg. 3.1.
 uint64_t AttributeSalt(int numeric_index) {
   return 0x9e37 * static_cast<uint64_t>(numeric_index);
 }
-
-/// Seed offsets decorrelating the generalized (Section 4.3), aggregate
-/// (Section 5), and region-grid (Section 1.4) bucketings from the plain
-/// per-pair bucketing. Shared by Miner and MiningEngine so their
-/// boundaries are identical.
-constexpr uint64_t kGeneralizedSeedOffset = 0x517c;
-constexpr uint64_t kAggregateSeedOffset = 0xa4f;
-constexpr uint64_t kRegionSeedOffset = 0x2d9b;
 
 /// Counts MiningEngine boundary-planning passes (PlanBoundarySets calls),
 /// resolved once.
@@ -328,20 +324,6 @@ Status MiningEngine::PlanBoundarySets(
   const auto placeholder = [] {
     return bucketing::BucketBoundaries::FromCutPoints({});
   };
-  // For the seed-ignoring (deterministic) bucketizers, the earliest set
-  // whose boundaries set `i` can simply copy: same bucket count, and the
-  // earlier set planned at least the columns `i` needs (unmasked, or the
-  // identical mask). Returns `i` itself when set `i` must be planned.
-  const auto first_copyable = [&requests](size_t i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (requests[j].num_buckets == requests[i].num_buckets &&
-          (requests[j].column_mask.empty() ||
-           requests[j].column_mask == requests[i].column_mask)) {
-        return j;
-      }
-    }
-    return i;
-  };
   // The span's rows_sampled attribute: Alg. 3.1 samples S rows per
   // planned (set, attribute) slot of a non-empty table; the deterministic
   // bucketizers read every row.
@@ -352,22 +334,11 @@ Status MiningEngine::PlanBoundarySets(
 
   if (relation_ != nullptr) {
     // In-memory fast path: plan from the columns directly, with the same
-    // per-attribute salts and seed offsets as the legacy Miner
-    // (bit-identical boundaries). The deterministic bucketizers ignore
-    // seeds, so sets sharing a bucket count share boundaries and are
-    // planned once.
+    // per-attribute salts as the legacy Miner (bit-identical boundaries).
     const int64_t rows = relation_->NumRows();
     int64_t rows_sampled = sampling ? 0 : rows;
     for (size_t i = 0; i < sets; ++i) {
-      if (!sampling) {
-        const size_t same = first_copyable(i);
-        if (same != i) {
-          *out[i] = *out[same];
-          continue;
-        }
-      }
       bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-      plan.seed += requests[i].seed_offset;
       plan.num_buckets = requests[i].num_buckets;
       for (int a = 0; a < num_numeric; ++a) {
         if (!needs(i, a)) {
@@ -398,9 +369,8 @@ Status MiningEngine::PlanBoundarySets(
       for (size_t i = 0; i < sets; ++i) {
         for (int a = 0; a < num_numeric; ++a) {
           if (!needs(i, a)) continue;
-          columns.push_back({a, requests[i].num_buckets,
-                             options_.seed + requests[i].seed_offset +
-                                 AttributeSalt(a)});
+          columns.push_back(
+              {a, requests[i].num_buckets, options_.seed + AttributeSalt(a)});
         }
       }
       int64_t rows_sampled = 0;
@@ -491,9 +461,7 @@ Status MiningEngine::PlanBoundarySets(
       // in memory even for a paged source. (The bounded-memory exact
       // bucketizer is the Figure 9 baseline
       // bucketing::NaiveSortBoundariesFromFile, an external sort over the
-      // same batch reader; the engine does not call it.) Seeds are
-      // ignored, so sets sharing a bucket count copy the first set's
-      // boundaries instead of re-sorting every column.
+      // same batch reader; the engine does not call it.)
       std::vector<uint8_t> any_needs(static_cast<size_t>(num_numeric), 0);
       for (size_t i = 0; i < sets; ++i) {
         for (int a = 0; a < num_numeric; ++a) {
@@ -513,11 +481,6 @@ Status MiningEngine::PlanBoundarySets(
         }
       }
       for (size_t i = 0; i < sets; ++i) {
-        const size_t same = first_copyable(i);
-        if (same != i) {
-          *out[i] = *out[same];
-          continue;
-        }
         for (int a = 0; a < num_numeric; ++a) {
           out[i]->push_back(
               needs(i, a)
@@ -540,47 +503,39 @@ Status MiningEngine::RunCountingScan() {
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
   spec.conditions = conditions_;
-  // Base channels: every numeric attribute against every Boolean target.
+  // Base channels: every numeric attribute against every Boolean target,
+  // each also carrying every registered Section 5 sum target, so the
+  // aggregate ranges ride the base u/min/max pass.
   for (int a = 0; a < num_numeric; ++a) {
     bucketing::CountChannel channel;
     channel.column = a;
-    channel.boundaries = &boundaries_[static_cast<size_t>(a)];
+    channel.boundaries = &Boundary(options_.num_buckets, a);
+    channel.sum_targets = sum_targets_;
     spec.channels.push_back(std::move(channel));
   }
   // Conditional channels (Section 4.3): every registered condition times
-  // every numeric attribute, over the generalized boundary set.
+  // every numeric attribute, over the same base boundaries (one locate per
+  // attribute and batch serves them all).
   for (size_t c = 0; c < conditions_.size(); ++c) {
     for (int a = 0; a < num_numeric; ++a) {
       bucketing::CountChannel channel;
       channel.column = a;
-      channel.boundaries = &generalized_boundaries_[static_cast<size_t>(a)];
+      channel.boundaries = &Boundary(options_.num_buckets, a);
       channel.condition = static_cast<int>(c);
       spec.channels.push_back(std::move(channel));
     }
   }
-  // Sum channels (Section 5): per range attribute, one channel summing
-  // every registered target over the aggregate boundary set.
-  const size_t aggregate_base = spec.channels.size();
-  if (!sum_targets_.empty()) {
-    for (int a = 0; a < num_numeric; ++a) {
-      bucketing::CountChannel channel;
-      channel.column = a;
-      channel.boundaries = &aggregate_boundaries_[static_cast<size_t>(a)];
-      channel.count_targets = false;
-      channel.sum_targets = sum_targets_;
-      spec.channels.push_back(std::move(channel));
-    }
-  }
   // Grid channels (Section 1.4): one per registered region pair, each
-  // axis over the region boundary set of that axis' bucket count (nx for
-  // x, ny for y -- rectangular pairs are first-class). Pairs sharing an
-  // (axis, count) share its locate group inside the plan.
+  // axis over its attribute's boundaries at that axis' bucket count (nx
+  // for x, ny for y -- rectangular pairs are first-class; an axis at
+  // num_buckets is the base set). Axes sharing an (attribute, count)
+  // share its locate group inside the plan.
   for (const RegionPair& pair : region_pairs_) {
     bucketing::GridChannel channel;
     channel.x_column = pair.x;
-    channel.x_boundaries = &RegionBoundary(pair.nx, pair.x);
+    channel.x_boundaries = &Boundary(pair.nx, pair.x);
     channel.y_column = pair.y;
-    channel.y_boundaries = &RegionBoundary(pair.ny, pair.y);
+    channel.y_boundaries = &Boundary(pair.ny, pair.y);
     spec.grid_channels.push_back(channel);
   }
 
@@ -605,17 +560,12 @@ Status MiningEngine::RunCountingScan() {
   }
   aggregate_sums_.assign(num_attrs, {});
   hull_contexts_.clear();  // derived from the sums being replaced
-  if (!sum_targets_.empty()) {
-    for (int a = 0; a < num_numeric; ++a) {
-      const auto channel =
-          static_cast<int>(aggregate_base + static_cast<size_t>(a));
-      auto& per_target = aggregate_sums_[static_cast<size_t>(a)];
-      per_target.reserve(sum_targets_.size());
-      for (size_t k = 0; k < sum_targets_.size(); ++k) {
-        per_target.push_back(
-            plan.TakeBucketSums(channel, static_cast<int>(k)));
-        bucketing::CompactEmptyBuckets(&per_target.back());
-      }
+  for (int a = 0; a < num_numeric; ++a) {
+    auto& per_target = aggregate_sums_[static_cast<size_t>(a)];
+    per_target.reserve(sum_targets_.size());
+    for (size_t k = 0; k < sum_targets_.size(); ++k) {
+      per_target.push_back(plan.TakeBucketSums(a, static_cast<int>(k)));
+      bucketing::CompactEmptyBuckets(&per_target.back());
     }
   }
   region_grids_.clear();
@@ -649,29 +599,18 @@ Status MiningEngine::TryPrepare() {
   if (partitioned_ != nullptr) {
     OPTRULES_RETURN_IF_ERROR(partitioned_->Validate());
   }
-  // One planning pass covers the base boundaries plus the decorrelated
-  // generalized / aggregate / region sets the session has registered so
-  // far.
-  std::vector<BoundarySetRequest> requests = {{0, options_.num_buckets, {}}};
+  // One planning pass covers the base set (every attribute at
+  // num_buckets, shared by plain, generalized and aggregate channels) plus
+  // one set per other grid bucket count the registered region pairs use
+  // (rectangular pairs plan their x axis at nx and y axis at ny), each
+  // masked to the columns that actually use it.
+  std::vector<BoundarySetRequest> requests = {{options_.num_buckets, {}}};
   std::vector<std::vector<bucketing::BucketBoundaries>*> outs = {
-      &boundaries_};
-  if (!conditions_.empty()) {
-    requests.push_back({kGeneralizedSeedOffset, options_.num_buckets, {}});
-    outs.push_back(&generalized_boundaries_);
-  }
-  if (!sum_targets_.empty()) {
-    requests.push_back({kAggregateSeedOffset, options_.num_buckets, {}});
-    outs.push_back(&aggregate_boundaries_);
-  }
-  if (!region_pairs_.empty()) {
-    // One request per distinct grid bucket count (rectangular pairs plan
-    // their x axis at nx and y axis at ny), each masked to the columns
-    // that actually use it.
-    region_planned_ = RegionColumnMasks();
-    for (auto& [count, mask] : region_planned_) {
-      requests.push_back({kRegionSeedOffset, count, mask});
-      outs.push_back(&region_boundaries_[count]);
-    }
+      &boundary_sets_[options_.num_buckets]};
+  planned_columns_ = RegionColumnMasks();
+  for (auto& [count, mask] : planned_columns_) {
+    requests.push_back({count, mask});
+    outs.push_back(&boundary_sets_[count]);
   }
   OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
   OPTRULES_RETURN_IF_ERROR(RunCountingScan());
@@ -692,13 +631,15 @@ std::map<int, std::vector<uint8_t>> MiningEngine::RegionColumnMasks() const {
     mark(pair.nx, pair.x);
     mark(pair.ny, pair.y);
   }
+  // The base set plans every column already.
+  masks.erase(options_.num_buckets);
   return masks;
 }
 
-const bucketing::BucketBoundaries& MiningEngine::RegionBoundary(
-    int num_buckets, int column) const {
-  const auto it = region_boundaries_.find(num_buckets);
-  OPTRULES_CHECK(it != region_boundaries_.end());
+const bucketing::BucketBoundaries& MiningEngine::Boundary(int num_buckets,
+                                                          int column) const {
+  const auto it = boundary_sets_.find(num_buckets);
+  OPTRULES_CHECK(it != boundary_sets_.end());
   return it->second[static_cast<size_t>(column)];
 }
 
@@ -797,13 +738,6 @@ Result<int> MiningEngine::EnsureSumTarget(const std::string& name) {
 }
 
 Status MiningEngine::AddConditionChannels(int condition_index) {
-  if (generalized_boundaries_.empty()) {
-    const BoundarySetRequest requests[] = {
-        {kGeneralizedSeedOffset, options_.num_buckets, {}}};
-    std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &generalized_boundaries_};
-    OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
-  }
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
   spec.conditions = {
@@ -811,7 +745,7 @@ Status MiningEngine::AddConditionChannels(int condition_index) {
   for (int a = 0; a < schema_.num_numeric(); ++a) {
     bucketing::CountChannel channel;
     channel.column = a;
-    channel.boundaries = &generalized_boundaries_[static_cast<size_t>(a)];
+    channel.boundaries = &Boundary(options_.num_buckets, a);
     channel.condition = 0;
     spec.channels.push_back(std::move(channel));
   }
@@ -829,19 +763,14 @@ Status MiningEngine::AddConditionChannels(int condition_index) {
 }
 
 Status MiningEngine::AddSumTargetChannels(int target) {
-  if (aggregate_boundaries_.empty()) {
-    const BoundarySetRequest requests[] = {
-        {kAggregateSeedOffset, options_.num_buckets, {}}};
-    std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &aggregate_boundaries_};
-    OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
-  }
+  // Sum-only channels over the base boundaries: no planning pass, and
+  // exactly the u/min/max the shared scan's base channels produced.
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
   for (int a = 0; a < schema_.num_numeric(); ++a) {
     bucketing::CountChannel channel;
     channel.column = a;
-    channel.boundaries = &aggregate_boundaries_[static_cast<size_t>(a)];
+    channel.boundaries = &Boundary(options_.num_buckets, a);
     channel.count_targets = false;
     channel.sum_targets = {target};
     spec.channels.push_back(std::move(channel));
@@ -849,9 +778,6 @@ Status MiningEngine::AddSumTargetChannels(int target) {
   bucketing::MultiCountPlan plan(std::move(spec));
   OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
   ++counting_scans_;
-  if (aggregate_sums_.empty()) {
-    aggregate_sums_.assign(static_cast<size_t>(schema_.num_numeric()), {});
-  }
   for (int a = 0; a < schema_.num_numeric(); ++a) {
     auto& per_target = aggregate_sums_[static_cast<size_t>(a)];
     per_target.push_back(plan.TakeBucketSums(a, 0));
@@ -900,25 +826,25 @@ int MiningEngine::FindRegionPair(int x, int y) const {
 
 Status MiningEngine::AddRegionChannel(int pair_index) {
   const RegionPair& pair = region_pairs_[static_cast<size_t>(pair_index)];
-  // Re-plan a region set when its bucket count has never been planned or
-  // the late pair buckets a column outside that count's planned mask
-  // (each column's boundaries are derived independently, so columns
-  // already planned come out identical).
+  // Plan a set when its bucket count has never been planned or the late
+  // pair buckets a column outside that count's planned mask (each column's
+  // boundaries are derived independently, so columns already planned come
+  // out identical). The base count is always fully planned.
   const auto ensure_planned = [this](int count, int column) {
-    const std::vector<uint8_t>& planned = region_planned_[count];
+    if (count == options_.num_buckets) return Status::Ok();
+    const std::vector<uint8_t>& planned = planned_columns_[count];
     if (!planned.empty() && planned[static_cast<size_t>(column)] != 0) {
       return Status::Ok();
     }
     std::map<int, std::vector<uint8_t>> masks = RegionColumnMasks();
-    const BoundarySetRequest requests[] = {
-        {kRegionSeedOffset, count, masks[count]}};
+    const BoundarySetRequest requests[] = {{count, masks[count]}};
     std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &region_boundaries_[count]};
+        &boundary_sets_[count]};
     // Planning clears the set first, so its mask is dropped until the pass
     // succeeds; a failed pass is retried by the next registration.
-    region_planned_[count].clear();
+    planned_columns_[count].clear();
     OPTRULES_RETURN_IF_ERROR(PlanBoundarySets(requests, outs));
-    region_planned_[count] = std::move(masks[count]);
+    planned_columns_[count] = std::move(masks[count]);
     return Status::Ok();
   };
   OPTRULES_RETURN_IF_ERROR(ensure_planned(pair.nx, pair.x));
@@ -927,9 +853,9 @@ Status MiningEngine::AddRegionChannel(int pair_index) {
   spec.num_targets = schema_.num_boolean();
   bucketing::GridChannel channel;
   channel.x_column = pair.x;
-  channel.x_boundaries = &RegionBoundary(pair.nx, pair.x);
+  channel.x_boundaries = &Boundary(pair.nx, pair.x);
   channel.y_column = pair.y;
-  channel.y_boundaries = &RegionBoundary(pair.ny, pair.y);
+  channel.y_boundaries = &Boundary(pair.ny, pair.y);
   spec.grid_channels.push_back(channel);
   bucketing::MultiCountPlan plan(std::move(spec));
   OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
@@ -1167,11 +1093,9 @@ Result<std::vector<MinedRule>> Miner::MineGeneralized(
 
   const std::vector<double>& values =
       relation_->NumericColumn(numeric_index.value());
-  bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-  // Decorrelate from the plain per-pair bucketing.
-  plan.seed += kGeneralizedSeedOffset;
+  // The attribute's one bucketing (the same boundaries MinePair uses).
   const bucketing::BucketBoundaries boundaries = bucketing::BuildBoundaries(
-      values, plan, AttributeSalt(numeric_index.value()));
+      values, ToBoundaryPlan(options_), AttributeSalt(numeric_index.value()));
   bucketing::BucketCounts counts = bucketing::CountBucketsConditional(
       values, c1, relation_->BooleanColumn(objective_index.value()),
       boundaries);
@@ -1198,11 +1122,8 @@ Result<bucketing::BucketSums> BuildSums(const storage::Relation& relation,
   const Result<int> b = relation.schema().NumericIndexOf(target_attr);
   if (!b.ok()) return b.status();
   const std::vector<double>& values = relation.NumericColumn(a.value());
-  bucketing::BoundaryPlan plan = ToBoundaryPlan(options);
-  // Decorrelate from the per-pair bucketing.
-  plan.seed += kAggregateSeedOffset;
   const bucketing::BucketBoundaries boundaries = bucketing::BuildBoundaries(
-      values, plan, AttributeSalt(a.value()));
+      values, ToBoundaryPlan(options), AttributeSalt(a.value()));
   bucketing::BucketSums sums = bucketing::CountBucketSums(
       values, relation.NumericColumn(b.value()), boundaries);
   bucketing::CompactEmptyBuckets(&sums);
@@ -1263,10 +1184,8 @@ Result<MinedRegion> Miner::MineOptimizedRegion(
   }
 
   // Same region boundary recipe as the engine: each axis bucketed at its
-  // own count (nx / ny), seed decorrelated by kRegionSeedOffset,
-  // per-attribute salts.
+  // own count (nx / ny) under the session seed and per-attribute salts.
   bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-  plan.seed += kRegionSeedOffset;
   plan.num_buckets = nx;
   const bucketing::BucketBoundaries x_boundaries = bucketing::BuildBoundaries(
       relation_->NumericColumn(x.value()), plan, AttributeSalt(x.value()));

@@ -317,13 +317,12 @@ class MiningEngine {
 
  private:
   /// One boundary set to plan: numeric attributes bucketed into
-  /// `num_buckets` buckets under the session seed + `seed_offset`. An
-  /// empty `column_mask` plans every attribute; otherwise only attributes
-  /// with column_mask[a] != 0 are planned (the rest get empty placeholder
-  /// boundaries) -- the region set uses this so a wide schema does not
-  /// pay per-attribute planning for a handful of registered grid axes.
+  /// `num_buckets` buckets under the session seed. An empty `column_mask`
+  /// plans every attribute; otherwise only attributes with
+  /// column_mask[a] != 0 are planned (the rest get empty placeholder
+  /// boundaries) -- region sets use this so a wide schema does not pay
+  /// per-attribute planning for a handful of registered grid axes.
   struct BoundarySetRequest {
-    uint64_t seed_offset = 0;
     int num_buckets = 0;
     std::vector<uint8_t> column_mask;
   };
@@ -337,10 +336,9 @@ class MiningEngine {
     friend bool operator==(const RegionPair&, const RegionPair&) = default;
   };
 
-  /// Plans one boundary set per request for every numeric attribute;
-  /// generic batch sources pay ONE sequential pass for the whole request
-  /// list (the deterministic bucketizers ignore seeds and are planned once
-  /// per distinct bucket count, then copied). Traced as one `engine.plan`
+  /// Plans one boundary set per request (requests have distinct bucket
+  /// counts) for every numeric attribute; generic batch sources pay ONE
+  /// sequential pass for the whole request list. Traced as one `engine.plan`
   /// span and counted in `engine.planning_passes`. Returns the scan's
   /// failure -- e.g. Corruption when a reader yields fewer rows than the
   /// source reports -- leaving the requested sets empty.
@@ -372,14 +370,14 @@ class MiningEngine {
   Status AddConditionChannels(int condition_index);
   Status AddSumTargetChannels(int target);
   Status AddRegionChannel(int pair_index);
-  /// Per distinct region bucket count, the mask of numeric columns some
+  /// Per distinct region bucket count other than num_buckets (the base
+  /// set covers every column), the mask of numeric columns some
   /// registered pair buckets at that count (x axes contribute their nx,
   /// y axes their ny).
   std::map<int, std::vector<uint8_t>> RegionColumnMasks() const;
-  /// Boundaries of region axis `column` at `num_buckets` (must be
-  /// planned).
-  const bucketing::BucketBoundaries& RegionBoundary(int num_buckets,
-                                                    int column) const;
+  /// Boundaries of attribute `column` at `num_buckets` (must be planned).
+  const bucketing::BucketBoundaries& Boundary(int num_buckets,
+                                              int column) const;
   const bucketing::BucketSums& SumsFor(int range_attr, int k) const {
     return aggregate_sums_[static_cast<size_t>(range_attr)]
                           [static_cast<size_t>(k)];
@@ -410,19 +408,15 @@ class MiningEngine {
   std::vector<std::vector<int>> conditions_;
   std::vector<int> sum_targets_;
   std::vector<RegionPair> region_pairs_;
-  /// Boundary sets: base per attribute, plus the decorrelated generalized
-  /// / aggregate / region sets (planned only when the session uses them).
-  std::vector<bucketing::BucketBoundaries> boundaries_;
-  std::vector<bucketing::BucketBoundaries> generalized_boundaries_;
-  std::vector<bucketing::BucketBoundaries> aggregate_boundaries_;
-  /// Region boundary sets, one per distinct grid bucket count in use
-  /// (rectangular pairs plan their x axis at nx and y axis at ny), each a
-  /// per-attribute vector with placeholders for masked-out columns.
-  std::map<int, std::vector<bucketing::BucketBoundaries>>
-      region_boundaries_;
-  /// Which columns each region set actually planned (a late pair on an
+  /// One boundary set per bucket count, each a per-attribute vector drawn
+  /// from options.seed + the attribute salt: the base set at num_buckets
+  /// (every attribute; plain, generalized, aggregate and same-count region
+  /// channels all bucket through it), plus one per other grid bucket
+  /// count in use, with placeholders for masked-out columns.
+  std::map<int, std::vector<bucketing::BucketBoundaries>> boundary_sets_;
+  /// Which columns each non-base set actually planned (a late pair on an
   /// unplanned (count, column) re-plans that count's set).
-  std::map<int, std::vector<uint8_t>> region_planned_;
+  std::map<int, std::vector<uint8_t>> planned_columns_;
   /// Compacted per-numeric-attribute counts (one v-row per Boolean attr).
   std::vector<bucketing::BucketCounts> counts_;
   /// generalized_counts_[condition][attr], compacted.

@@ -16,6 +16,7 @@
 #include "datagen/bank.h"
 #include "datagen/retail.h"
 #include "datagen/table_generator.h"
+#include "obs/metrics.h"
 #include "rules/miner.h"
 #include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
@@ -1149,24 +1150,160 @@ TEST(SampledPlanningTest, ShortReadsAreCorruptionNotAbort) {
   MiningEngine memory(&relation, options);
   ExpectSameRules(engine.MineAllPairs(), memory.MineAllPairs());
 
-  // A late registration's planning pass fails the same way and rolls the
-  // registration back; the retry re-plans and re-scans.
+  // A late region pair at a bucket count with no boundary set yet (6 !=
+  // num_buckets) needs a planning pass, which fails the same way and rolls
+  // the registration back; the retry re-plans and re-scans.
   source.set_missing(1);
   EXPECT_EQ(engine.RequestRegionPair("num0", "num2").code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(engine.RequestGeneralized({"bool1"}).code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(engine.RequestAverageTarget("num1").code(),
             StatusCode::kCorruption);
   EXPECT_EQ(engine.counting_scans(), 1);
   source.set_missing(0);
   ASSERT_TRUE(engine.RequestRegionPair("num0", "num2").ok());
+  EXPECT_EQ(engine.counting_scans(), 2);
   ExpectSameRegion(engine.MineOptimizedRegion("num0", "num2", "bool0"),
                    memory.MineOptimizedRegion("num0", "num2", "bool0"));
+  // Late generalized and aggregate registrations bucket through the base
+  // set, so they plan nothing and cost only their supplemental scans.
   ExpectSameRuleResults(engine.MineGeneralized("num1", {"bool1"}, "bool0"),
                         memory.MineGeneralized("num1", {"bool1"}, "bool0"));
   ExpectSameAggregate(engine.MineMaximumAverageRange("num0", "num1", 0.1),
                       memory.MineMaximumAverageRange("num0", "num1", 0.1));
+  EXPECT_EQ(engine.counting_scans(), 4);
+}
+
+// Every rule kind at num_buckets shares the base boundary set, so a late
+// generalized or aggregate registration costs its counting scan and no
+// planning pass -- and answers exactly like an up-front registration and
+// the legacy Miner.
+TEST(SampledPlanningTest, LateGeneralizedAndAverageAddNoPlanningPass) {
+  const storage::Relation relation = SmallRelation(6000, 83);
+  MinerOptions options;
+  options.num_buckets = 40;
+  obs::Counter* passes =
+      obs::MetricsRegistry::Default().GetCounter("engine.planning_passes");
+  storage::RelationBatchSource source(&relation, 512);
+  MiningEngine late(&source, relation.schema(), options);
+  ASSERT_TRUE(late.TryPrepare().ok());
+  const int64_t planned = passes->Value();
+  EXPECT_EQ(late.counting_scans(), 1);
+
+  ASSERT_TRUE(late.RequestGeneralized({"bool1"}).ok());
+  EXPECT_EQ(passes->Value(), planned);
+  EXPECT_EQ(late.counting_scans(), 2);
+  ASSERT_TRUE(late.RequestAverageTarget("num2").ok());
+  EXPECT_EQ(passes->Value(), planned);
+  EXPECT_EQ(late.counting_scans(), 3);
+
+  MiningEngine early(&relation, options);
+  ASSERT_TRUE(early.RequestGeneralized({"bool1"}).ok());
+  ASSERT_TRUE(early.RequestAverageTarget("num2").ok());
+  Miner legacy(&relation, options);
+  for (const char* attr : {"num0", "num1", "num2"}) {
+    SCOPED_TRACE(attr);
+    ExpectSameRuleResults(late.MineGeneralized(attr, {"bool1"}, "bool0"),
+                          early.MineGeneralized(attr, {"bool1"}, "bool0"));
+    ExpectSameRuleResults(late.MineGeneralized(attr, {"bool1"}, "bool0"),
+                          legacy.MineGeneralized(attr, {"bool1"}, "bool0"));
+    ExpectSameAggregate(late.MineMaximumAverageRange(attr, "num2", 0.1),
+                        early.MineMaximumAverageRange(attr, "num2", 0.1));
+    ExpectSameAggregate(late.MineMaximumAverageRange(attr, "num2", 0.1),
+                        legacy.MineMaximumAverageRange(attr, "num2", 0.1));
+  }
+  EXPECT_EQ(early.counting_scans(), 1);
+  EXPECT_EQ(late.counting_scans(), 3);
+}
+
+// A region axis bucketed at num_buckets IS the base set: registering the
+// pair up front plans nothing beyond the base sample (one S per attribute
+// at M), and a late pair at that count costs only its counting scan.
+TEST(SampledPlanningTest, RegionPairAtBaseCountReusesBaseCutPoints) {
+  const storage::Relation relation = SmallRelation(6000, 84);
+  MinerOptions options;
+  options.num_buckets = 16;
+  options.region_grid_buckets = 16;
+  obs::Counter* passes =
+      obs::MetricsRegistry::Default().GetCounter("engine.planning_passes");
+  storage::RelationBatchSource source(&relation, 512);
+
+  MiningEngine plain(&source, relation.schema(), options);
+  const int64_t before = passes->Value();
+  ASSERT_TRUE(plain.TryPrepare().ok());
+  EXPECT_EQ(passes->Value(), before + 1);
+  ASSERT_TRUE(plain.RequestRegionPair("num0", "num1").ok());
+  EXPECT_EQ(passes->Value(), before + 1);
+  EXPECT_EQ(plain.counting_scans(), 2);
+
+  MiningEngine early(&relation, options);
+  ASSERT_TRUE(early.RequestRegionPair("num0", "num1").ok());
+  ASSERT_TRUE(early.TryPrepare().ok());
+  EXPECT_EQ(passes->Value(), before + 2);
+  EXPECT_EQ(early.counting_scans(), 1);
+
+  // Same cut points on every path: the grid rows (and so every region
+  // answer) agree with the base-set engine, the up-front engine, and the
+  // legacy Miner's per-axis bucketing at this count.
+  Miner legacy(&relation, options);
+  for (const char* target : {"bool0", "bool1"}) {
+    SCOPED_TRACE(target);
+    ExpectSameRegion(plain.MineOptimizedRegion("num0", "num1", target),
+                     early.MineOptimizedRegion("num0", "num1", target));
+    ExpectSameRegion(plain.MineOptimizedRegion("num0", "num1", target),
+                     legacy.MineOptimizedRegion("num0", "num1", target));
+  }
+  ExpectSameRules(plain.MineAllPairs(), early.MineAllPairs());
+}
+
+// A base channel that carries sum targets hands out u/min/max to BOTH its
+// counts and its sums, whichever is taken first.
+TEST(MultiCountTest, TakeBucketSumsAndTakeCountsKeepBothResults) {
+  const storage::Relation relation = RelationWithNans(3000, 85);
+  bucketing::BoundaryPlan boundary_plan;
+  boundary_plan.num_buckets = 50;
+  const BucketBoundaries boundaries = bucketing::BuildBoundaries(
+      relation.NumericColumn(0), boundary_plan, 0);
+  const auto make_spec = [&boundaries] {
+    bucketing::MultiCountSpec spec;
+    spec.num_targets = 2;
+    bucketing::CountChannel channel;
+    channel.column = 0;
+    channel.boundaries = &boundaries;
+    channel.sum_targets = {1, 2};
+    spec.channels.push_back(std::move(channel));
+    return spec;
+  };
+  for (const bool sums_first : {true, false}) {
+    SCOPED_TRACE(sums_first);
+    MultiCountPlan plan(make_spec());
+    storage::RelationBatchSource source(&relation, 700);
+    bucketing::ExecuteMultiCount(source, &plan, nullptr);
+    const BucketCounts counts = plan.counts(0);
+    const bucketing::BucketSums sums[] = {plan.MakeBucketSums(0, 0),
+                                          plan.MakeBucketSums(0, 1)};
+    BucketCounts taken_counts;
+    std::vector<bucketing::BucketSums> taken_sums;
+    if (!sums_first) taken_counts = plan.TakeCounts(0);
+    taken_sums.push_back(plan.TakeBucketSums(0, 0));
+    taken_sums.push_back(plan.TakeBucketSums(0, 1));
+    if (sums_first) taken_counts = plan.TakeCounts(0);
+    EXPECT_EQ(taken_counts.u, counts.u);
+    EXPECT_EQ(taken_counts.v, counts.v);
+    EXPECT_EQ(taken_counts.total_tuples, counts.total_tuples);
+    ASSERT_EQ(taken_counts.min_value.size(), counts.min_value.size());
+    for (size_t b = 0; b < counts.min_value.size(); ++b) {
+      ExpectSameDouble(taken_counts.min_value[b], counts.min_value[b]);
+      ExpectSameDouble(taken_counts.max_value[b], counts.max_value[b]);
+    }
+    for (size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(taken_sums[k].u, counts.u);
+      EXPECT_EQ(taken_sums[k].u, sums[k].u);
+      ASSERT_EQ(taken_sums[k].sum.size(), sums[k].sum.size());
+      for (size_t b = 0; b < sums[k].sum.size(); ++b) {
+        ExpectSameDouble(taken_sums[k].sum[b], sums[k].sum[b]);
+        ExpectSameDouble(taken_sums[k].min_value[b], counts.min_value[b]);
+        ExpectSameDouble(taken_sums[k].max_value[b], counts.max_value[b]);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------- wide-schema coverage ----

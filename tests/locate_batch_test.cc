@@ -7,6 +7,12 @@
 // arm must be bit-identical to the reference everywhere, including the
 // NaN -> kNoBucket policy; the guide-shape assertions pin which layouts
 // the guide table narrows and which take the one-slot full search.
+//
+// The same file pins the target kernels (pack_targets, scatter_targets)
+// of every arm against plain per-target loops, and the fused counting
+// plan against the OPTRULES_FORCE_SCALAR reference arm: plain,
+// conditional, sum-riding and grid channels over NaN-laden batches, read
+// before any take, merged from partials, and serialized byte for byte.
 
 #include <algorithm>
 #include <cmath>
@@ -18,9 +24,13 @@
 #include <gtest/gtest.h>
 
 #include "bucketing/boundaries.h"
+#include "bucketing/counting.h"
 #include "bucketing/equiwidth.h"
+#include "bucketing/simd_kernels.h"
 #include "common/rng.h"
 #include "fuzz_seed.h"
+#include "storage/columnar_batch.h"
+#include "storage/relation.h"
 
 namespace optrules::bucketing {
 namespace {
@@ -411,6 +421,308 @@ TEST(LocateBatchTest, NaNAlwaysMapsToNoBucket) {
   EXPECT_EQ(out[2], BucketBoundaries::kNoBucket);
   EXPECT_EQ(out[3], BucketBoundaries::kNoBucket);
   EXPECT_EQ(out[4], 2);
+}
+
+// ------------------------------------------------ target kernels ----
+
+using TargetBlock = std::vector<int64_t, CacheLineAllocator<int64_t>>;
+
+constexpr int kTargetCounts[] = {0, 1, 7, 8, 9, 16, 17};
+
+/// T random Boolean columns of n rows; nonzero bytes other than 1 check
+/// the kernels' != 0 test.
+std::vector<std::vector<uint8_t>> RandomTargets(int num_targets, size_t n,
+                                                Rng& rng) {
+  std::vector<std::vector<uint8_t>> columns(
+      static_cast<size_t>(num_targets), std::vector<uint8_t>(n));
+  for (auto& column : columns) {
+    for (uint8_t& byte : column) {
+      const int64_t draw = rng.NextInt(0, 5);
+      byte = draw < 3 ? 0 : static_cast<uint8_t>(draw == 3 ? 1 : 0x80 + draw);
+    }
+  }
+  return columns;
+}
+
+int PlaneCount(int num_targets, size_t g) {
+  return std::min(8, num_targets - static_cast<int>(8 * g));
+}
+
+TEST(TargetKernelsTest, PackMatchesReferenceOnEveryArm) {
+  Rng rng(testfuzz::FuzzSeed(5150));
+  for (const int num_targets : kTargetCounts) {
+    const auto columns = RandomTargets(num_targets, 1000, rng);
+    const size_t planes = (static_cast<size_t>(num_targets) + 7) / 8;
+    for (const simd::Kernels* kernels : simd::AvailableKernels()) {
+      for (const size_t n : {size_t{0}, size_t{1}, size_t{31}, size_t{32},
+                             size_t{33}, size_t{65}, size_t{1000}}) {
+        SCOPED_TRACE(testing::Message() << "arm=" << kernels->name
+                                        << " T=" << num_targets
+                                        << " n=" << n);
+        for (size_t g = 0; g < planes; ++g) {
+          const int count = PlaneCount(num_targets, g);
+          std::vector<const uint8_t*> pointers;
+          for (int t = 0; t < count; ++t) {
+            pointers.push_back(columns[8 * g + static_cast<size_t>(t)].data());
+          }
+          std::vector<uint8_t> plane(n, 0xa5);  // poison
+          kernels->pack_targets(pointers.data(), count, n, plane.data());
+          for (size_t i = 0; i < n; ++i) {
+            unsigned want = 0;
+            for (int t = 0; t < count; ++t) {
+              if (pointers[static_cast<size_t>(t)][i] != 0) want |= 1u << t;
+            }
+            ASSERT_EQ(plane[i], want) << "plane " << g << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Scatters `columns` over `buckets` (rows through `sel` when non-null)
+/// with every arm and checks the block against per-target loops; the
+/// block starts from nonzero counts, so the scatter must ADD.
+void ExpectScatterMatchesReference(
+    const std::vector<std::vector<uint8_t>>& columns,
+    const std::vector<int32_t>& buckets, const std::vector<int32_t>* sel,
+    int num_buckets) {
+  const int num_targets = static_cast<int>(columns.size());
+  const size_t n = buckets.size();
+  const size_t m = sel != nullptr ? sel->size() : n;
+  bool has_no_bucket = false;
+  for (const int32_t b : buckets) has_no_bucket |= b < 0;
+  const auto slots = static_cast<size_t>(num_buckets);
+  const size_t planes = (columns.size() + 7) / 8;
+  for (const simd::Kernels* kernels : simd::AvailableKernels()) {
+    for (const bool guard : {true, false}) {
+      if (!guard && has_no_bucket) continue;
+      SCOPED_TRACE(testing::Message()
+                   << "arm=" << kernels->name << " T=" << num_targets
+                   << " sel=" << (sel != nullptr) << " guard=" << guard);
+      for (size_t g = 0; g < planes; ++g) {
+        const int count = PlaneCount(num_targets, g);
+        std::vector<const uint8_t*> pointers;
+        for (int t = 0; t < count; ++t) {
+          pointers.push_back(columns[8 * g + static_cast<size_t>(t)].data());
+        }
+        std::vector<uint8_t> plane(n);
+        simd::ScalarKernels().pack_targets(pointers.data(), count, n,
+                                           plane.data());
+        TargetBlock block(slots * 8);
+        for (size_t i = 0; i < block.size(); ++i) {
+          block[i] = static_cast<int64_t>(i % 5);
+        }
+        kernels->scatter_targets(buckets.data(),
+                                 sel != nullptr ? sel->data() : nullptr, m,
+                                 plane.data(), block.data(), guard);
+        std::vector<int64_t> want(slots * 8);
+        for (size_t i = 0; i < want.size(); ++i) {
+          want[i] = static_cast<int64_t>(i % 5);
+        }
+        for (int t = 0; t < count; ++t) {
+          for (size_t k = 0; k < m; ++k) {
+            const size_t row =
+                sel != nullptr ? static_cast<size_t>((*sel)[k]) : k;
+            if (buckets[row] < 0) continue;
+            want[8 * static_cast<size_t>(buckets[row]) +
+                 static_cast<size_t>(t)] +=
+                pointers[static_cast<size_t>(t)][row] != 0 ? 1 : 0;
+          }
+        }
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(block[i], want[i])
+              << "plane " << g << " bucket " << i / 8 << " lane " << i % 8;
+        }
+      }
+    }
+  }
+}
+
+TEST(TargetKernelsTest, ScatterMatchesReferenceOnEveryArm) {
+  Rng rng(testfuzz::FuzzSeed(5151));
+  constexpr int kBuckets = 37;
+  constexpr size_t kRows = 777;
+  for (const int num_targets : kTargetCounts) {
+    const auto columns = RandomTargets(num_targets, kRows, rng);
+    std::vector<int32_t> sel;
+    for (size_t row = 0; row < kRows; ++row) {
+      if (rng.NextBernoulli(0.4)) sel.push_back(static_cast<int32_t>(row));
+    }
+    // Random buckets; the same with kNoBucket rows; every row in the first
+    // bucket, then every row in the last.
+    std::vector<std::vector<int32_t>> layouts(4, std::vector<int32_t>(kRows));
+    for (size_t row = 0; row < kRows; ++row) {
+      layouts[0][row] = static_cast<int32_t>(rng.NextInt(0, kBuckets - 1));
+      layouts[1][row] = rng.NextBernoulli(0.2)
+                            ? BucketBoundaries::kNoBucket
+                            : layouts[0][row];
+      layouts[2][row] = 0;
+      layouts[3][row] = kBuckets - 1;
+    }
+    for (size_t l = 0; l < layouts.size(); ++l) {
+      SCOPED_TRACE(testing::Message() << "layout " << l);
+      ExpectScatterMatchesReference(columns, layouts[l], nullptr, kBuckets);
+      ExpectScatterMatchesReference(columns, layouts[l], &sel, kBuckets);
+    }
+  }
+}
+
+// ------------------------------------- fused plan vs reference arm ----
+
+/// 3 numeric columns with NaN stretches, T Boolean targets (bytes 0, 1
+/// and other nonzero values).
+storage::Relation NanLadenRelation(int num_targets, int64_t rows,
+                                   uint64_t seed) {
+  storage::Relation relation(storage::Schema::Synthetic(3, num_targets));
+  Rng rng(seed);
+  for (int a = 0; a < 3; ++a) {
+    std::vector<double>& column = relation.MutableNumericColumn(a);
+    column.resize(static_cast<size_t>(rows));
+    for (int64_t row = 0; row < rows; ++row) {
+      column[static_cast<size_t>(row)] =
+          (row + a) % (5 + 2 * a) == 0 ? kNaN : rng.NextUniform(-50.0, 50.0);
+    }
+  }
+  const auto columns =
+      RandomTargets(num_targets, static_cast<size_t>(rows), rng);
+  for (int t = 0; t < num_targets; ++t) {
+    relation.MutableBooleanColumn(t) = columns[static_cast<size_t>(t)];
+  }
+  relation.SetRowCountAfterColumnFill(rows);
+  return relation;
+}
+
+/// Plain channels over every column (column 0 carrying two sum targets),
+/// two conditional channels, and a rectangular grid.
+MultiCountSpec FusedSpec(const std::vector<BucketBoundaries>& boundaries,
+                         int num_targets) {
+  MultiCountSpec spec;
+  spec.num_targets = num_targets;
+  spec.conditions = {{0}, {0, num_targets - 1}};
+  for (int a = 0; a < 3; ++a) {
+    CountChannel channel;
+    channel.column = a;
+    channel.boundaries = &boundaries[static_cast<size_t>(a)];
+    if (a == 0) channel.sum_targets = {1, 2};
+    spec.channels.push_back(std::move(channel));
+  }
+  for (int c = 0; c < 2; ++c) {
+    CountChannel channel;
+    channel.column = c + 1;
+    channel.boundaries = &boundaries[static_cast<size_t>(c + 1)];
+    channel.condition = c;
+    spec.channels.push_back(std::move(channel));
+  }
+  GridChannel grid;
+  grid.x_column = 0;
+  grid.x_boundaries = &boundaries[0];
+  grid.y_column = 2;
+  grid.y_boundaries = &boundaries[3];
+  spec.grid_channels.push_back(grid);
+  return spec;
+}
+
+void ExpectSameDoubles(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i])) {
+      EXPECT_TRUE(std::isnan(b[i])) << i;
+    } else {
+      EXPECT_EQ(a[i], b[i]) << i;
+    }
+  }
+}
+
+void ExpectSamePlans(const MultiCountPlan& a, const MultiCountPlan& b) {
+  ASSERT_EQ(a.num_channels(), b.num_channels());
+  for (int c = 0; c < a.num_channels(); ++c) {
+    SCOPED_TRACE(testing::Message() << "channel " << c);
+    EXPECT_EQ(a.counts(c).u, b.counts(c).u);
+    EXPECT_EQ(a.counts(c).v, b.counts(c).v);
+    EXPECT_EQ(a.counts(c).total_tuples, b.counts(c).total_tuples);
+    ExpectSameDoubles(a.counts(c).min_value, b.counts(c).min_value);
+    ExpectSameDoubles(a.counts(c).max_value, b.counts(c).max_value);
+    for (int k = 0; k < static_cast<int>(a.spec().channels[static_cast<size_t>(
+                                               c)].sum_targets.size());
+         ++k) {
+      ExpectSameDoubles(a.MakeBucketSums(c, k).sum, b.MakeBucketSums(c, k).sum);
+    }
+  }
+  ASSERT_EQ(a.num_grid_channels(), b.num_grid_channels());
+  for (int g = 0; g < a.num_grid_channels(); ++g) {
+    EXPECT_EQ(a.grid_counts(g).u, b.grid_counts(g).u);
+    EXPECT_EQ(a.grid_counts(g).v, b.grid_counts(g).v);
+    EXPECT_EQ(a.grid_counts(g).total_tuples, b.grid_counts(g).total_tuples);
+  }
+}
+
+/// Accumulates the relation's batches [first, last) into `plan`.
+void AccumulateBatches(const storage::Relation& relation, size_t first,
+                       size_t last, MultiCountPlan* plan) {
+  storage::RelationBatchSource source(&relation, 300);
+  std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
+  storage::ColumnarBatch batch;
+  for (size_t i = 0; reader->Next(&batch) && i < last; ++i) {
+    if (i >= first) plan->Accumulate(batch);
+  }
+}
+
+TEST(FusedScatterTest, PlanMatchesForceScalarReferenceArm) {
+  for (const int num_targets : {1, 8, 9, 17}) {
+    SCOPED_TRACE(testing::Message() << "T=" << num_targets);
+    const storage::Relation relation =
+        NanLadenRelation(num_targets, 2500, 600 + num_targets);
+    std::vector<BucketBoundaries> boundaries;
+    for (const int buckets : {20, 27, 34, 6}) {
+      boundaries.push_back(BucketBoundaries::FromEquiWidth(
+          -50.0, 100.0 / buckets, buckets));
+    }
+    const MultiCountSpec spec = FusedSpec(boundaries, num_targets);
+
+    simd::SetForceScalarForTest(true);
+    MultiCountPlan reference(spec);
+    AccumulateBatches(relation, 0, 100, &reference);
+    simd::SetForceScalarForTest(false);
+    MultiCountPlan fused(spec);
+    AccumulateBatches(relation, 0, 100, &fused);
+    // Read before any take: the const readers fold the blocks in.
+    ExpectSamePlans(fused, reference);
+
+    // Two merged fused partials equal the serial scan (and the block of a
+    // partial that was never read folds in through Merge).
+    MultiCountPlan head(spec);
+    MultiCountPlan tail(spec);
+    AccumulateBatches(relation, 0, 4, &head);
+    AccumulateBatches(relation, 4, 100, &tail);
+    head.Merge(tail);
+    ExpectSamePlans(head, reference);
+
+    // Partial-state bytes are identical across arms, and a fused partial
+    // round-trips into a plan that had already accumulated (its unfolded
+    // block must not leak into the loaded state).
+    std::vector<uint8_t> fused_bytes;
+    std::vector<uint8_t> reference_bytes;
+    MultiCountPlan unread(spec);
+    AccumulateBatches(relation, 0, 100, &unread);
+    unread.AppendPartialState(&fused_bytes);
+    reference.AppendPartialState(&reference_bytes);
+    EXPECT_EQ(fused_bytes, reference_bytes);
+    MultiCountPlan loaded(spec);
+    AccumulateBatches(relation, 0, 3, &loaded);
+    ASSERT_TRUE(loaded.LoadPartialState(fused_bytes).ok());
+    ExpectSamePlans(loaded, reference);
+
+    // Takes see the same counts as the reference arm's.
+    MultiCountPlan taken(spec);
+    AccumulateBatches(relation, 0, 100, &taken);
+    for (int c = 0; c < taken.num_channels(); ++c) {
+      const BucketCounts counts = taken.TakeCounts(c);
+      EXPECT_EQ(counts.v, reference.counts(c).v) << c;
+    }
+    EXPECT_EQ(taken.TakeGridCounts(0).v, reference.grid_counts(0).v);
+  }
 }
 
 }  // namespace

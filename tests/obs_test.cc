@@ -305,7 +305,8 @@ TEST(Trace, OrphanedSpansPromoteToRoots) {
 // The boundary-planning pass is a full data pass, so it is traced and
 // counted like the counting scan: one `engine.plan` span (a sibling of the
 // scan, never its parent) and one `engine.planning_passes` bump per
-// planning pass, with supplemental passes for late registrations.
+// planning pass. A late registration plans only when it needs a bucket
+// count with no boundary set yet.
 TEST(EngineObservability, PlanningPassesAreTracedAndCounted) {
   datagen::TableConfig config;
   config.num_rows = 20000;
@@ -331,11 +332,14 @@ TEST(EngineObservability, PlanningPassesAreTracedAndCounted) {
     ASSERT_TRUE(engine.TryPrepare().ok());
   }
   EXPECT_EQ(passes->Value(), before + 1);
-  // A late channel whose boundary set is unplanned pays one more pass; a
-  // second one reuses that set and pays only its counting scan.
+  // Aggregate targets bucket through the base set: no planning pass.
   ASSERT_TRUE(engine.RequestAverageTarget("num1").ok());
+  EXPECT_EQ(passes->Value(), before + 1);
+  // A region grid at a new bucket count pays one pass; a second pair on
+  // the already-planned (attribute, count) slots pays only its scan.
+  ASSERT_TRUE(engine.RequestRegionPair("num0", "num1", 8, 8).ok());
   EXPECT_EQ(passes->Value(), before + 2);
-  ASSERT_TRUE(engine.RequestAverageTarget("num2").ok());
+  ASSERT_TRUE(engine.RequestRegionPair("num1", "num0", 8, 8).ok());
   EXPECT_EQ(passes->Value(), before + 2);
   tracer.set_enabled(false);
   const std::vector<SpanRecord> spans = tracer.Snapshot();
