@@ -174,7 +174,9 @@ int main() {
 
   // Out-of-core: the same session shape over a PagedFile, synchronous and
   // double-buffered.
-  const std::string path = "/tmp/optrules_ext_two_dim.optr";
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+                           "/optrules_ext_two_dim.optr";
   if (!optrules::storage::WriteRelationToFile(relation, path).ok()) return 1;
   double paged_seconds[2] = {0.0, 0.0};
   optrules::rules::MinedRegion paged_region[2];

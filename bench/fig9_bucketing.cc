@@ -15,8 +15,12 @@
 // The paper runs N = 5*10^5 .. 5*10^6 on 1996 hardware; the default here
 // is N = 5*10^4 .. 4*10^5 so the whole harness stays in seconds. Set
 // OPTRULES_BENCH_SCALE to grow N (e.g. 12 reaches the paper's 6*10^6).
+// Tables and sort runs live under $TMPDIR (default /tmp) and are removed
+// at exit; OPTRULES_BENCH_JSON=1 adds per-N timings, Alg. 3.1's planning
+// share (alg31_plan_seconds_n*) included.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -62,16 +66,21 @@ int64_t CountAttribute(optrules::storage::BatchSource& source, int attr,
   return plan.total_tuples();
 }
 
-double RunAlgorithm31(const std::string& table_path) {
+/// Algorithm 3.1 over every numeric attribute; `plan_seconds` receives
+/// the boundary-planning share (draw, gather, sort the sample, cut).
+double RunAlgorithm31(const std::string& table_path, double* plan_seconds) {
   optrules::WallTimer timer;
   optrules::storage::BufferPool pool(0);
   const auto source = OpenTable(table_path, &pool);
+  *plan_seconds = 0.0;
   for (int attr = 0; attr < source->num_numeric(); ++attr) {
     const optrules::bucketing::SampledColumn column{
         attr, kBuckets, 100 + static_cast<uint64_t>(attr)};
+    optrules::WallTimer plan_timer;
     auto boundaries = optrules::bucketing::SampleBoundaries(
         *source, {&column, 1},
         optrules::bucketing::SamplerOptions{}.sample_per_bucket);
+    *plan_seconds += plan_timer.ElapsedSeconds();
     OPTRULES_CHECK(boundaries.ok());
     OPTRULES_CHECK(
         CountAttribute(*source, attr, boundaries.value().front()) > 0);
@@ -123,7 +132,9 @@ double RunVerticalSplitSort(const std::string& table_path,
 
 int main() {
   const int64_t scale = optrules::bench::BenchScale();
-  const std::string temp_dir = "/tmp";
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string temp_dir = tmpdir != nullptr ? tmpdir : "/tmp";
+  optrules::bench::JsonReporter json("fig9_bucketing");
 
   optrules::bench::PrintHeader(
       "Figure 9: bucketing performance (1000 buckets, 8 numeric x 8 "
@@ -133,7 +144,6 @@ int main() {
   optrules::bench::PrintRule(78);
 
   bool shape_ok = true;
-  double last_alg = 0.0;
   for (const int64_t base_n : {50000, 100000, 200000, 400000}) {
     const int64_t n = base_n * scale;
     const std::string table_path =
@@ -145,22 +155,27 @@ int main() {
         optrules::datagen::GenerateTableToFile(config, rng, table_path)
             .ok());
 
-    const double alg = RunAlgorithm31(table_path);
+    double alg_plan = 0.0;
+    const double alg = RunAlgorithm31(table_path, &alg_plan);
     const double naive = RunNaiveSort(table_path, temp_dir);
     const double vsplit = RunVerticalSplitSort(table_path, temp_dir);
+    const std::string suffix = "_n" + std::to_string(n);
+    json.Add("alg31_seconds" + suffix, alg);
+    json.Add("alg31_plan_seconds" + suffix, alg_plan);
+    json.Add("naive_sort_seconds" + suffix, naive);
+    json.Add("vsplit_seconds" + suffix, vsplit);
     std::printf("%10lld %14.3f %14.3f %14.3f %10.2f %10.2f\n",
                 static_cast<long long>(n), alg, naive, vsplit, naive / alg,
                 vsplit / alg);
     // Paper shape: Alg 3.1 fastest; Vertical Split between; near-linear
     // growth of Alg 3.1.
     if (naive < alg || vsplit < alg || naive < vsplit) shape_ok = false;
-    last_alg = alg;
   }
   optrules::bench::PrintRule(78);
   std::printf("Shape check (Alg3.1 < VerticalSplit < NaiveSort at every "
               "N): %s\n",
               shape_ok ? "yes" : "NO");
-  (void)last_alg;
+  json.Add("shape_ok", shape_ok);
   for (const int64_t base_n : {50000, 100000, 200000, 400000}) {
     const int64_t n = base_n * scale;
     std::remove((temp_dir + "/fig9_table_" + std::to_string(n) + ".optr")

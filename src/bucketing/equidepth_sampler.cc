@@ -1,31 +1,70 @@
 #include "bucketing/equidepth_sampler.h"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
 
 namespace optrules::bucketing {
 
+namespace {
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+/// A key whose unsigned order is the numeric order of non-NaN doubles,
+/// with -0.0 below +0.0: negative values get every bit flipped (larger
+/// magnitudes sort lower), the rest only the sign bit.
+uint64_t OrderedKey(double value) {
+  const auto bits = std::bit_cast<uint64_t>(value);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double FromOrderedKey(uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                     : ~key);
+}
+
+}  // namespace
+
+void SortSample(std::vector<double>& values) {
+  std::vector<uint64_t> keys;
+  keys.reserve(values.size());
+  for (const double value : values) {
+    if (!std::isnan(value)) keys.push_back(OrderedKey(value));
+  }
+  const size_t n = keys.size();
+  values.resize(n);
+  if (n == 0) return;
+
+  // One pass histograms all eight key bytes; each byte then costs one
+  // stable scatter pass, least significant first.
+  std::array<std::array<size_t, 256>, 8> offsets{};
+  for (const uint64_t key : keys) {
+    for (size_t d = 0; d < 8; ++d) ++offsets[d][(key >> (8 * d)) & 0xff];
+  }
+  std::vector<uint64_t> scratch(n);
+  for (size_t d = 0; d < 8; ++d) {
+    std::array<size_t, 256>& offset = offsets[d];
+    const size_t shift = 8 * d;
+    if (offset[(keys[0] >> shift) & 0xff] == n) continue;  // shared byte
+    size_t begin = 0;
+    for (size_t& slot : offset) {
+      const size_t count = slot;
+      slot = begin;
+      begin += count;
+    }
+    for (const uint64_t key : keys) {
+      scratch[offset[(key >> shift) & 0xff]++] = key;
+    }
+    keys.swap(scratch);
+  }
+  for (size_t i = 0; i < n; ++i) values[i] = FromOrderedKey(keys[i]);
+}
+
 BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
                                       int num_buckets) {
-  // NaN sample values belong to no bucket (the repo-wide NaN policy) and
-  // violate std::sort's strict weak ordering, so drop them before the
-  // quantile step.
-  sample.erase(std::remove_if(sample.begin(), sample.end(),
-                              [](double v) { return std::isnan(v); }),
-               sample.end());
-  std::sort(sample.begin(), sample.end());
-  // `<` leaves the relative order of -0.0 and +0.0 unspecified (they
-  // compare equal; any other equal doubles are bitwise identical), so the
-  // zero run is rewritten negatives-first: the sorted sample, and with it
-  // every cut point, is then a function of the sample multiset alone.
-  const auto [zeros_begin, zeros_end] =
-      std::equal_range(sample.begin(), sample.end(), 0.0);
-  const auto negative_zeros = std::count_if(
-      zeros_begin, zeros_end, [](double v) { return std::signbit(v); });
-  std::fill(zeros_begin, zeros_begin + negative_zeros, -0.0);
-  std::fill(zeros_begin + negative_zeros, zeros_end, 0.0);
+  SortSample(sample);
   return BucketBoundaries::FromSortedValues(sample, num_buckets);
 }
 
@@ -76,7 +115,7 @@ Result<std::vector<BucketBoundaries>> SampleBoundaries(
     for (double& slot : sample) {
       slot = static_cast<double>(rng.NextBounded(static_cast<uint64_t>(rows)));
     }
-    std::sort(sample.begin(), sample.end());
+    SortSample(sample);
   }
 
   // Step 1, gather: every column advances its own cursor through its

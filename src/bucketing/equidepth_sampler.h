@@ -14,7 +14,7 @@
 // O(S) generator draws per column rather than random reads or one draw per
 // row. Given the same generator seed and row count the two samples are
 // the same multiset, and because the quantile step's sort is a total order
-// the cut points are bit-identical whatever the gather order.
+// (SortSample) the cut points are bit-identical whatever the gather order.
 
 #ifndef OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
 #define OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
@@ -66,10 +66,18 @@ Result<std::vector<BucketBoundaries>> SampleBoundaries(
     storage::BatchSource& source, std::span<const SampledColumn> columns,
     int64_t sample_per_bucket);
 
-/// Algorithm 3.1 steps 2-3 over a drawn sample (consumed): drops NaN
-/// values (they belong to no bucket), sorts the rest under a total order
-/// that puts -0.0 before +0.0, and takes every (S/M)-th value as a cut
-/// point. The result depends only on the sample's multiset of values.
+/// The sample ordering contract of every quantile step (Algorithm 3.1's
+/// step 2 here, ExactEquiDepthBoundaries' full sort too): NaN values are
+/// dropped -- they belong to no bucket -- and the rest are sorted
+/// ascending with -0.0 before +0.0, so the result is a function of the
+/// input multiset alone, whatever its order. An LSD radix sort, one pass
+/// per byte of an order-preserving 64-bit key (a byte every key shares
+/// costs no pass): O(n) work and two n-element scratch arrays.
+void SortSample(std::vector<double>& values);
+
+/// Algorithm 3.1 steps 2-3 over a drawn sample (consumed): SortSample,
+/// then every (S/M)-th value becomes a cut point. The result depends only
+/// on the sample's multiset of values.
 BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
                                       int num_buckets);
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "bucketing/equidepth_sampler.h"
 #include "storage/buffer_pool.h"
 #include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
@@ -148,15 +149,11 @@ std::vector<uint8_t> V1Header(int num_numeric, int num_boolean,
 BucketBoundaries ExactEquiDepthBoundaries(std::span<const double> values,
                                           int num_buckets) {
   OPTRULES_CHECK(num_buckets >= 1);
-  std::vector<double> sorted;
-  sorted.reserve(values.size());
-  // NaN values belong to no bucket (the repo-wide NaN policy) and violate
-  // std::sort's strict weak ordering; plan the depths over the finite
-  // values only.
-  for (const double value : values) {
-    if (!std::isnan(value)) sorted.push_back(value);
-  }
-  std::sort(sorted.begin(), sorted.end());
+  // NaN values belong to no bucket (the repo-wide NaN policy): SortSample
+  // drops them, so the depths are planned over the numbers only, and its
+  // -0.0-first order keeps a zero cut's sign independent of row order.
+  std::vector<double> sorted(values.begin(), values.end());
+  SortSample(sorted);
   return BucketBoundaries::FromSortedValues(sorted, num_buckets);
 }
 

@@ -88,9 +88,11 @@ void SweepBands(const GridCounts& grid, PerBand per_band) {
 RegionRule OptimizedConfidenceRectangle(const GridCounts& grid,
                                         int64_t min_support_count) {
   RegionRule best;
+  rules::SlopePairContext context;  // one hull buffer for every band
   SweepBands(grid, [&](const Band& band, int y1, int y2) {
+    context.Assign(band.u, band.v);
     const rules::RangeRule rule = rules::OptimizedConfidenceRule(
-        band.u, band.v, grid.total_tuples(), min_support_count);
+        context, band.u, band.v, grid.total_tuples(), min_support_count);
     if (!rule.found) return;
     const bool better =
         !best.found ||
@@ -110,9 +112,10 @@ RegionRule OptimizedConfidenceRectangle(const GridCounts& grid,
 RegionRule OptimizedSupportRectangle(const GridCounts& grid,
                                      Ratio min_confidence) {
   RegionRule best;
+  rules::OptimizedSupportScratch scratch;  // one for every band
   SweepBands(grid, [&](const Band& band, int y1, int y2) {
     const rules::RangeRule rule = rules::OptimizedSupportRule(
-        band.u, band.v, grid.total_tuples(), min_confidence);
+        band.u, band.v, grid.total_tuples(), min_confidence, scratch);
     if (!rule.found) return;
     if (!best.found || rule.support_count > best.support_count) {
       FillRegion(grid, band, rule.s, rule.t, y1, y2, rule.support_count,

@@ -23,8 +23,9 @@ RangeAggregate MaximumSupportRange(std::span<const int64_t> u,
            static_cast<long double>(min_average) *
                static_cast<long double>(u[static_cast<size_t>(i)]);
   };
+  internal::MaxSupportScratch<long double> scratch;
   const internal::MaxSupportScanResult result =
-      internal::ScanMaxSupport<long double>(u, gain);
+      internal::ScanMaxSupport(u, gain, scratch);
   if (!result.found) return RangeAggregate{};
   return MakeRangeAggregate(u, v, result.s, result.t);
 }

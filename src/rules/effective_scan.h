@@ -29,25 +29,38 @@ struct MaxSupportScanResult {
   int t = -1;
 };
 
+/// The scan's O(M) working arrays. A loop that scans many bucket arrays
+/// owns one and passes it to every call, so the scans allocate only while
+/// the arrays grow.
+template <typename GainT>
+struct MaxSupportScratch {
+  std::vector<GainT> f;          // F(j) = sum_{i<j} g_i
+  std::vector<int64_t> x;        // cumulative tuple counts
+  std::vector<int> effective;    // effective start indices, ascending
+};
+
 /// Finds the maximum-support range with non-negative total gain.
 /// `gain(i)` returns GainT for bucket i; GainT must be a signed numeric
 /// type closed under addition for M terms (the callers use __int128 /
 /// long double).
 template <typename GainT, typename GainFn>
-MaxSupportScanResult ScanMaxSupport(std::span<const int64_t> u,
-                                    GainFn gain) {
+MaxSupportScanResult ScanMaxSupport(std::span<const int64_t> u, GainFn gain,
+                                    MaxSupportScratch<GainT>& scratch) {
   const int m = static_cast<int>(u.size());
   MaxSupportScanResult best;
   if (m == 0) return best;
 
   // Cumulative gain table F(j) = sum_{i<j} g_i (Algorithm 4.4's table).
-  std::vector<GainT> f(static_cast<size_t>(m) + 1);
+  std::vector<GainT>& f = scratch.f;
+  f.resize(static_cast<size_t>(m) + 1);
   f[0] = GainT(0);
   for (int i = 0; i < m; ++i) {
     f[static_cast<size_t>(i) + 1] = f[static_cast<size_t>(i)] + gain(i);
   }
   // Cumulative tuple counts for support comparison.
-  std::vector<int64_t> x(static_cast<size_t>(m) + 1, 0);
+  std::vector<int64_t>& x = scratch.x;
+  x.resize(static_cast<size_t>(m) + 1);
+  x[0] = 0;
   for (int i = 0; i < m; ++i) {
     x[static_cast<size_t>(i) + 1] = x[static_cast<size_t>(i)] +
                                     u[static_cast<size_t>(i)];
@@ -55,7 +68,8 @@ MaxSupportScanResult ScanMaxSupport(std::span<const int64_t> u,
 
   // Algorithm 4.3: forward scan for effective indices. w tracks
   // max_{j<s} gain(j .. s-1); s is effective iff w < 0 (s = 0 trivially).
-  std::vector<int> effective;
+  std::vector<int>& effective = scratch.effective;
+  effective.clear();
   effective.push_back(0);
   GainT w = GainT(0);
   for (int s = 1; s < m; ++s) {

@@ -55,45 +55,71 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
+/// Working buffers of the two O(M) rule optimizers, reused across pairs.
+struct PairScratch {
+  SlopePairContext hull;
+  OptimizedSupportScratch support;
+};
+
 /// Shared rule emission: runs both O(M) optimizers over one pair's count
-/// arrays and renders the results as MinedRules. Used by Miner and
-/// MiningEngine so the two paths are bit-identical by construction.
+/// arrays at every threshold set of `sweep` -- the pair's hull is built
+/// once and solved per threshold -- and renders the results as MinedRules:
+/// sweep entry s writes its confidence rule to out[s * stride] and its
+/// support rule to out[s * stride + 1]. Used by Miner and MiningEngine so
+/// the two paths are bit-identical by construction.
+void EmitRulesForPair(const bucketing::BucketCounts& counts,
+                      int target_index, std::span<const ThresholdSet> sweep,
+                      const std::string& numeric_attr,
+                      const std::string& boolean_attr, PairScratch& scratch,
+                      MinedRule* out, size_t stride) {
+  const std::span<const int64_t> u = counts.u;
+  std::span<const int64_t> v;
+  if (!u.empty()) {
+    v = counts.v[static_cast<size_t>(target_index)];
+    scratch.hull.Assign(u, v);
+  }
+  const RuleKind kinds[2] = {RuleKind::kOptimizedConfidence,
+                             RuleKind::kOptimizedSupport};
+  for (size_t s = 0; s < sweep.size(); ++s) {
+    RangeRule optimized[2];
+    if (!u.empty()) {
+      optimized[0] = OptimizedConfidenceRule(
+          scratch.hull, u, v, counts.total_tuples,
+          MinSupportCount(counts.total_tuples, sweep[s].min_support));
+      optimized[1] = OptimizedSupportRule(
+          u, v, counts.total_tuples,
+          Ratio::FromDouble(sweep[s].min_confidence), scratch.support);
+    }
+    for (int k = 0; k < 2; ++k) {
+      const RangeRule& range = optimized[k];
+      MinedRule& rule = out[s * stride + static_cast<size_t>(k)];
+      rule.kind = kinds[k];
+      rule.numeric_attr = numeric_attr;
+      rule.boolean_attr = boolean_attr;
+      rule.found = range.found;
+      if (range.found) {
+        rule.range_lo = bucketing::RangeMinValue(counts, range.s, range.t);
+        rule.range_hi = bucketing::RangeMaxValue(counts, range.s, range.t);
+        rule.support_count = range.support_count;
+        rule.hit_count = range.hit_count;
+        rule.support = range.support;
+        rule.confidence = range.confidence;
+      }
+    }
+  }
+}
+
+/// EmitRulesForPair at the options' own thresholds: the pair's two rules.
 std::vector<MinedRule> EmitRulesForPair(
     const bucketing::BucketCounts& counts, int target_index,
     const MinerOptions& options, const std::string& numeric_attr,
     const std::string& boolean_attr) {
-  RangeRule optimized[2];
-  if (!counts.u.empty()) {
-    const std::vector<int64_t>& u = counts.u;
-    const std::vector<int64_t>& v =
-        counts.v[static_cast<size_t>(target_index)];
-    optimized[0] = OptimizedConfidenceRule(
-        u, v, counts.total_tuples,
-        MinSupportCount(counts.total_tuples, options.min_support));
-    optimized[1] = OptimizedSupportRule(
-        u, v, counts.total_tuples, Ratio::FromDouble(options.min_confidence));
-  }
-
-  std::vector<MinedRule> mined;
-  const RuleKind kinds[2] = {RuleKind::kOptimizedConfidence,
-                             RuleKind::kOptimizedSupport};
-  for (int k = 0; k < 2; ++k) {
-    const RangeRule& range = optimized[k];
-    MinedRule rule;
-    rule.kind = kinds[k];
-    rule.numeric_attr = numeric_attr;
-    rule.boolean_attr = boolean_attr;
-    rule.found = range.found;
-    if (range.found) {
-      rule.range_lo = bucketing::RangeMinValue(counts, range.s, range.t);
-      rule.range_hi = bucketing::RangeMaxValue(counts, range.s, range.t);
-      rule.support_count = range.support_count;
-      rule.hit_count = range.hit_count;
-      rule.support = range.support;
-      rule.confidence = range.confidence;
-    }
-    mined.push_back(std::move(rule));
-  }
+  const ThresholdSet thresholds[] = {
+      {options.min_support, options.min_confidence}};
+  std::vector<MinedRule> mined(2);
+  PairScratch scratch;
+  EmitRulesForPair(counts, target_index, thresholds, numeric_attr,
+                   boolean_attr, scratch, mined.data(), 2);
   return mined;
 }
 
@@ -655,7 +681,7 @@ Result<std::vector<MinedRule>> MiningEngine::MinePair(
   if (!numeric_index.ok()) return numeric_index.status();
   const Result<int> boolean_index = schema_.BooleanIndexOf(boolean_attr);
   if (!boolean_index.ok()) return boolean_index.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   return EmitRulesForPair(
       counts_[static_cast<size_t>(numeric_index.value())],
       boolean_index.value(), options_, numeric_attr, boolean_attr);
@@ -664,23 +690,25 @@ Result<std::vector<MinedRule>> MiningEngine::MinePair(
 std::vector<MinedRule> MiningEngine::MineAllPairs(
     std::span<const ThresholdSet> sweep) {
   Prepare();
-  std::vector<MinedRule> all;
-  all.reserve(sweep.size() * static_cast<size_t>(schema_.num_numeric()) *
-              static_cast<size_t>(schema_.num_boolean()) * 2);
   for (const ThresholdSet& thresholds : sweep) {
-    MinerOptions swept = options_;
-    swept.min_support = thresholds.min_support;
-    swept.min_confidence = thresholds.min_confidence;
-    OPTRULES_CHECK(0.0 <= swept.min_support && swept.min_support <= 1.0);
-    OPTRULES_CHECK(0.0 <= swept.min_confidence &&
-                   swept.min_confidence <= 1.0);
-    for (int a = 0; a < schema_.num_numeric(); ++a) {
-      for (int b = 0; b < schema_.num_boolean(); ++b) {
-        std::vector<MinedRule> pair =
-            EmitRulesForPair(counts_[static_cast<size_t>(a)], b, swept,
-                             schema_.NumericName(a), schema_.BooleanName(b));
-        for (MinedRule& rule : pair) all.push_back(std::move(rule));
-      }
+    OPTRULES_CHECK(0.0 <= thresholds.min_support &&
+                   thresholds.min_support <= 1.0);
+    OPTRULES_CHECK(0.0 <= thresholds.min_confidence &&
+                   thresholds.min_confidence <= 1.0);
+  }
+  // Sweep-major output, as if each threshold set ran MineAllPairs() in
+  // turn; each pair is visited once and writes its rules for every set.
+  const size_t stride = static_cast<size_t>(schema_.num_numeric()) *
+                        static_cast<size_t>(schema_.num_boolean()) * 2;
+  std::vector<MinedRule> all(sweep.size() * stride);
+  PairScratch scratch;
+  size_t pair_offset = 0;
+  for (int a = 0; a < schema_.num_numeric(); ++a) {
+    for (int b = 0; b < schema_.num_boolean(); ++b) {
+      EmitRulesForPair(counts_[static_cast<size_t>(a)], b, sweep,
+                       schema_.NumericName(a), schema_.BooleanName(b),
+                       scratch, all.data() + pair_offset, stride);
+      pair_offset += 2;
     }
   }
   return all;
@@ -907,7 +935,7 @@ Result<MinedRegion> MiningEngine::MineOptimizedRegion(
                             options_.region_grid_buckets);
   }();
   if (!pair.ok()) return pair.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const region::GridCounts grid = region::FromGridBucketCounts(
       region_grids_[static_cast<size_t>(pair.value())], target.value());
   return MineRegionFromGrid(grid, options_, x_attr, y_attr, target_attr);
@@ -923,7 +951,7 @@ Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
   if (!objective_index.ok()) return objective_index.status();
   const Result<int> condition = EnsureCondition(condition_attrs);
   if (!condition.ok()) return condition.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketCounts& counts =
       generalized_counts_[static_cast<size_t>(condition.value())]
                          [static_cast<size_t>(numeric_index.value())];
@@ -935,8 +963,7 @@ Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
   return mined;
 }
 
-const SlopePairContext& MiningEngine::HullContextFor(int range_attr,
-                                                     int k) {
+SlopePairContext& MiningEngine::HullContextFor(int range_attr, int k) {
   const auto a = static_cast<size_t>(range_attr);
   const auto ki = static_cast<size_t>(k);
   if (hull_contexts_.size() < aggregate_sums_.size()) {
@@ -961,7 +988,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumAverageRange(
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
   if (!target.ok()) return target.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketSums& sums =
       SumsFor(range_index.value(), target.value());
   RangeAggregate aggregate;
@@ -969,7 +996,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumAverageRange(
     // Identical to MaximumAverageRange(sums.u, sums.sum, ...) but the
     // threshold-independent hull context is built once per (range,
     // target) pair and reused by every later threshold.
-    const SlopePairContext& context =
+    SlopePairContext& context =
         HullContextFor(range_index.value(), target.value());
     const SlopePair pair = context.Solve(
         MinSupportCount(sums.total_tuples, min_support));
@@ -987,7 +1014,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumSupportRange(
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
   if (!target.ok()) return target.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketSums& sums =
       SumsFor(range_index.value(), target.value());
   RangeAggregate aggregate;

@@ -193,10 +193,12 @@ class MiningEngine {
   MiningEngine& operator=(const MiningEngine&) = delete;
 
   /// Plans boundaries and runs the shared counting scan now (otherwise
-  /// the first mining call does it). A failed scan is a fatal error here;
-  /// sessions that want to handle scan failures -- e.g. a distributed
-  /// session whose worker daemon binary or partition files may be missing
-  /// -- call TryPrepare() first and get the Status instead.
+  /// the first mining call does it). A failed scan is a fatal error here
+  /// and in MineAllPairs; the mining calls that return a Result prepare
+  /// through TryPrepare() and return its failure. Sessions that want to
+  /// handle scan failures -- e.g. a distributed session whose worker
+  /// daemon binary or partition files may be missing -- call TryPrepare()
+  /// first and get the Status instead.
   void Prepare();
 
   /// Prepare() with an error path: plans + scans, returning the first
@@ -244,7 +246,9 @@ class MiningEngine {
 
   /// Threshold sweep from the same cached counts: the full MineAllPairs()
   /// output at each threshold set, concatenated in sweep order. The scan
-  /// cost is paid once; every sweep entry is O(M) per pair.
+  /// cost is paid once, and each pair's convex-hull tree is built once
+  /// and solved at every threshold set, so every sweep entry costs one
+  /// O(M) tangent walk and one O(M) support scan per pair.
   std::vector<MinedRule> MineAllPairs(std::span<const ThresholdSet> sweep);
 
   /// Both optimized rules for the pair, from the cached counts.
@@ -383,7 +387,7 @@ class MiningEngine {
                           [static_cast<size_t>(k)];
   }
   /// Cached hull context of SumsFor(range_attr, k), built on first use.
-  const SlopePairContext& HullContextFor(int range_attr, int k);
+  SlopePairContext& HullContextFor(int range_attr, int k);
 
   const storage::Relation* relation_ = nullptr;  ///< in-memory fast path
   std::unique_ptr<storage::BatchSource> owned_source_;

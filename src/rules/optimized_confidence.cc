@@ -34,8 +34,9 @@ bool BetterCandidate(const std::vector<Point>& q, int m1, int n1, int m2,
 
 }  // namespace
 
-SlopePairContext::SlopePairContext(std::span<const int64_t> u,
-                                   std::span<const double> v) {
+template <typename Weight>
+void SlopePairContext::AssignPrefixPoints(std::span<const int64_t> u,
+                                          std::span<const Weight> v) {
   OPTRULES_CHECK(u.size() == v.size());
   num_buckets_ = static_cast<int>(u.size());
   if (num_buckets_ == 0) return;
@@ -48,14 +49,29 @@ SlopePairContext::SlopePairContext(std::span<const int64_t> u,
     q_[static_cast<size_t>(k)] = {
         q_[static_cast<size_t>(k - 1)].x +
             static_cast<double>(u[static_cast<size_t>(k - 1)]),
-        q_[static_cast<size_t>(k - 1)].y + v[static_cast<size_t>(k - 1)]};
+        q_[static_cast<size_t>(k - 1)].y +
+            static_cast<double>(v[static_cast<size_t>(k - 1)])};
   }
   // Preparatory phase (the geometry-heavy O(M) step), done once; every
-  // Solve() copies this U_0 prototype instead of re-deriving it.
-  tree_.emplace(q_);
+  // Solve() rewinds to this U_0 instead of re-deriving it.
+  tree_.Build(q_);
 }
 
-SlopePair SlopePairContext::Solve(int64_t min_support_count) const {
+void SlopePairContext::Assign(std::span<const int64_t> u,
+                              std::span<const double> v) {
+  AssignPrefixPoints(u, v);
+}
+
+void SlopePairContext::Assign(std::span<const int64_t> u,
+                              std::span<const int64_t> v) {
+  OPTRULES_CHECK(u.size() == v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    OPTRULES_CHECK(0 <= v[i] && v[i] <= u[i]);
+  }
+  AssignPrefixPoints(u, v);
+}
+
+SlopePair SlopePairContext::Solve(int64_t min_support_count) {
   const int m_buckets = num_buckets_;
   const std::vector<Point>& q = q_;
   SlopePair best;
@@ -67,7 +83,8 @@ SlopePair SlopePairContext::Solve(int64_t min_support_count) const {
     return best;
   }
 
-  ConvexHullTree tree = *tree_;  // restore U_0 (array copies only)
+  ConvexHullTree& tree = tree_;
+  tree.Rewind();       // back to U_0 (stack and position copies only)
   tree.AdvanceBase();  // S = U_1; the first candidate base is r(0) >= 1.
   int i = 1;
 
@@ -153,20 +170,27 @@ SlopePair SlopePairContext::Solve(int64_t min_support_count) const {
 SlopePair OptimalSlopePair(std::span<const int64_t> u,
                            std::span<const double> v,
                            int64_t min_support_count) {
-  return SlopePairContext(u, v).Solve(min_support_count);
+  SlopePairContext context(u, v);
+  return context.Solve(min_support_count);
 }
 
 RangeRule OptimizedConfidenceRule(std::span<const int64_t> u,
                                   std::span<const int64_t> v,
                                   int64_t total_tuples,
                                   int64_t min_support_count) {
-  OPTRULES_CHECK(u.size() == v.size());
-  std::vector<double> weights(v.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    OPTRULES_CHECK(0 <= v[i] && v[i] <= u[i]);
-    weights[i] = static_cast<double>(v[i]);
-  }
-  const SlopePair pair = OptimalSlopePair(u, weights, min_support_count);
+  SlopePairContext context;
+  context.Assign(u, v);
+  return OptimizedConfidenceRule(context, u, v, total_tuples,
+                                 min_support_count);
+}
+
+RangeRule OptimizedConfidenceRule(SlopePairContext& context,
+                                  std::span<const int64_t> u,
+                                  std::span<const int64_t> v,
+                                  int64_t total_tuples,
+                                  int64_t min_support_count) {
+  OPTRULES_CHECK(context.num_buckets() == static_cast<int>(u.size()));
+  const SlopePair pair = context.Solve(min_support_count);
   if (!pair.found) return RangeRule{};
   // Slope pair (m, n) corresponds to buckets m..n-1 in 0-based terms.
   return MakeRangeRule(u, v, total_tuples, pair.m, pair.n - 1);

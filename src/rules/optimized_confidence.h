@@ -10,7 +10,6 @@
 #define OPTRULES_RULES_OPTIMIZED_CONFIDENCE_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,32 +30,48 @@ struct SlopePair {
 };
 
 /// The threshold-independent part of the slope-pair search: the prefix
-/// points Q_0..Q_M and the preparatory-phase convex-hull tree (Algorithm
-/// 4.1's constructor, the geometry-heavy step). Build it once per (u, v)
-/// bucket array and Solve() at any number of support thresholds -- each
-/// call copies the U_0 prototype tree (plain array copies, no orientation
-/// predicates) and runs the tangent walk. MiningEngine caches one context
-/// per aggregate (range attribute, target) pair so repeated
-/// MineMaximumAverageRange calls at different thresholds stop rebuilding
-/// the hull from scratch.
+/// points Q_0..Q_M and the convex-hull tree of Algorithm 4.1 (its Build is
+/// the geometry-heavy step). Assign it once per (u, v) bucket array and
+/// Solve() at any number of support thresholds: each Solve rewinds the
+/// tree to U_0 by restoring only its stack and position arrays (no
+/// orientation predicates, no allocation) and runs the tangent walk.
+/// Re-Assigning reuses the buffers, so a loop over many bucket arrays
+/// allocates only while they grow.
 class SlopePairContext {
  public:
+  /// An empty context (num_buckets() == 0) to Assign() later.
+  SlopePairContext() = default;
+
   /// Requires u_i >= 1 for every bucket (u may be empty).
-  SlopePairContext(std::span<const int64_t> u, std::span<const double> v);
+  SlopePairContext(std::span<const int64_t> u, std::span<const double> v) {
+    Assign(u, v);
+  }
+
+  /// Rebuilds the context over new bucket arrays, reusing its buffers.
+  /// Requires u_i >= 1 for every bucket (u may be empty).
+  void Assign(std::span<const int64_t> u, std::span<const double> v);
+
+  /// Assign() over integer hit counts (0 <= v_i <= u_i), bit-identical to
+  /// assigning them converted to double.
+  void Assign(std::span<const int64_t> u, std::span<const int64_t> v);
 
   /// The optimal slope pair at `min_support_count` (clamped to >= 1);
   /// identical to OptimalSlopePair(u, v, min_support_count).
-  SlopePair Solve(int64_t min_support_count) const;
+  SlopePair Solve(int64_t min_support_count);
 
   int num_buckets() const { return num_buckets_; }
 
  private:
+  template <typename Weight>
+  void AssignPrefixPoints(std::span<const int64_t> u,
+                          std::span<const Weight> v);
+
   int num_buckets_ = 0;
   /// Q_k = (sum_{i<k} u_i, sum_{i<k} v_i), k = 0..M.
   std::vector<hull::Point> q_;
-  /// Prototype tree at U_0; Solve() copies it instead of re-running the
-  /// preparatory phase.
-  std::optional<hull::ConvexHullTree> tree_;
+  /// The tree over q_; Solve() rewinds it to U_0 instead of re-running
+  /// the preparatory phase.
+  hull::ConvexHullTree tree_;
 };
 
 /// Core O(M) optimizer over real-valued per-bucket weights `v` (tuple
@@ -71,6 +86,14 @@ SlopePair OptimalSlopePair(std::span<const int64_t> u,
 /// sum(v)/sum(u) subject to sum(u) >= min_support_count. Returns
 /// found=false when no range is ample.
 RangeRule OptimizedConfidenceRule(std::span<const int64_t> u,
+                                  std::span<const int64_t> v,
+                                  int64_t total_tuples,
+                                  int64_t min_support_count);
+
+/// OptimizedConfidenceRule over a context already Assign()ed (u, v): solve
+/// one array at many thresholds, or reuse one context across arrays.
+RangeRule OptimizedConfidenceRule(SlopePairContext& context,
+                                  std::span<const int64_t> u,
                                   std::span<const int64_t> v,
                                   int64_t total_tuples,
                                   int64_t min_support_count);

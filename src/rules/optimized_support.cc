@@ -1,12 +1,18 @@
 #include "rules/optimized_support.h"
 
-#include "rules/effective_scan.h"
-
 namespace optrules::rules {
 
 RangeRule OptimizedSupportRule(std::span<const int64_t> u,
                                std::span<const int64_t> v,
                                int64_t total_tuples, Ratio min_confidence) {
+  OptimizedSupportScratch scratch;
+  return OptimizedSupportRule(u, v, total_tuples, min_confidence, scratch);
+}
+
+RangeRule OptimizedSupportRule(std::span<const int64_t> u,
+                               std::span<const int64_t> v,
+                               int64_t total_tuples, Ratio min_confidence,
+                               OptimizedSupportScratch& scratch) {
   OPTRULES_CHECK(u.size() == v.size());
   for (size_t i = 0; i < u.size(); ++i) {
     OPTRULES_CHECK(u[i] >= 1);
@@ -21,7 +27,7 @@ RangeRule OptimizedSupportRule(std::span<const int64_t> u,
                u[static_cast<size_t>(i)];
   };
   const internal::MaxSupportScanResult result =
-      internal::ScanMaxSupport<__int128>(u, gain);
+      internal::ScanMaxSupport(u, gain, scratch);
   if (!result.found) return RangeRule{};
   return MakeRangeRule(u, v, total_tuples, result.s, result.t);
 }

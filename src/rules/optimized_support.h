@@ -13,6 +13,7 @@
 #include <span>
 
 #include "common/ratio.h"
+#include "rules/effective_scan.h"
 #include "rules/rule.h"
 
 namespace optrules::rules {
@@ -23,6 +24,17 @@ namespace optrules::rules {
 RangeRule OptimizedSupportRule(std::span<const int64_t> u,
                                std::span<const int64_t> v,
                                int64_t total_tuples, Ratio min_confidence);
+
+/// Working arrays of OptimizedSupportRule, reusable across calls.
+using OptimizedSupportScratch = internal::MaxSupportScratch<__int128>;
+
+/// OptimizedSupportRule over caller-owned working arrays: a loop over many
+/// bucket arrays passes one scratch to every call and stops allocating
+/// once it has grown to the largest array.
+RangeRule OptimizedSupportRule(std::span<const int64_t> u,
+                               std::span<const int64_t> v,
+                               int64_t total_tuples, Ratio min_confidence,
+                               OptimizedSupportScratch& scratch);
 
 }  // namespace optrules::rules
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -31,6 +32,14 @@ std::vector<double> RandomValues(int64_t n, uint64_t seed, double lo = 0.0,
   std::vector<double> values(static_cast<size_t>(n));
   for (double& v : values) v = rng.NextUniform(lo, hi);
   return values;
+}
+
+/// Bit patterns, so -0.0 and +0.0 compare unequal.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
 }
 
 // --------------------------------------------------------- boundaries ----
@@ -73,6 +82,39 @@ TEST(BoundariesTest, FromSortedValuesGivesExactEquiDepth) {
 }
 
 // -------------------------------------------------------- exact depth ----
+
+// Mixed runs of -0.0 and +0.0: the full sort puts every -0.0 first, so a
+// zero cut point's sign depends on the column's multiset, not its order.
+TEST(SortBucketizerTest, ExactEquiDepthZeroCutsIgnoreRowOrder) {
+  std::vector<double> column;
+  for (int i = 0; i < 3000; ++i) {
+    column.push_back(i % 3 == 0 ? -0.0 : 0.0);
+    if (i % 4 == 0) column.push_back(0.25 * i - 300.0);
+    if (i % 7 == 0) column.push_back(std::nan(""));
+  }
+  std::vector<double> reversed(column.rbegin(), column.rend());
+  std::vector<double> shuffled = column;
+  Rng rng(9);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const int m : {2, 7, 64, 500}) {
+    SCOPED_TRACE(m);
+    const std::vector<double> cuts =
+        ExactEquiDepthBoundaries(column, m).cut_points();
+    EXPECT_EQ(Bits(ExactEquiDepthBoundaries(reversed, m).cut_points()),
+              Bits(cuts));
+    EXPECT_EQ(Bits(ExactEquiDepthBoundaries(shuffled, m).cut_points()),
+              Bits(cuts));
+  }
+  // Zeros are 80% of the numbers, so at M = 64 both signs are cut points.
+  const std::vector<double> cuts =
+      ExactEquiDepthBoundaries(column, 64).cut_points();
+  EXPECT_TRUE(std::any_of(cuts.begin(), cuts.end(), [](double v) {
+    return v == 0.0 && std::signbit(v);
+  }));
+  EXPECT_TRUE(std::any_of(cuts.begin(), cuts.end(), [](double v) {
+    return v == 0.0 && !std::signbit(v);
+  }));
+}
 
 TEST(SortBucketizerTest, ExactEquiDepthOnShuffledInput) {
   std::vector<double> values = RandomValues(10000, 21);
@@ -200,6 +242,62 @@ TEST(SamplerTest, EmptySourceYieldsSingleBucketsWithoutScanning) {
   ASSERT_EQ(sampled.value().size(), 1u);
   EXPECT_EQ(sampled.value()[0].num_buckets(), 1);
   EXPECT_EQ(source.scans_started(), 0);
+}
+
+/// The comparison-sort form of the sample order: NaN dropped, std::sort,
+/// then the zero run (whose order std::sort leaves unspecified) rewritten
+/// negatives-first.
+std::vector<double> ReferenceSampleSort(std::vector<double> values) {
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](double v) { return std::isnan(v); }),
+               values.end());
+  std::sort(values.begin(), values.end());
+  const auto [zeros_begin, zeros_end] =
+      std::equal_range(values.begin(), values.end(), 0.0);
+  const auto negative_zeros = std::count_if(
+      zeros_begin, zeros_end, [](double v) { return std::signbit(v); });
+  std::fill(zeros_begin, zeros_begin + negative_zeros, -0.0);
+  std::fill(zeros_begin + negative_zeros, zeros_end, 0.0);
+  return values;
+}
+
+TEST(SortSampleTest, EqualsStdSortWithNegativeZerosFirst) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double max = std::numeric_limits<double>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,  -0.0,   inf,  -inf, denorm,
+                             -denorm, max, -max, 1.0,  -1.0};
+  Rng rng(77);
+  // Any non-NaN bit pattern: exercises every key byte and exponent.
+  const auto random_double = [&rng] {
+    for (;;) {
+      const double v = std::bit_cast<double>(rng.Next64());
+      if (!std::isnan(v)) return v;
+    }
+  };
+  for (const size_t n : {0, 1, 2, 255, 256, 257, 40000}) {
+    SCOPED_TRACE(n);
+    std::vector<std::vector<double>> inputs(6);
+    for (size_t i = 0; i < n; ++i) {
+      const double special = specials[rng.NextBounded(std::size(specials))];
+      inputs[0].push_back(rng.NextBounded(4) == 0 ? special
+                                                  : random_double());
+      inputs[1].push_back(special);  // heavy ties, zeros of both signs
+      inputs[2].push_back(-0.0);     // all equal
+      inputs[3].push_back(rng.NextUniform(-1e3, 1e3));
+      // Half NaN of either sign, all dropped.
+      inputs[5].push_back(i % 2 == 0 ? std::copysign(nan, special) : special);
+    }
+    inputs[4] = ReferenceSampleSort(inputs[0]);
+    std::reverse(inputs[4].begin(), inputs[4].end());  // reversed
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE(k);
+      std::vector<double> sorted = inputs[k];
+      SortSample(sorted);
+      EXPECT_EQ(Bits(sorted), Bits(ReferenceSampleSort(inputs[k])));
+    }
+  }
 }
 
 TEST(SamplerTest, CutPointsDependOnlyOnTheSampleMultiset) {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -599,6 +601,28 @@ TEST(MiningEngineTest, ThresholdSweepMatchesPerThresholdLegacyMiners) {
   }
 }
 
+// A sweep builds each pair's hull once and solves it per threshold set;
+// its output must be the per-threshold calls' outputs concatenated in
+// sweep order -- repeated and extreme threshold sets included.
+TEST(MiningEngineTest, ThresholdSweepEqualsPerThresholdCallsConcatenated) {
+  const storage::Relation relation = SmallRelation(15000, 25);
+  MinerOptions options;
+  options.num_buckets = 120;
+  const ThresholdSet sweep[] = {{0.0, 0.0},   {0.03, 0.4}, {0.10, 0.6},
+                                {0.03, 0.4},  {1.0, 1.0},  {0.5, 0.2}};
+  MiningEngine swept_engine(&relation, options);
+  const std::vector<MinedRule> swept = swept_engine.MineAllPairs(sweep);
+  MiningEngine engine(&relation, options);
+  std::vector<MinedRule> concatenated;
+  for (const ThresholdSet& thresholds : sweep) {
+    const std::vector<MinedRule> one =
+        engine.MineAllPairs(std::span(&thresholds, 1));
+    concatenated.insert(concatenated.end(), one.begin(), one.end());
+  }
+  ExpectSameRules(swept, concatenated);
+  EXPECT_TRUE(swept_engine.MineAllPairs({}).empty());
+}
+
 TEST(MiningEngineTest, AllQueryKindsTogetherCostOneCountingScan) {
   const storage::Relation relation = SmallRelation(12000, 24);
   storage::RelationBatchSource source(&relation);
@@ -1169,6 +1193,49 @@ TEST(SampledPlanningTest, ShortReadsAreCorruptionNotAbort) {
   ExpectSameAggregate(engine.MineMaximumAverageRange("num0", "num1", 0.1),
                       memory.MineMaximumAverageRange("num0", "num1", 0.1));
   EXPECT_EQ(engine.counting_scans(), 4);
+}
+
+// The Result-returning mining calls prepare through TryPrepare, so a
+// failed planning pass comes back as Corruption even when the call is the
+// session's first -- no abort -- and the session stays retryable.
+TEST(SampledPlanningTest, FirstMiningCallReturnsCorruptionNotAbort) {
+  const storage::Relation relation = SmallRelation(4000, 84);
+  MinerOptions options;
+  options.num_buckets = 30;
+  options.region_grid_buckets = 6;
+  ShortReadSource source(&relation);
+  source.set_missing(1000);
+  const std::vector<std::function<Status(MiningEngine&)>> calls = {
+      [](MiningEngine& e) { return e.MinePair("num0", "bool0").status(); },
+      [](MiningEngine& e) {
+        return e.MineGeneralized("num1", {"bool1"}, "bool0").status();
+      },
+      [](MiningEngine& e) {
+        return e.MineMaximumAverageRange("num0", "num1", 0.1).status();
+      },
+      [](MiningEngine& e) {
+        return e.MineMaximumSupportRange("num0", "num1", 4e5).status();
+      },
+      [](MiningEngine& e) {
+        return e.MineOptimizedRegion("num0", "num2", "bool0").status();
+      },
+  };
+  MiningEngine memory(&relation, options);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE(i);
+    source.set_missing(1000);
+    MiningEngine engine(&source, relation.schema(), options);
+    const Status failed = calls[i](engine);
+    EXPECT_EQ(failed.code(), StatusCode::kCorruption) << failed.ToString();
+    EXPECT_EQ(engine.counting_scans(), 0);
+    source.set_missing(0);
+    EXPECT_TRUE(calls[i](engine).ok());
+    EXPECT_EQ(engine.counting_scans(), 1);
+  }
+  source.set_missing(0);
+  MiningEngine engine(&source, relation.schema(), options);
+  ExpectSameRuleResults(engine.MinePair("num2", "bool1"),
+                        memory.MinePair("num2", "bool1"));
 }
 
 // Every rule kind at num_buckets shares the base boundary set, so a late

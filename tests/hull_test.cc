@@ -2,6 +2,7 @@
 // convex-hull tree (Algorithm 4.1).
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,52 @@ TEST_P(HullTreeParamTest, MatchesStaticHullAtEveryBase) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HullTreeParamTest,
                          testing::Range(uint64_t{1}, uint64_t{40}));
+
+/// The tree's current hull equals the static upper hull of the suffix
+/// starting at its base, node for node and position for position, and
+/// every other point reports position -1.
+void ExpectHullMatchesStatic(const ConvexHullTree& tree,
+                             const std::vector<Point>& points) {
+  const int base = tree.base();
+  const std::vector<int> expected = UpperHullIndices(
+      std::span<const Point>(points).subspan(static_cast<size_t>(base)));
+  ASSERT_EQ(tree.hull_size(), static_cast<int>(expected.size()))
+      << "base " << base;
+  std::vector<int> positions(points.size(), -1);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    const int position = tree.hull_size() - 1 - static_cast<int>(k);
+    EXPECT_EQ(tree.NodeAt(position), expected[k] + base) << "base " << base;
+    positions[static_cast<size_t>(expected[k] + base)] = position;
+  }
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(tree.PositionOf(static_cast<int>(i)), positions[i])
+        << "base " << base << " point " << i;
+  }
+}
+
+// One tree rebuilt over point sets that shrink to a single point and grow
+// again, each walked part way, rewound, and walked to the end: every
+// Build and Rewind lands on U_0 and every base matches the static hull.
+TEST(HullTreeTest, RebuildAndRewindReuseOneTree) {
+  ConvexHullTree tree;
+  EXPECT_EQ(tree.num_points(), 0);
+  uint64_t seed = 100;
+  for (const int n : {120, 3, 1, 2, 200}) {
+    SCOPED_TRACE(n);
+    const std::vector<Point> points = RandomMonotonePoints(n, ++seed);
+    tree.Build(points);
+    ASSERT_EQ(tree.num_points(), n);
+    for (const int stop : {n / 2, n - 1, n - 1}) {
+      tree.Rewind();
+      ASSERT_EQ(tree.base(), 0);
+      ExpectHullMatchesStatic(tree, points);
+      while (tree.base() < stop) {
+        tree.AdvanceBase();
+        ExpectHullMatchesStatic(tree, points);
+      }
+    }
+  }
+}
 
 TEST(HullTreeTest, SinglePoint) {
   ConvexHullTree tree({{1.0, 2.0}});

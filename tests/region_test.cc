@@ -14,6 +14,8 @@
 #include "region/grid.h"
 #include "region/rectangle.h"
 #include "region/xmonotone.h"
+#include "rules/optimized_confidence.h"
+#include "rules/optimized_support.h"
 #include "storage/columnar_batch.h"
 #include "storage/relation.h"
 
@@ -386,6 +388,111 @@ TEST_P(RectanglePropertyTest, SupportMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RectanglePropertyTest,
                          testing::Range(uint64_t{1}, uint64_t{30}));
+
+/// The band sweep of the rectangle optimizers written out plainly: every
+/// y-band collapsed, empty columns dropped, and a FRESH 1-D optimizer call
+/// per band. `conf` picks the confidence (true) or support optimizer.
+RegionRule FreshPerBandRectangle(const GridCounts& grid, bool conf,
+                                 int64_t min_support, Ratio theta) {
+  RegionRule best;
+  for (int y1 = 0; y1 < grid.ny(); ++y1) {
+    for (int y2 = y1; y2 < grid.ny(); ++y2) {
+      std::vector<int64_t> u;
+      std::vector<int64_t> v;
+      std::vector<int> x_of;
+      for (int x = 0; x < grid.nx(); ++x) {
+        int64_t cu;
+        int64_t cv;
+        RectSums(grid, x, x, y1, y2, &cu, &cv);
+        if (cu == 0) continue;
+        u.push_back(cu);
+        v.push_back(cv);
+        x_of.push_back(x);
+      }
+      if (u.empty()) continue;
+      const rules::RangeRule rule =
+          conf ? rules::OptimizedConfidenceRule(u, v, grid.total_tuples(),
+                                                min_support)
+               : rules::OptimizedSupportRule(u, v, grid.total_tuples(),
+                                             theta);
+      if (!rule.found) continue;
+      const __int128 lhs = static_cast<__int128>(rule.hit_count) *
+                           best.support_count;
+      const __int128 rhs = static_cast<__int128>(best.hit_count) *
+                           rule.support_count;
+      const bool better =
+          !best.found ||
+          (conf ? lhs > rhs || (lhs == rhs &&
+                                rule.support_count > best.support_count)
+                : rule.support_count > best.support_count);
+      if (!better) continue;
+      best.found = true;
+      best.x1 = x_of[static_cast<size_t>(rule.s)];
+      best.x2 = x_of[static_cast<size_t>(rule.t)];
+      best.y1 = y1;
+      best.y2 = y2;
+      best.support_count = rule.support_count;
+      best.hit_count = rule.hit_count;
+      best.support = static_cast<double>(rule.support_count) /
+                     static_cast<double>(grid.total_tuples());
+      best.confidence = static_cast<double>(rule.hit_count) /
+                        static_cast<double>(rule.support_count);
+    }
+  }
+  return best;
+}
+
+void ExpectSameRegionRule(const RegionRule& a, const RegionRule& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.x1, b.x1);
+  EXPECT_EQ(a.x2, b.x2);
+  EXPECT_EQ(a.y1, b.y1);
+  EXPECT_EQ(a.y2, b.y2);
+  EXPECT_EQ(a.support_count, b.support_count);
+  EXPECT_EQ(a.hit_count, b.hit_count);
+  EXPECT_EQ(a.support, b.support);
+  EXPECT_EQ(a.confidence, b.confidence);
+}
+
+// The rectangle optimizers reuse one hull context / support scratch over
+// all bands of a grid; on random grids -- NaN-free ones and ones whose
+// support denominator counts NaN rows outside every cell, with and
+// without whole empty columns -- they must answer exactly like fresh
+// 1-D calls per band.
+TEST_P(RectanglePropertyTest, ReusedBandScratchMatchesFreshPerBandCalls) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed ^ 0xabcd);
+  const int nx = 1 + static_cast<int>(rng.NextBounded(24));
+  const int ny = 1 + static_cast<int>(rng.NextBounded(12));
+  const GridCounts random = RandomGrid(nx, ny, 6, 0.35, seed * 19 + 3);
+  std::vector<int64_t> u(static_cast<size_t>(nx * ny));
+  std::vector<int64_t> v(static_cast<size_t>(nx * ny));
+  int64_t cells = 0;
+  const bool empty_columns = seed % 2 == 0;
+  for (int y = 0; y < ny; ++y) {
+    for (int x = 0; x < nx; ++x) {
+      const bool drop = empty_columns && x % 3 == 1;
+      const auto i = static_cast<size_t>(y * nx + x);
+      u[i] = drop ? 0 : random.u(x, y);
+      v[i] = drop ? 0 : random.v(x, y);
+      cells += u[i];
+    }
+  }
+  const int64_t nan_rows = seed % 3 == 0 ? 0 : rng.NextInt(1, 50);
+  const GridCounts grid =
+      GridCounts::FromCells(nx, ny, u, v, cells + nan_rows);
+  if (grid.total_tuples() == 0) return;
+  for (const double fraction : {0.0, 0.05, 0.3, 0.8}) {
+    const int64_t min_support = rules::MinSupportCount(cells, fraction);
+    ExpectSameRegionRule(
+        OptimizedConfidenceRectangle(grid, min_support),
+        FreshPerBandRectangle(grid, true, min_support, Ratio()));
+  }
+  for (const Ratio theta : {Ratio(0, 1), Ratio(1, 3), Ratio(1, 2)}) {
+    ExpectSameRegionRule(OptimizedSupportRectangle(grid, theta),
+                         FreshPerBandRectangle(grid, false, 0, theta));
+  }
+}
 
 // --------------------------------------------------------- x-monotone ----
 

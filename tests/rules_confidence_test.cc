@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "rules/naive.h"
 #include "rules/optimized_confidence.h"
+#include "rules/optimized_support.h"
 
 namespace optrules::rules {
 namespace {
@@ -204,6 +205,66 @@ TEST(OptimalSlopePairTest, HandlesNegativeWeights) {
   // Best average over >= 2 tuples: buckets {1,2} avg 3.5.
   EXPECT_EQ(pair.m, 1);
   EXPECT_EQ(pair.n, 3);
+}
+
+void ExpectSameSlopePair(const SlopePair& a, const SlopePair& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.m, b.m);
+  EXPECT_EQ(a.n, b.n);
+}
+
+void ExpectSameRangeRule(const RangeRule& a, const RangeRule& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.s, b.s);
+  EXPECT_EQ(a.t, b.t);
+  EXPECT_EQ(a.support_count, b.support_count);
+  EXPECT_EQ(a.hit_count, b.hit_count);
+  EXPECT_EQ(a.support, b.support);
+  EXPECT_EQ(a.confidence, b.confidence);
+}
+
+// One context and one support scratch carried across bucket arrays that
+// shrink to nothing and grow back, each solved at several thresholds (and
+// a threshold repeated after larger ones, so every Solve really rewinds):
+// every answer equals a fresh one-shot call.
+TEST(OptimizerReuseTest, ReusedContextAndScratchMatchFreshCalls) {
+  SlopePairContext context;
+  OptimizedSupportScratch scratch;
+  uint64_t seed = 1;
+  for (const int m : {1000, 3, 1, 0, 1000}) {
+    SCOPED_TRACE(m);
+    const Instance instance = RandomInstance(m, 40, ++seed);
+    std::vector<double> weights(instance.v.begin(), instance.v.end());
+    for (double& w : weights) w -= 10.0;  // real-valued, mostly negative
+
+    context.Assign(instance.u, weights);
+    ASSERT_EQ(context.num_buckets(), m);
+    for (const double fraction : {0.0, 0.01, 0.3, 0.9, 1.0, 0.01}) {
+      SCOPED_TRACE(fraction);
+      const int64_t min_support = MinSupportCount(instance.total, fraction);
+      ExpectSameSlopePair(context.Solve(min_support),
+                          OptimalSlopePair(instance.u, weights, min_support));
+    }
+
+    context.Assign(instance.u, instance.v);
+    for (const double fraction : {0.0, 0.05, 0.5, 1.0, 0.05}) {
+      SCOPED_TRACE(fraction);
+      const int64_t min_support = MinSupportCount(instance.total, fraction);
+      ExpectSameRangeRule(
+          OptimizedConfidenceRule(context, instance.u, instance.v,
+                                  instance.total, min_support),
+          OptimizedConfidenceRule(instance.u, instance.v, instance.total,
+                                  min_support));
+    }
+    for (const Ratio theta : {Ratio(0, 1), Ratio(1, 4), Ratio(1, 2),
+                              Ratio(9, 10), Ratio(1, 1), Ratio(1, 4)}) {
+      ExpectSameRangeRule(
+          OptimizedSupportRule(instance.u, instance.v, instance.total, theta,
+                               scratch),
+          OptimizedSupportRule(instance.u, instance.v, instance.total,
+                               theta));
+    }
+  }
 }
 
 }  // namespace
