@@ -105,6 +105,18 @@ class JsonReporter {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
+/// Median of `values` (mean of the middle two for an even count; 0 when
+/// empty).
+inline double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  const size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  if (values.size() % 2 == 1) return values[mid];
+  const double upper = values[mid];
+  return (*std::max_element(values.begin(), values.begin() + mid) + upper) /
+         2.0;
+}
+
 /// Random bucket-count instance (u_i in [1, max_u], v_i in [0, u_i]).
 struct BucketInstance {
   std::vector<int64_t> u;

@@ -1,9 +1,10 @@
 // Extension benchmark (Section 1.4): two-dimensional optimized regions.
 //
 // Part 1 times the O(ny^2 nx) optimized rectangle miners and the
-// O(nx ny^2) x-monotone gain DP across grid sizes, and verifies on planted
-// grids that (a) the rectangle miners recover a planted 2-D block and (b)
-// the x-monotone region's gain dominates the rectangle gain.
+// O(nx ny^2) x-monotone gain DP across grid sizes (each timing is the
+// median of kPart1Repeats calls), and verifies on planted grids that (a)
+// the rectangle miners recover a planted 2-D block and (b) the x-monotone
+// region's gain dominates the rectangle gain.
 //
 // Part 2 times the grid COUNTING itself through the MiningEngine's grid
 // channel -- in memory and out-of-core over a PagedFile (synchronous and
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
@@ -91,29 +93,43 @@ int main() {
               "supp rect (s)", "x-monotone (s)");
   optrules::bench::PrintRule(58);
 
+  // One call at n = 16-32 takes 40-2000 us, so a single timing spreads
+  // up to +-40 % between runs; each size reports the median of this many.
+  constexpr int kPart1Repeats = 9;
+  const auto median_seconds = [](const auto& call) {
+    std::vector<double> seconds;
+    for (int r = 0; r < kPart1Repeats; ++r) {
+      optrules::WallTimer timer;
+      call();
+      seconds.push_back(timer.ElapsedSeconds());
+    }
+    return optrules::bench::Median(std::move(seconds));
+  };
+  json.Add("part1_repeats", static_cast<int64_t>(kPart1Repeats));
+
   bool ok = true;
   for (const int base_n : {16, 32, 64, 128}) {
     const int n = static_cast<int>(base_n * scale);
     const optrules::region::GridCounts grid =
         PlantedGrid(n, 900 + static_cast<uint64_t>(n));
 
-    optrules::WallTimer t1;
-    const optrules::region::RegionRule rect =
-        optrules::region::OptimizedConfidenceRectangle(
-            grid, grid.total_tuples() / 20);
-    const double conf_seconds = t1.ElapsedSeconds();
+    optrules::region::RegionRule rect;
+    const double conf_seconds = median_seconds([&] {
+      rect = optrules::region::OptimizedConfidenceRectangle(
+          grid, grid.total_tuples() / 20);
+    });
 
-    optrules::WallTimer t2;
-    const optrules::region::RegionRule supp =
-        optrules::region::OptimizedSupportRectangle(grid,
-                                                    optrules::Ratio(1, 2));
-    const double supp_seconds = t2.ElapsedSeconds();
+    optrules::region::RegionRule supp;
+    const double supp_seconds = median_seconds([&] {
+      supp = optrules::region::OptimizedSupportRectangle(
+          grid, optrules::Ratio(1, 2));
+    });
 
-    optrules::WallTimer t3;
-    const optrules::region::XMonotoneRegion xmono =
-        optrules::region::MaxGainXMonotoneRegion(grid,
-                                                 optrules::Ratio(1, 2));
-    const double xmono_seconds = t3.ElapsedSeconds();
+    optrules::region::XMonotoneRegion xmono;
+    const double xmono_seconds = median_seconds([&] {
+      xmono = optrules::region::MaxGainXMonotoneRegion(
+          grid, optrules::Ratio(1, 2));
+    });
 
     std::printf("%6d %16.4f %16.4f %16.4f\n", n, conf_seconds,
                 supp_seconds, xmono_seconds);

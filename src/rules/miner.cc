@@ -1,6 +1,7 @@
 #include "rules/miner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -109,18 +110,34 @@ void EmitRulesForPair(const bucketing::BucketCounts& counts,
   }
 }
 
-/// EmitRulesForPair at the options' own thresholds: the pair's two rules.
+/// EmitRulesForPair at one threshold set: the pair's two rules.
 std::vector<MinedRule> EmitRulesForPair(
     const bucketing::BucketCounts& counts, int target_index,
-    const MinerOptions& options, const std::string& numeric_attr,
+    const ThresholdSet& thresholds, const std::string& numeric_attr,
     const std::string& boolean_attr) {
-  const ThresholdSet thresholds[] = {
-      {options.min_support, options.min_confidence}};
   std::vector<MinedRule> mined(2);
   PairScratch scratch;
-  EmitRulesForPair(counts, target_index, thresholds, numeric_attr,
+  EmitRulesForPair(counts, target_index, {&thresholds, 1}, numeric_attr,
                    boolean_attr, scratch, mined.data(), 2);
   return mined;
+}
+
+/// InvalidArgument unless `min_support` lies in [0, 1] (NaN included),
+/// so a bad aggregate threshold fails its query instead of tripping
+/// MinSupportCount's CHECK.
+Status ValidateAggregateSupport(double min_support) {
+  if (!(0.0 <= min_support && min_support <= 1.0)) {
+    return Status::InvalidArgument("aggregate min_support outside [0, 1]");
+  }
+  return Status::Ok();
+}
+
+/// InvalidArgument unless `min_average` is finite.
+Status ValidateAggregateAverage(double min_average) {
+  if (!std::isfinite(min_average)) {
+    return Status::InvalidArgument("non-finite aggregate min_average");
+  }
+  return Status::Ok();
 }
 
 /// Shared Section 5 rendering: assembles a MinedAggregateRange from a
@@ -153,7 +170,7 @@ MinedAggregateRange ToMinedAggregate(const bucketing::BucketSums& sums,
 /// construction (the engine's grid channel and the legacy
 /// region::BuildGrid pass produce identical grids).
 MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
-                               const MinerOptions& options,
+                               const ThresholdSet& thresholds,
                                const std::string& x_attr,
                                const std::string& y_attr,
                                const std::string& target_attr) {
@@ -165,17 +182,26 @@ MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
   mined.ny = grid.ny();
   mined.total_tuples = grid.total_tuples();
   mined.confidence_rectangle = region::OptimizedConfidenceRectangle(
-      grid, MinSupportCount(grid.total_tuples(), options.min_support));
+      grid, MinSupportCount(grid.total_tuples(), thresholds.min_support));
   mined.support_rectangle = region::OptimizedSupportRectangle(
-      grid, Ratio::FromDouble(options.min_confidence));
+      grid, Ratio::FromDouble(thresholds.min_confidence));
   mined.xmonotone_gain = region::MaxGainXMonotoneRegion(
-      grid, Ratio::FromDouble(options.min_confidence));
+      grid, Ratio::FromDouble(thresholds.min_confidence));
   mined.found = mined.confidence_rectangle.found ||
                 mined.support_rectangle.found || mined.xmonotone_gain.found;
   return mined;
 }
 
 }  // namespace
+
+Status ValidateThresholds(const ThresholdSet& thresholds) {
+  if (!(0.0 <= thresholds.min_support && thresholds.min_support <= 1.0) ||
+      !(0.0 <= thresholds.min_confidence &&
+        thresholds.min_confidence <= 1.0)) {
+    return Status::InvalidArgument("mining threshold outside [0, 1]");
+  }
+  return Status::Ok();
+}
 
 std::string MinedRegion::ToString() const {
   std::string text = "(" + x_attr + ", " + y_attr + ") in R => (" +
@@ -616,9 +642,6 @@ Status MiningEngine::TryPrepare() {
   OPTRULES_CHECK(options_.num_buckets >= 1);
   OPTRULES_CHECK(options_.sample_per_bucket >= 1);
   OPTRULES_CHECK(options_.region_grid_buckets >= 1);
-  OPTRULES_CHECK(0.0 <= options_.min_support && options_.min_support <= 1.0);
-  OPTRULES_CHECK(0.0 <= options_.min_confidence &&
-                 options_.min_confidence <= 1.0);
   // Partitions that vanished since the table was opened must fail softly
   // here; the planning stream below treats a partition disappearing
   // MID-scan as fatal, so the window is re-validated up front.
@@ -670,13 +693,19 @@ const bucketing::BucketBoundaries& MiningEngine::Boundary(int num_buckets,
 }
 
 std::vector<MinedRule> MiningEngine::MineAllPairs() {
-  const ThresholdSet thresholds[] = {
-      {options_.min_support, options_.min_confidence}};
-  return MineAllPairs(thresholds);
+  const ThresholdSet thresholds = ThresholdsOf(options_);
+  return MineAllPairs({&thresholds, 1});
 }
 
 Result<std::vector<MinedRule>> MiningEngine::MinePair(
     const std::string& numeric_attr, const std::string& boolean_attr) {
+  return MinePair(numeric_attr, boolean_attr, ThresholdsOf(options_));
+}
+
+Result<std::vector<MinedRule>> MiningEngine::MinePair(
+    const std::string& numeric_attr, const std::string& boolean_attr,
+    const ThresholdSet& thresholds) {
+  OPTRULES_RETURN_IF_ERROR(ValidateThresholds(thresholds));
   const Result<int> numeric_index = schema_.NumericIndexOf(numeric_attr);
   if (!numeric_index.ok()) return numeric_index.status();
   const Result<int> boolean_index = schema_.BooleanIndexOf(boolean_attr);
@@ -684,18 +713,15 @@ Result<std::vector<MinedRule>> MiningEngine::MinePair(
   OPTRULES_RETURN_IF_ERROR(TryPrepare());
   return EmitRulesForPair(
       counts_[static_cast<size_t>(numeric_index.value())],
-      boolean_index.value(), options_, numeric_attr, boolean_attr);
+      boolean_index.value(), thresholds, numeric_attr, boolean_attr);
 }
 
 std::vector<MinedRule> MiningEngine::MineAllPairs(
     std::span<const ThresholdSet> sweep) {
-  Prepare();
   for (const ThresholdSet& thresholds : sweep) {
-    OPTRULES_CHECK(0.0 <= thresholds.min_support &&
-                   thresholds.min_support <= 1.0);
-    OPTRULES_CHECK(0.0 <= thresholds.min_confidence &&
-                   thresholds.min_confidence <= 1.0);
+    OPTRULES_CHECK(ValidateThresholds(thresholds).ok());
   }
+  Prepare();
   // Sweep-major output, as if each threshold set ran MineAllPairs() in
   // turn; each pair is visited once and writes its rules for every set.
   const size_t stride = static_cast<size_t>(schema_.num_numeric()) *
@@ -919,6 +945,14 @@ Status MiningEngine::RequestRegionPair(const std::string& x_attr,
 Result<MinedRegion> MiningEngine::MineOptimizedRegion(
     const std::string& x_attr, const std::string& y_attr,
     const std::string& target_attr) {
+  return MineOptimizedRegion(x_attr, y_attr, target_attr,
+                             ThresholdsOf(options_));
+}
+
+Result<MinedRegion> MiningEngine::MineOptimizedRegion(
+    const std::string& x_attr, const std::string& y_attr,
+    const std::string& target_attr, const ThresholdSet& thresholds) {
+  OPTRULES_RETURN_IF_ERROR(ValidateThresholds(thresholds));
   const Result<int> target = schema_.BooleanIndexOf(target_attr);
   if (!target.ok()) return target.status();
   // An already-registered pair over (x, y) answers at its registered grid
@@ -938,13 +972,22 @@ Result<MinedRegion> MiningEngine::MineOptimizedRegion(
   OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const region::GridCounts grid = region::FromGridBucketCounts(
       region_grids_[static_cast<size_t>(pair.value())], target.value());
-  return MineRegionFromGrid(grid, options_, x_attr, y_attr, target_attr);
+  return MineRegionFromGrid(grid, thresholds, x_attr, y_attr, target_attr);
 }
 
 Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
     const std::string& numeric_attr,
     const std::vector<std::string>& condition_attrs,
     const std::string& objective_attr) {
+  return MineGeneralized(numeric_attr, condition_attrs, objective_attr,
+                         ThresholdsOf(options_));
+}
+
+Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
+    const std::string& numeric_attr,
+    const std::vector<std::string>& condition_attrs,
+    const std::string& objective_attr, const ThresholdSet& thresholds) {
+  OPTRULES_RETURN_IF_ERROR(ValidateThresholds(thresholds));
   const Result<int> numeric_index = schema_.NumericIndexOf(numeric_attr);
   if (!numeric_index.ok()) return numeric_index.status();
   const Result<int> objective_index = schema_.BooleanIndexOf(objective_attr);
@@ -956,7 +999,7 @@ Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
       generalized_counts_[static_cast<size_t>(condition.value())]
                          [static_cast<size_t>(numeric_index.value())];
   std::vector<MinedRule> mined = EmitRulesForPair(
-      counts, objective_index.value(), options_, numeric_attr,
+      counts, objective_index.value(), thresholds, numeric_attr,
       objective_attr);
   const std::string condition_text = ConditionText(condition_attrs);
   for (MinedRule& rule : mined) rule.presumptive_condition = condition_text;
@@ -984,6 +1027,7 @@ SlopePairContext& MiningEngine::HullContextFor(int range_attr, int k) {
 Result<MinedAggregateRange> MiningEngine::MineMaximumAverageRange(
     const std::string& range_attr, const std::string& target_attr,
     double min_support) {
+  OPTRULES_RETURN_IF_ERROR(ValidateAggregateSupport(min_support));
   const Result<int> range_index = schema_.NumericIndexOf(range_attr);
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
@@ -1010,6 +1054,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumAverageRange(
 Result<MinedAggregateRange> MiningEngine::MineMaximumSupportRange(
     const std::string& range_attr, const std::string& target_attr,
     double min_average) {
+  OPTRULES_RETURN_IF_ERROR(ValidateAggregateAverage(min_average));
   const Result<int> range_index = schema_.NumericIndexOf(range_attr);
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
@@ -1037,9 +1082,7 @@ Miner::Miner(const storage::Relation* relation, MinerOptions options)
   OPTRULES_CHECK(relation != nullptr);
   OPTRULES_CHECK(options_.num_buckets >= 1);
   OPTRULES_CHECK(options_.sample_per_bucket >= 1);
-  OPTRULES_CHECK(0.0 <= options_.min_support && options_.min_support <= 1.0);
-  OPTRULES_CHECK(0.0 <= options_.min_confidence &&
-                 options_.min_confidence <= 1.0);
+  OPTRULES_CHECK(ValidateThresholds(ThresholdsOf(options_)).ok());
   cache_.resize(static_cast<size_t>(relation->schema().num_numeric()));
 }
 
@@ -1076,8 +1119,8 @@ Result<std::vector<MinedRule>> Miner::MinePair(
   if (!boolean_index.ok()) return boolean_index.status();
 
   const AttributeBuckets& buckets = BucketsFor(numeric_index.value());
-  return EmitRulesForPair(buckets.counts, boolean_index.value(), options_,
-                          numeric_attr, boolean_attr);
+  return EmitRulesForPair(buckets.counts, boolean_index.value(),
+                          ThresholdsOf(options_), numeric_attr, boolean_attr);
 }
 
 std::vector<MinedRule> Miner::MineAll() {
@@ -1129,7 +1172,8 @@ Result<std::vector<MinedRule>> Miner::MineGeneralized(
   bucketing::CompactEmptyBuckets(&counts);
 
   std::vector<MinedRule> mined =
-      EmitRulesForPair(counts, 0, options_, numeric_attr, objective_attr);
+      EmitRulesForPair(counts, 0, ThresholdsOf(options_), numeric_attr,
+                       objective_attr);
   const std::string condition_text = ConditionText(condition_attrs);
   for (MinedRule& rule : mined) {
     rule.presumptive_condition = condition_text;
@@ -1162,6 +1206,7 @@ Result<bucketing::BucketSums> BuildSums(const storage::Relation& relation,
 Result<MinedAggregateRange> Miner::MineMaximumAverageRange(
     const std::string& range_attr, const std::string& target_attr,
     double min_support) {
+  OPTRULES_RETURN_IF_ERROR(ValidateAggregateSupport(min_support));
   Result<bucketing::BucketSums> sums_or =
       BuildSums(*relation_, options_, range_attr, target_attr);
   if (!sums_or.ok()) return sums_or.status();
@@ -1177,6 +1222,7 @@ Result<MinedAggregateRange> Miner::MineMaximumAverageRange(
 Result<MinedAggregateRange> Miner::MineMaximumSupportRange(
     const std::string& range_attr, const std::string& target_attr,
     double min_average) {
+  OPTRULES_RETURN_IF_ERROR(ValidateAggregateAverage(min_average));
   Result<bucketing::BucketSums> sums_or =
       BuildSums(*relation_, options_, range_attr, target_attr);
   if (!sums_or.ok()) return sums_or.status();
@@ -1222,7 +1268,8 @@ Result<MinedRegion> Miner::MineOptimizedRegion(
   const region::GridCounts grid = region::BuildGrid(
       relation_->NumericColumn(x.value()), relation_->NumericColumn(y.value()),
       relation_->BooleanColumn(target.value()), x_boundaries, y_boundaries);
-  return MineRegionFromGrid(grid, options_, x_attr, y_attr, target_attr);
+  return MineRegionFromGrid(grid, ThresholdsOf(options_), x_attr, y_attr,
+                            target_attr);
 }
 
 }  // namespace optrules::rules

@@ -97,11 +97,22 @@ struct MinedRule {
   std::string ToString() const;
 };
 
-/// One (min_support, min_confidence) pair of a threshold sweep.
+/// One (min_support, min_confidence) pair: the thresholds a query is
+/// answered at. Thresholds act only in the O(M) optimizers over the
+/// cached bucket counts -- never in boundary planning or the counting
+/// scan -- so one prepared engine answers any number of threshold sets.
 struct ThresholdSet {
   double min_support = 0.05;
   double min_confidence = 0.5;
 };
+
+/// The thresholds carried by `options`.
+inline ThresholdSet ThresholdsOf(const MinerOptions& options) {
+  return {options.min_support, options.min_confidence};
+}
+
+/// InvalidArgument unless both thresholds lie in [0, 1] (NaN included).
+Status ValidateThresholds(const ThresholdSet& thresholds);
 
 /// The two-dimensional optimized regions mined for one
 /// `(X, Y) in R => C` attribute triple (Section 1.4): both rectangle
@@ -117,11 +128,11 @@ struct MinedRegion {
   int ny = 0;
   /// All tuples scanned (the support denominator), NaN rows included.
   int64_t total_tuples = 0;
-  /// Max confidence s.t. support >= MinerOptions::min_support.
+  /// Max confidence s.t. support >= ThresholdSet::min_support.
   region::RegionRule confidence_rectangle;
-  /// Max support s.t. confidence >= MinerOptions::min_confidence.
+  /// Max support s.t. confidence >= ThresholdSet::min_confidence.
   region::RegionRule support_rectangle;
-  /// Max gain at theta = MinerOptions::min_confidence.
+  /// Max gain at theta = ThresholdSet::min_confidence.
   region::XMonotoneRegion xmonotone_gain;
 
   /// Human-readable multi-line rendering.
@@ -241,7 +252,8 @@ class MiningEngine {
 
   /// Both optimized rules for every (numeric, Boolean) attribute pair,
   /// in (numeric-major, Boolean-minor) order, confidence rule before
-  /// support rule -- the same order as Miner::MineAll().
+  /// support rule -- the same order as Miner::MineAll(). Every Mine* call
+  /// without a ThresholdSet answers at ThresholdsOf(options()).
   std::vector<MinedRule> MineAllPairs();
 
   /// Threshold sweep from the same cached counts: the full MineAllPairs()
@@ -251,12 +263,21 @@ class MiningEngine {
   /// O(M) tangent walk and one O(M) support scan per pair.
   std::vector<MinedRule> MineAllPairs(std::span<const ThresholdSet> sweep);
 
-  /// Both optimized rules for the pair, from the cached counts.
+  /// Both optimized rules for the pair, from the cached counts, at
+  /// `thresholds` (InvalidArgument outside [0, 1]).
+  Result<std::vector<MinedRule>> MinePair(const std::string& numeric_attr,
+                                          const std::string& boolean_attr,
+                                          const ThresholdSet& thresholds);
   Result<std::vector<MinedRule>> MinePair(const std::string& numeric_attr,
                                           const std::string& boolean_attr);
 
   /// Generalized rules (Section 4.3), answered from the cached
-  /// conditional channels; bit-identical to Miner::MineGeneralized.
+  /// conditional channels at `thresholds`; bit-identical to
+  /// Miner::MineGeneralized.
+  Result<std::vector<MinedRule>> MineGeneralized(
+      const std::string& numeric_attr,
+      const std::vector<std::string>& condition_attrs,
+      const std::string& objective_attr, const ThresholdSet& thresholds);
   Result<std::vector<MinedRule>> MineGeneralized(
       const std::string& numeric_attr,
       const std::vector<std::string>& condition_attrs,
@@ -264,23 +285,30 @@ class MiningEngine {
 
   /// Section 5 maximum-average range from the cached sum channels;
   /// bit-identical to Miner::MineMaximumAverageRange for serial scans.
+  /// InvalidArgument when `min_support` lies outside [0, 1].
   Result<MinedAggregateRange> MineMaximumAverageRange(
       const std::string& range_attr, const std::string& target_attr,
       double min_support);
 
   /// Section 5 maximum-support range from the cached sum channels;
   /// bit-identical to Miner::MineMaximumSupportRange for serial scans.
+  /// InvalidArgument when `min_average` is not finite.
   Result<MinedAggregateRange> MineMaximumSupportRange(
       const std::string& range_attr, const std::string& target_attr,
       double min_average);
 
   /// Two-dimensional optimized regions (Section 1.4) for
   /// `(x_attr, y_attr) in R => target_attr`, answered from the cached grid
-  /// channel of the shared counting scan: the optimized-confidence and
-  /// optimized-support rectangles plus the max-gain x-monotone region.
-  /// Bit-identical to Miner::MineOptimizedRegion. Auto-registers the pair
-  /// (one supplemental scan when it was not pre-registered); any Boolean
+  /// channel of the shared counting scan at `thresholds`: the
+  /// optimized-confidence and optimized-support rectangles plus the
+  /// max-gain x-monotone region. Bit-identical to
+  /// Miner::MineOptimizedRegion. Auto-registers the pair (one
+  /// supplemental scan when it was not pre-registered); any Boolean
   /// target can be queried against a registered pair at no extra scan.
+  Result<MinedRegion> MineOptimizedRegion(const std::string& x_attr,
+                                          const std::string& y_attr,
+                                          const std::string& target_attr,
+                                          const ThresholdSet& thresholds);
   Result<MinedRegion> MineOptimizedRegion(const std::string& x_attr,
                                           const std::string& y_attr,
                                           const std::string& target_attr);

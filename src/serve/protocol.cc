@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -552,6 +551,13 @@ uint64_t OptionsFingerprint(const rules::MinerOptions& options) {
   return hash.digest();
 }
 
+uint64_t ScanOptionsFingerprint(rules::MinerOptions options) {
+  // Thresholds act only at emission: normalize them away.
+  options.min_support = 0.0;
+  options.min_confidence = 0.0;
+  return OptionsFingerprint(options);
+}
+
 Status ValidateSessionOptions(const rules::MinerOptions& options) {
   if (options.num_buckets < 1 || options.num_buckets > 1'000'000) {
     return Status::InvalidArgument("num_buckets out of range [1, 1e6]");
@@ -566,10 +572,8 @@ Status ValidateSessionOptions(const rules::MinerOptions& options) {
     return Status::InvalidArgument(
         "region_grid_buckets out of range [1, 4096]");
   }
-  if (!std::isfinite(options.min_support) ||
-      !std::isfinite(options.min_confidence)) {
-    return Status::InvalidArgument("non-finite mining threshold");
-  }
+  OPTRULES_RETURN_IF_ERROR(
+      rules::ValidateThresholds(rules::ThresholdsOf(options)));
   if (!(options.gk_epsilon >= 0.0) || options.gk_epsilon >= 1.0) {
     return Status::InvalidArgument("gk_epsilon out of range [0, 1)");
   }

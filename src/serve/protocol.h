@@ -52,7 +52,7 @@ enum class ServeFrameKind : uint8_t {
 /// unused fields are ignored (and travel as empty/zero).
 struct ServeQuery {
   enum class Kind : uint8_t {
-    kAllPairs = 0,      ///< MineAllPairs() at the session thresholds
+    kAllPairs = 0,      ///< MineAllPairs at the session thresholds
     kPair = 1,          ///< MinePair(attr_a = numeric, attr_b = Boolean)
     kGeneralized = 2,   ///< MineGeneralized(attr_a, conditions, attr_b)
     kAverageRange = 3,  ///< MineMaximumAverageRange(attr_a, attr_b, thr)
@@ -64,15 +64,19 @@ struct ServeQuery {
   std::string attr_b;  ///< Boolean / target / y attribute
   std::string target;  ///< region Boolean target / generalized objective
   std::vector<std::string> conditions;  ///< generalized conjunct names
-  double threshold = 0.0;  ///< min_support / min_average for kinds 3-4
+  /// min_support (in [0, 1]) / min_average (finite) for kinds 3-4; a
+  /// value outside that domain fails this query with InvalidArgument.
+  double threshold = 0.0;
   /// Region grid shape; 0 = the session's region_grid_buckets square.
   int32_t nx = 0;
   int32_t ny = 0;
 };
 
 /// One session request: which table, which mining options, which queries.
-/// Sessions with identical (table generation, options) coalesce into one
-/// shared MiningEngine scan server-side; the options therefore use the
+/// Sessions with identical (table generation, scan-shaping options --
+/// see ScanOptionsFingerprint) coalesce into one shared MiningEngine scan
+/// server-side, whatever their thresholds; each session's answers are
+/// emitted at its own min_support / min_confidence. The options use the
 /// exact MinerOptions the engine consumes, serialized field by field.
 struct SessionRequest {
   std::string table_dir;  ///< PartitionedTable directory on the server
@@ -170,13 +174,22 @@ void EncodeMetricsReply(const obs::MetricsSnapshot& snapshot,
 Status DecodeMetricsReply(std::span<const uint8_t> payload,
                           obs::MetricsSnapshot* out);
 
-/// Order-independent fingerprint of the options fields that change mined
-/// bits: sessions coalesce only when their fingerprints match, because a
-/// shared scan plans ONE set of boundaries from these fields.
+/// Fingerprint of every options field that changes mined bits,
+/// thresholds included: the tenant identity of per-tenant counters.
 uint64_t OptionsFingerprint(const rules::MinerOptions& options);
 
+/// Fingerprint of the scan-shaping options only -- num_buckets,
+/// sample_per_bucket, seed, bucketizer, gk_epsilon, region_grid_buckets
+/// -- i.e. OptionsFingerprint with the thresholds normalized away. A
+/// shared scan plans ONE set of boundaries from these fields, so
+/// sessions coalesce and share a cached engine when these match; each
+/// session's min_support / min_confidence apply only when its answers
+/// are emitted.
+uint64_t ScanOptionsFingerprint(rules::MinerOptions options);
+
 /// Validates decoded options against the engine's CHECK contracts so a
-/// hostile request becomes an error frame, never a server abort.
+/// hostile request becomes an error frame, never a server abort:
+/// thresholds outside [0, 1] (NaN included) are InvalidArgument.
 Status ValidateSessionOptions(const rules::MinerOptions& options);
 
 }  // namespace optrules::serve

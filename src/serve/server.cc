@@ -73,9 +73,10 @@ struct ServeMetrics {
   }
 };
 
-/// Per-tenant served-session counter, keyed by the options fingerprint
-/// (the coalescing tenant identity). Dynamic lookup: the registry mutex
-/// is fine at once-per-batch frequency.
+/// Per-tenant served-session counter, keyed by the session's full
+/// OptionsFingerprint (thresholds included), so tenants that share one
+/// coalesced scan still count apart. Dynamic lookup: the registry mutex
+/// is fine at once-per-session frequency.
 obs::Counter* TenantSessionsCounter(uint64_t fingerprint) {
   char name[64];
   std::snprintf(name, sizeof(name), "serve.tenant.%016llx.sessions_served",
@@ -136,18 +137,22 @@ void PreRegisterQuery(rules::MiningEngine* engine, const ServeQuery& query) {
   }
 }
 
-/// Answers one query from the prepared engine's cached channels. Errors
-/// (unknown attribute, wrong attribute kind) land in the answer's status:
-/// per-query isolation, never a session or batch failure.
+/// Answers one query from the prepared engine's cached channels at the
+/// session's `thresholds` -- never at the engine's own option thresholds,
+/// since a cached engine may have been built for another session. Errors
+/// (unknown attribute, wrong attribute kind, an aggregate threshold out of
+/// its domain) land in the answer's status: per-query isolation, never a
+/// session or batch failure.
 QueryAnswer AnswerQuery(rules::MiningEngine* engine,
+                        const rules::ThresholdSet& thresholds,
                         const ServeQuery& query) {
   QueryAnswer answer;
   switch (query.kind) {
     case ServeQuery::Kind::kAllPairs:
-      answer.rules = engine->MineAllPairs();
+      answer.rules = engine->MineAllPairs({&thresholds, 1});
       break;
     case ServeQuery::Kind::kPair: {
-      auto result = engine->MinePair(query.attr_a, query.attr_b);
+      auto result = engine->MinePair(query.attr_a, query.attr_b, thresholds);
       if (result.ok()) {
         answer.rules = std::move(result).value();
       } else {
@@ -157,7 +162,7 @@ QueryAnswer AnswerQuery(rules::MiningEngine* engine,
     }
     case ServeQuery::Kind::kGeneralized: {
       auto result = engine->MineGeneralized(query.attr_a, query.conditions,
-                                            query.attr_b);
+                                            query.attr_b, thresholds);
       if (result.ok()) {
         answer.rules = std::move(result).value();
       } else {
@@ -187,7 +192,7 @@ QueryAnswer AnswerQuery(rules::MiningEngine* engine,
     }
     case ServeQuery::Kind::kRegion: {
       auto result = engine->MineOptimizedRegion(query.attr_a, query.attr_b,
-                                                query.target);
+                                                query.target, thresholds);
       if (result.ok()) {
         answer.region = std::move(result).value();
       } else {
@@ -476,7 +481,7 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
   }
 
   EngineKey key{request.table_dir, generation,
-                OptionsFingerprint(request.options)};
+                ScanOptionsFingerprint(request.options)};
   PendingSession session;
   session.conn = conn;
   session.session_id = session_id;
@@ -631,8 +636,10 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
     replies[i].session_id = live[i].session_id;
     replies[i].generation = key.generation;
     replies[i].answers.reserve(live[i].request.queries.size());
+    const rules::ThresholdSet thresholds =
+        rules::ThresholdsOf(live[i].request.options);
     for (const ServeQuery& query : live[i].request.queries) {
-      replies[i].answers.push_back(AnswerQuery(engine, query));
+      replies[i].answers.push_back(AnswerQuery(engine, thresholds, query));
     }
   }
   const int64_t scan_delta = engine->counting_scans() - scans_before;
@@ -657,8 +664,10 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
       std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta));
   metrics.batches_executed->Add();
   metrics.engines_cached->Set(static_cast<double>(engines_.size()));
-  TenantSessionsCounter(key.options_fingerprint)
-      ->Add(static_cast<int64_t>(live.size()));
+  for (const PendingSession& session : live) {
+    TenantSessionsCounter(OptionsFingerprint(session.request.options))
+        ->Add();
+  }
   window_span.AddAttribute("physical_scans",
                            static_cast<double>(scan_delta));
   metrics.window_seconds->Observe(window_timer.ElapsedSeconds());

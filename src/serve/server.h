@@ -3,14 +3,18 @@
 // A daemon-side scheduling layer over the existing engine: client
 // connections (Unix-domain or TCP sockets) carry serve-protocol frames,
 // and every admitted session is queued into a COALESCING WINDOW keyed by
-// (table directory, table generation, options fingerprint). Sessions that
-// arrive within the window against the same key -- typically many tenants
-// querying one published table -- are answered by ONE shared MiningEngine
-// whose single counting scan registers every session's channels up front,
-// so N concurrent sessions cost one physical scan instead of N. Engines
-// persist across windows in a small LRU keyed by the same triple; a
-// republished table (new manifest bytes = new generation) naturally misses
-// the cache and re-scans.
+// (table directory, table generation, scan-shaping options fingerprint
+// -- ScanOptionsFingerprint, which leaves out min_support and
+// min_confidence). Sessions that arrive within the window against the
+// same key -- typically many tenants querying one published table, at
+// whatever thresholds -- are answered by ONE shared MiningEngine whose
+// single counting scan registers every session's channels up front, so N
+// concurrent sessions cost one physical scan instead of N. Thresholds act
+// only in the O(M) optimizers, so each session's answers are emitted at
+// its own thresholds from the shared counts. Engines persist across
+// windows in a small LRU keyed by the same triple; a republished table
+// (new manifest bytes = new generation) naturally misses the cache and
+// re-scans.
 //
 // Threading model:
 //   * accept thread  -- polls the listen socket, admits connections.
@@ -62,7 +66,7 @@ struct ServerOptions {
   /// error frame and closed.
   int max_connections = 64;
   /// The coalescing window: a session waits this long after the FIRST
-  /// arrival of its (table, generation, options) key before the batch
+  /// arrival of its (table, generation, scan options) key before the batch
   /// executes, collecting same-key sessions into one shared scan. 0
   /// executes every session immediately (coalescing off).
   int64_t coalescing_window_ms = 25;
@@ -114,12 +118,14 @@ class MiningServer {
  private:
   struct Connection;
   struct CachedEngine;
-  /// The coalescing key: same directory, same manifest bytes, same
-  /// result-changing options => shareable scan.
+  /// The coalescing and engine-cache key: same directory, same manifest
+  /// bytes, same scan-shaping options => shareable scan and engine.
+  /// Thresholds are not part of it: every query is answered at its own
+  /// session's ThresholdSet.
   struct EngineKey {
     std::string table_dir;
     uint64_t generation = 0;
-    uint64_t options_fingerprint = 0;
+    uint64_t scan_options_fingerprint = 0;
     friend auto operator<=>(const EngineKey&, const EngineKey&) = default;
   };
   /// One admitted session waiting in its coalescing window.
@@ -151,7 +157,8 @@ class MiningServer {
                    uint32_t session_id, const Status& status);
   /// Looks the key up in the LRU (front = hottest), or opens the table
   /// and builds a fresh engine with `options` (evicting beyond the cache
-  /// bound). Scheduler thread only.
+  /// bound). The engine's own thresholds are never read. Scheduler thread
+  /// only.
   Result<CachedEngine*> GetOrCreateEngine(const EngineKey& key,
                                           const rules::MinerOptions& options);
   void WriteError(const std::shared_ptr<Connection>& conn,

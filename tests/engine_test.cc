@@ -2,6 +2,7 @@
 // multi-pair counting scan, and the MiningEngine's equivalence with the
 // legacy per-attribute Miner.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -1517,6 +1518,100 @@ TEST(MiningEngineTest, RepeatedAggregateQueriesReuseHullContext) {
       legacy.MineMaximumSupportRange("num0", "num1", 4.5e5));
   EXPECT_EQ(engine.hull_contexts_built(), 2);
   EXPECT_EQ(engine.counting_scans(), 1);
+}
+
+// Thresholds act only in the O(M) optimizers, so the ThresholdSet forms
+// of MinePair / MineGeneralized / MineOptimizedRegion on ONE prepared
+// engine must equal a fresh engine constructed at those thresholds, bit
+// for bit, while the shared engine never scans again.
+TEST(MiningEngineTest, ThresholdSetFormsEqualFreshEnginesAtThoseThresholds) {
+  const storage::Relation relation = RelationWithNans(6000, 81);
+  const ThresholdSet sets[] = {
+      {0.0, 0.0}, {0.02, 0.3}, {0.05, 0.5}, {0.3, 0.9}, {1.0, 1.0}};
+  for (const int m : {1, 3, 1000}) {
+    SCOPED_TRACE(m);
+    MinerOptions options;
+    options.num_buckets = m;
+    options.region_grid_buckets = std::min(m, 6);
+    MiningEngine shared(&relation, options);
+    ASSERT_TRUE(shared.RequestGeneralized({"bool0"}).ok());
+    ASSERT_TRUE(shared.RequestRegionPair("num0", "num1").ok());
+    ASSERT_TRUE(shared.TryPrepare().ok());
+    for (const ThresholdSet& thresholds : sets) {
+      SCOPED_TRACE(thresholds.min_support);
+      MinerOptions fresh_options = options;
+      fresh_options.min_support = thresholds.min_support;
+      fresh_options.min_confidence = thresholds.min_confidence;
+      MiningEngine fresh(&relation, fresh_options);
+      ExpectSameRuleResults(shared.MinePair("num0", "bool1", thresholds),
+                            fresh.MinePair("num0", "bool1"));
+      ExpectSameRuleResults(shared.MinePair("num2", "bool0", thresholds),
+                            fresh.MinePair("num2", "bool0"));
+      ExpectSameRuleResults(
+          shared.MineGeneralized("num1", {"bool0"}, "bool1", thresholds),
+          fresh.MineGeneralized("num1", {"bool0"}, "bool1"));
+      for (const char* target : {"bool0", "bool1"}) {
+        ExpectSameRegion(
+            shared.MineOptimizedRegion("num0", "num1", target, thresholds),
+            fresh.MineOptimizedRegion("num0", "num1", target));
+      }
+    }
+    // The no-threshold forms answer at the engine's own options.
+    ExpectSameRuleResults(shared.MinePair("num0", "bool1"),
+                          shared.MinePair("num0", "bool1",
+                                          ThresholdsOf(options)));
+    EXPECT_EQ(shared.counting_scans(), 1);
+  }
+}
+
+TEST(MiningEngineTest, OutOfRangeThresholdsAreInvalidArgumentNotAbort) {
+  const storage::Relation relation = SmallRelation(2000, 83);
+  MinerOptions options;
+  options.num_buckets = 20;
+  MiningEngine engine(&relation, options);
+  Miner legacy(&relation, options);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const ThresholdSet& bad : {ThresholdSet{1.5, 0.5},
+                                  ThresholdSet{-0.1, 0.5},
+                                  ThresholdSet{0.05, 1.5},
+                                  ThresholdSet{0.05, -0.1},
+                                  ThresholdSet{nan, 0.5},
+                                  ThresholdSet{0.05, nan}}) {
+    EXPECT_EQ(ValidateThresholds(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.MinePair("num0", "bool0", bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        engine.MineGeneralized("num0", {"bool0"}, "bool1", bad).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.MineOptimizedRegion("num0", "num1", "bool0", bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const double bad : {1.5, -0.1, nan}) {
+    EXPECT_EQ(engine.MineMaximumAverageRange("num0", "num1", bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(legacy.MineMaximumAverageRange("num0", "num1", bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_EQ(engine.MineMaximumSupportRange("num0", "num1", bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(legacy.MineMaximumSupportRange("num0", "num1", bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Rejected before any planning or scan.
+  EXPECT_EQ(engine.counting_scans(), 0);
+  EXPECT_TRUE(ValidateThresholds({0.0, 1.0}).ok());
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -410,6 +412,45 @@ TEST(ServeProtocolTest, ValidateSessionOptionsBounds) {
   bad = SmallOptions();
   bad.min_support = std::nan("");
   EXPECT_FALSE(ValidateSessionOptions(bad).ok());
+  // Finite but outside [0, 1]: rejected too, never an engine CHECK.
+  for (const double out_of_range : {1.5, -0.1}) {
+    bad = SmallOptions();
+    bad.min_support = out_of_range;
+    EXPECT_EQ(ValidateSessionOptions(bad).code(),
+              StatusCode::kInvalidArgument);
+    bad = SmallOptions();
+    bad.min_confidence = out_of_range;
+    EXPECT_EQ(ValidateSessionOptions(bad).code(),
+              StatusCode::kInvalidArgument);
+  }
+  rules::MinerOptions edge = SmallOptions();
+  edge.min_support = 0.0;
+  edge.min_confidence = 1.0;
+  EXPECT_TRUE(ValidateSessionOptions(edge).ok());
+}
+
+TEST(ServeProtocolTest, ScanOptionsFingerprintIgnoresOnlyThresholds) {
+  const rules::MinerOptions a = SmallOptions();
+  rules::MinerOptions b = a;
+  b.min_support = 0.051;
+  b.min_confidence = 0.9;
+  EXPECT_EQ(ScanOptionsFingerprint(a), ScanOptionsFingerprint(b));
+  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
+  const std::function<void(rules::MinerOptions&)> scan_shaping[] = {
+      [](rules::MinerOptions& o) { o.num_buckets += 1; },
+      [](rules::MinerOptions& o) { o.sample_per_bucket += 1; },
+      [](rules::MinerOptions& o) { o.seed += 1; },
+      [](rules::MinerOptions& o) {
+        o.bucketizer = rules::Bucketizer::kExactSort;
+      },
+      [](rules::MinerOptions& o) { o.gk_epsilon = 0.01; },
+      [](rules::MinerOptions& o) { o.region_grid_buckets += 1; },
+  };
+  for (const auto& change : scan_shaping) {
+    rules::MinerOptions c = a;
+    change(c);
+    EXPECT_NE(ScanOptionsFingerprint(a), ScanOptionsFingerprint(c));
+  }
 }
 
 // ---------------------------------------------- FrameWriter atomicity ----
@@ -1118,6 +1159,276 @@ TEST(MiningServerTest, TcpListenerServesSessions) {
   client.set_timeouts({.liveness_ms = 0, .total_ms = 60'000});
   auto reply = client.RunSession(PairRequest(table_dir, table.schema()));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  server.Stop();
+}
+
+// ------------------------------------------- per-session thresholds ----
+
+/// A session with every query kind whose answer depends on the session
+/// thresholds, plus an aggregate query.
+SessionRequest ThresholdRequest(const std::string& table_dir,
+                                const storage::Schema& schema,
+                                double min_support, double min_confidence) {
+  SessionRequest request = PairRequest(table_dir, schema);
+  request.options.min_support = min_support;
+  request.options.min_confidence = min_confidence;
+  ServeQuery all_pairs;
+  all_pairs.kind = ServeQuery::Kind::kAllPairs;
+  ServeQuery generalized;
+  generalized.kind = ServeQuery::Kind::kGeneralized;
+  generalized.attr_a = schema.NumericName(1);
+  generalized.conditions = {schema.BooleanName(0)};
+  generalized.attr_b = schema.BooleanName(1);
+  ServeQuery region;
+  region.kind = ServeQuery::Kind::kRegion;
+  region.attr_a = schema.NumericName(0);
+  region.attr_b = schema.NumericName(2);
+  region.target = schema.BooleanName(1);
+  ServeQuery average;
+  average.kind = ServeQuery::Kind::kAverageRange;
+  average.attr_a = schema.NumericName(2);
+  average.attr_b = schema.NumericName(1);
+  average.threshold = 0.1;
+  request.queries.insert(request.queries.end(),
+                         {all_pairs, generalized, region, average});
+  return request;
+}
+
+/// `reply` must equal, byte for byte on the wire, the answers of a
+/// standalone engine constructed with the session's own options --
+/// thresholds included -- and queried through the no-threshold calls.
+void ExpectEqualsStandaloneEngine(const dist::PartitionedTable& table,
+                                  const SessionRequest& request,
+                                  const SessionReply& reply) {
+  rules::MiningEngine engine(&table, request.options);
+  SessionReply expected;
+  expected.session_id = reply.session_id;
+  expected.generation = reply.generation;
+  expected.coalesced = reply.coalesced;
+  for (const ServeQuery& query : request.queries) {
+    QueryAnswer answer;
+    switch (query.kind) {
+      case ServeQuery::Kind::kAllPairs:
+        answer.rules = engine.MineAllPairs();
+        break;
+      case ServeQuery::Kind::kPair:
+        answer.rules = engine.MinePair(query.attr_a, query.attr_b).value();
+        break;
+      case ServeQuery::Kind::kGeneralized:
+        answer.rules = engine
+                           .MineGeneralized(query.attr_a, query.conditions,
+                                            query.attr_b)
+                           .value();
+        break;
+      case ServeQuery::Kind::kAverageRange:
+        answer.aggregate = engine
+                               .MineMaximumAverageRange(
+                                   query.attr_a, query.attr_b,
+                                   query.threshold)
+                               .value();
+        break;
+      case ServeQuery::Kind::kSupportRange:
+        answer.aggregate = engine
+                               .MineMaximumSupportRange(
+                                   query.attr_a, query.attr_b,
+                                   query.threshold)
+                               .value();
+        break;
+      case ServeQuery::Kind::kRegion:
+        answer.region = engine
+                            .MineOptimizedRegion(query.attr_a, query.attr_b,
+                                                 query.target)
+                            .value();
+        break;
+    }
+    expected.answers.push_back(std::move(answer));
+  }
+  std::vector<uint8_t> got_bytes;
+  std::vector<uint8_t> expected_bytes;
+  EncodeSessionResult(reply, &got_bytes);
+  EncodeSessionResult(expected, &expected_bytes);
+  EXPECT_EQ(got_bytes, expected_bytes)
+      << "min_support " << request.options.min_support
+      << " min_confidence " << request.options.min_confidence;
+}
+
+// Sessions that differ only in min_support / min_confidence share ONE
+// coalesced scan and ONE cached engine, and each is answered at its own
+// thresholds.
+TEST(MiningServerTest, ThresholdOnlySessionsShareOneScanAndOneEngine) {
+  const std::string root = TempDir("serve_thresholds");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 1500, 59);
+  const storage::Schema& schema = table.schema();
+
+  ServerOptions options;
+  options.coalescing_window_ms = 150;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Default().Snapshot();
+
+  // One window: three tenants at three threshold sets.
+  const SessionRequest window[] = {
+      ThresholdRequest(table_dir, schema, 0.013, 0.31),
+      ThresholdRequest(table_dir, schema, 0.17, 0.62),
+      ThresholdRequest(table_dir, schema, 0.41, 0.93)};
+  std::vector<Result<SessionReply>> replies(
+      std::size(window), Status::Internal("unset"));
+  {
+    std::vector<std::thread> tenants;
+    for (size_t i = 0; i < std::size(window); ++i) {
+      tenants.emplace_back([&, i] {
+        MiningClient client = Connect(server);
+        replies[i] = client.RunSession(window[i]);
+      });
+    }
+    for (std::thread& tenant : tenants) tenant.join();
+  }
+  ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.batches_executed, 1);
+  EXPECT_EQ(stats.physical_scans, 1);
+  EXPECT_EQ(stats.engine_cache_misses, 1);
+  EXPECT_EQ(stats.coalesced_sessions, 2);
+  for (size_t i = 0; i < std::size(window); ++i) {
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
+    for (const QueryAnswer& answer : replies[i].value().answers) {
+      EXPECT_TRUE(answer.status.ok()) << answer.status.ToString();
+    }
+    ExpectEqualsStandaloneEngine(table, window[i], replies[i].value());
+  }
+  // The thresholds did change the answers (else this test shows nothing).
+  EXPECT_NE(replies[0].value().answers[1].rules[0].support_count,
+            replies[2].value().answers[1].rules[0].support_count);
+
+  // Six more threshold sets, one window each: all hit the cached engine.
+  MiningClient client = Connect(server);
+  const double later[][2] = {{0.0, 0.0},  {0.02, 0.4}, {0.07, 0.55},
+                             {0.25, 0.8}, {0.6, 0.99}, {1.0, 1.0}};
+  for (const auto& [min_support, min_confidence] : later) {
+    const SessionRequest request =
+        ThresholdRequest(table_dir, schema, min_support, min_confidence);
+    const Result<SessionReply> reply = client.RunSession(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ExpectEqualsStandaloneEngine(table, request, reply.value());
+  }
+  stats = server.Stats();
+  // One cache lookup per window: the first missed, the six later hit.
+  EXPECT_EQ(stats.engine_cache_misses, 1);
+  EXPECT_EQ(stats.engine_cache_hits, 6);
+  EXPECT_EQ(stats.physical_scans, 1);
+  EXPECT_EQ(stats.sessions_served, 9);
+
+  // Per-tenant counters still count by the full options fingerprint.
+  const obs::MetricsSnapshot after =
+      obs::MetricsRegistry::Default().Snapshot();
+  for (const SessionRequest& request : window) {
+    char tenant_counter[64];
+    std::snprintf(tenant_counter, sizeof(tenant_counter),
+                  "serve.tenant.%016llx.sessions_served",
+                  static_cast<unsigned long long>(
+                      OptionsFingerprint(request.options)));
+    EXPECT_EQ(CounterDelta(before, after, tenant_counter), 1);
+  }
+  server.Stop();
+}
+
+// A finite threshold outside [0, 1] is the session's fault alone: an
+// error frame, and the same connection keeps serving.
+TEST(MiningServerTest, OutOfRangeSessionThresholdIsAnErrorFrameNotAnAbort) {
+  const std::string root = TempDir("serve_bad_threshold");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 500, 61);
+
+  ServerOptions options;
+  options.coalescing_window_ms = 10;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  MiningClient client = Connect(server);
+  for (const double bad : {1.5, -0.1}) {
+    SessionRequest request = PairRequest(table_dir, table.schema());
+    request.options.min_support = bad;
+    EXPECT_EQ(client.RunSession(request).status().code(),
+              StatusCode::kInvalidArgument);
+    request = PairRequest(table_dir, table.schema());
+    request.options.min_confidence = bad;
+    EXPECT_EQ(client.RunSession(request).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  const SessionRequest valid = PairRequest(table_dir, table.schema());
+  const Result<SessionReply> reply = client.RunSession(valid);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().answers.size(), 1u);
+  EXPECT_TRUE(reply.value().answers[0].status.ok());
+  ExpectEqualsStandaloneEngine(table, valid, reply.value());
+  const ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.sessions_failed, 4);
+  EXPECT_EQ(stats.sessions_served, 1);
+  server.Stop();
+}
+
+// A bad per-query aggregate threshold fails that query alone; the
+// session's other answers are unaffected.
+TEST(MiningServerTest, BadAggregateThresholdFailsOnlyItsQuery) {
+  const std::string root = TempDir("serve_bad_aggregate");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 800, 67);
+  const storage::Schema& schema = table.schema();
+
+  ServerOptions options;
+  options.coalescing_window_ms = 10;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  SessionRequest request = PairRequest(table_dir, schema);
+  const auto aggregate = [&](ServeQuery::Kind kind, double threshold) {
+    ServeQuery query;
+    query.kind = kind;
+    query.attr_a = schema.NumericName(1);
+    query.attr_b = schema.NumericName(2);
+    query.threshold = threshold;
+    request.queries.push_back(query);
+  };
+  // Queries 1-3: bad average-range support; 4-6: non-finite support-range
+  // average; 7-8: valid aggregates of both kinds.
+  for (const double bad : {1.5, -0.1, nan}) {
+    aggregate(ServeQuery::Kind::kAverageRange, bad);
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    aggregate(ServeQuery::Kind::kSupportRange, bad);
+  }
+  aggregate(ServeQuery::Kind::kAverageRange, 0.1);
+  aggregate(ServeQuery::Kind::kSupportRange, 4e5);
+
+  MiningClient client = Connect(server);
+  const Result<SessionReply> reply = client.RunSession(request);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const std::vector<QueryAnswer>& answers = reply.value().answers;
+  ASSERT_EQ(answers.size(), 9u);
+  EXPECT_TRUE(answers[0].status.ok());
+  for (size_t i = 1; i <= 6; ++i) {
+    EXPECT_EQ(answers[i].status.code(), StatusCode::kInvalidArgument)
+        << "query " << i;
+  }
+  EXPECT_TRUE(answers[7].status.ok());
+  EXPECT_TRUE(answers[8].status.ok());
+
+  // The good answers equal a standalone engine's.
+  SessionRequest good = request;
+  good.queries = {request.queries[0], request.queries[7],
+                  request.queries[8]};
+  SessionReply good_reply = reply.value();
+  good_reply.answers = {answers[0], answers[7], answers[8]};
+  ExpectEqualsStandaloneEngine(table, good, good_reply);
+
+  // And the daemon is still up for the next session.
+  EXPECT_TRUE(client.RunSession(PairRequest(table_dir, schema)).ok());
   server.Stop();
 }
 
