@@ -523,7 +523,7 @@ int main() {
             best = seconds;
             mode_phases[buffered ? 1 : 0] = phases;
             mode_io_wait[buffered ? 1 : 0] =
-                source_or.value()->TotalIoWaitSeconds();
+                source_or.value()->SourceStats().io_wait_seconds;
           }
           if (rep == 0) mode_checksum[buffered ? 1 : 0] = PlanChecksum(plan);
         }

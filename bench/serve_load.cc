@@ -14,6 +14,10 @@
 //     reporting sessions/sec and p50/p99 latency (dominated by the
 //     coalescing window once the engine is cache-resident).
 //
+// The server runs in-process, so its serve.* registry counters are this
+// process's; each figure below is an obs::CounterDelta from a snapshot
+// taken when the server started.
+//
 // OPTRULES_BENCH_JSON=1 emits the one-line JSON object collected into
 // BENCH_serve_load.json; OPTRULES_BENCH_SCALE multiplies rows and the
 // sustained-session count.
@@ -36,6 +40,7 @@
 #include "common/rng.h"
 #include "datagen/table_generator.h"
 #include "dist/partitioned_table.h"
+#include "obs/metrics.h"
 #include "rules/miner.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -261,6 +266,13 @@ int main() {
     std::fprintf(stderr, "serve_load: %s\n", started.ToString().c_str());
     return 1;
   }
+  const obs::MetricsSnapshot start =
+      obs::MetricsRegistry::Default().Snapshot();
+  // The rise of serve.<name> from `start` to `now`.
+  const auto serve_delta = [&start](const obs::MetricsSnapshot& now,
+                                    const std::string& name) {
+    return obs::CounterDelta(start, now, "serve." + name);
+  };
 
   bench::PrintHeader("serve_load: cross-session scan coalescing");
   std::printf("rows=%lld partitions=%d tenants=%d window=%lldms\n",
@@ -302,7 +314,11 @@ int main() {
       return 1;
     }
   }
-  const serve::ServerStatsSnapshot window_stats = server.Stats();
+  const obs::MetricsSnapshot window =
+      obs::MetricsRegistry::Default().Snapshot();
+  const int64_t window_physical_scans = serve_delta(window, "physical_scans");
+  const int64_t window_coalesced_sessions =
+      serve_delta(window, "coalesced_sessions");
 
   // Bit-identity: every tenant's served answers vs a standalone engine.
   bool bit_identical = true;
@@ -326,8 +342,8 @@ int main() {
 
   std::printf("window: physical_scans=%lld coalesced_sessions=%lld "
               "bit_identical=%s\n",
-              static_cast<long long>(window_stats.physical_scans),
-              static_cast<long long>(window_stats.coalesced_sessions),
+              static_cast<long long>(window_physical_scans),
+              static_cast<long long>(window_coalesced_sessions),
               bit_identical ? "yes" : "NO");
 
   // ------------------------------- phase 2: sustained session stream ----
@@ -385,8 +401,12 @@ int main() {
       stream_seconds > 0.0
           ? static_cast<double>(latencies_ms.size()) / stream_seconds
           : 0.0;
-  const serve::ServerStatsSnapshot final_stats = server.Stats();
   server.Stop();
+  const obs::MetricsSnapshot done = obs::MetricsRegistry::Default().Snapshot();
+  const int64_t total_physical_scans = serve_delta(done, "physical_scans");
+  const int64_t total_coalesced_sessions =
+      serve_delta(done, "coalesced_sessions");
+  const int64_t total_batches = serve_delta(done, "batches_executed");
   std::filesystem::remove_all(root);
 
   std::printf("stream: sessions=%zu sessions/sec=%.1f p50=%.2fms "
@@ -395,34 +415,32 @@ int main() {
               percentile(0.99), failures.load());
   std::printf("totals: served=%lld physical_scans=%lld "
               "coalesced_sessions=%lld batches=%lld\n",
-              static_cast<long long>(final_stats.sessions_served),
-              static_cast<long long>(final_stats.physical_scans),
-              static_cast<long long>(final_stats.coalesced_sessions),
-              static_cast<long long>(final_stats.batches_executed));
+              static_cast<long long>(serve_delta(done, "sessions_served")),
+              static_cast<long long>(total_physical_scans),
+              static_cast<long long>(total_coalesced_sessions),
+              static_cast<long long>(total_batches));
 
   bench::JsonReporter json("serve_load");
   json.Add("rows", rows);
   json.Add("tenants", static_cast<int64_t>(kTenants));
   json.Add("coalescing_window_ms",
            static_cast<int64_t>(server_options.coalescing_window_ms));
-  json.Add("window_physical_scans", window_stats.physical_scans);
-  json.Add("window_coalesced_sessions", window_stats.coalesced_sessions);
+  json.Add("window_physical_scans", window_physical_scans);
+  json.Add("window_coalesced_sessions", window_coalesced_sessions);
   json.Add("bit_identical", bit_identical);
   json.Add("stream_sessions", static_cast<int64_t>(latencies_ms.size()));
   json.Add("sessions_per_sec", sessions_per_sec);
   json.Add("p50_latency_ms", percentile(0.50));
   json.Add("p99_latency_ms", percentile(0.99));
-  json.Add("total_physical_scans", final_stats.physical_scans);
-  json.Add("total_coalesced_sessions", final_stats.coalesced_sessions);
-  json.Add("total_batches", final_stats.batches_executed);
+  json.Add("total_physical_scans", total_physical_scans);
+  json.Add("total_coalesced_sessions", total_coalesced_sessions);
+  json.Add("total_batches", total_batches);
   json.Add("failures", static_cast<int64_t>(failures.load()));
-  // The server runs in-process, so its registry IS this process's
-  // registry: the snapshot carries the serve counters alongside the
-  // storage/scan instruments the sessions exercised.
-  json.AddRegistrySnapshot(
-      optrules::obs::MetricsRegistry::Default().Snapshot());
+  // The snapshot carries the serve counters alongside the storage/scan
+  // instruments the sessions exercised.
+  json.AddRegistrySnapshot(done);
 
-  const bool ok = bit_identical && window_stats.physical_scans == 1 &&
+  const bool ok = bit_identical && window_physical_scans == 1 &&
                   failures.load() == 0;
   if (!ok) {
     std::fprintf(stderr, "serve_load: FAILED acceptance checks\n");

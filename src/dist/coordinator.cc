@@ -365,10 +365,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
       continue;
     }
     plan->Merge(*partials[static_cast<size_t>(p)]);
-    scan_stats_.cache_hits += stats[static_cast<size_t>(p)].cache_hits;
-    scan_stats_.cache_misses += stats[static_cast<size_t>(p)].cache_misses;
-    scan_stats_.pages_skipped += stats[static_cast<size_t>(p)].pages_skipped;
-    scan_stats_.io_wait_seconds += stats[static_cast<size_t>(p)].io_wait_seconds;
+    scan_stats_ += stats[static_cast<size_t>(p)];
     ++scanned;
   }
   partition_scans_ += scanned;

@@ -21,6 +21,11 @@
 // decides only WHO scans a partition and WHEN; the merge consumes exactly
 // one partial per live partition, in partition order, no matter how many
 // attempts produced it.
+//
+// Scan counters merge the same way: the winning attempt of each live
+// partition reports one storage::BatchSourceStats (a subprocess worker
+// ships the scan fields in its kScanResult header), and the coordinator
+// adds them with BatchSourceStats::operator+= in partition order.
 
 #ifndef OPTRULES_DIST_COORDINATOR_H_
 #define OPTRULES_DIST_COORDINATOR_H_
@@ -120,12 +125,11 @@ class DistributedScanCoordinator {
   /// logical scan count, independent of fault injection.
   int64_t partition_scans() const { return partition_scans_; }
 
-  /// Counters accumulated across all Execute() calls: cache/pruning and
-  /// io-wait stats folded from per-partition worker stats (subprocess
-  /// workers ship theirs back inside the kScanResult header),
-  /// partitions_skipped from coordinator-side manifest pruning, plus the
-  /// fault-tolerance counters retries, workers_respawned, and
-  /// partitions_stolen.
+  /// Counters accumulated across all Execute() calls: the += sum of each
+  /// merged partition's BatchSourceStats (cache hits/misses, pages
+  /// skipped, io-wait), partitions_skipped from coordinator-side manifest
+  /// pruning, plus the fault-tolerance counters retries,
+  /// workers_respawned, and partitions_stolen.
   storage::BatchSourceStats scan_stats() const { return scan_stats_; }
 
  private:

@@ -244,18 +244,6 @@ Result<PartitionedTable> PartitionCsv(const std::string& csv_path,
 
 // ----------------------------------------- PartitionedTableBatchSource ----
 
-namespace {
-
-/// Stat accumulators a ConcatReader folds its partition sources into.
-struct ConcatStatSinks {
-  std::atomic<int64_t>* cache_hits = nullptr;
-  std::atomic<int64_t>* cache_misses = nullptr;
-  std::atomic<int64_t>* pages_skipped = nullptr;
-  std::atomic<int64_t>* partitions_skipped = nullptr;
-};
-
-}  // namespace
-
 bool PartitionIsDead(const PartitionedTable& table,
                      const storage::ScanPruneSpec& spec, int p) {
   const PartitionManifest& manifest = table.manifest();
@@ -275,18 +263,19 @@ namespace {
 /// partition reader at a time. Partitions the manifest stats prove dead
 /// under the installed prune spec are skipped without opening their files;
 /// the spec is re-installed on each live partition's source so zone maps
-/// prune pages inside it too.
+/// prune pages inside it too. Counters land in `parent`, the
+/// PartitionedTableBatchSource, which must outlive the reader.
 class ConcatReader : public storage::BatchReader {
  public:
   ConcatReader(const PartitionedTable* table, int64_t batch_rows,
                storage::PagedReadMode mode,
                std::shared_ptr<const storage::ScanPruneSpec> prune,
-               const ConcatStatSinks& sinks)
+               storage::BatchSource* parent)
       : table_(table),
         batch_rows_(batch_rows),
         mode_(mode),
         prune_(std::move(prune)),
-        sinks_(sinks) {}
+        parent_(parent) {}
 
   ~ConcatReader() override { FinishPartition(); }
 
@@ -297,7 +286,7 @@ class ConcatReader : public storage::BatchReader {
       const int p = next_partition_++;
       if (prune_ != nullptr && PartitionIsDead(*table_, *prune_, p)) {
         pruned_rows_ += table_->partition_rows(p);
-        ++partitions_skipped_;
+        parent_->AddSourceStats({.partitions_skipped = 1});
         continue;
       }
       Result<std::unique_ptr<storage::PagedFileBatchSource>> source =
@@ -309,7 +298,7 @@ class ConcatReader : public storage::BatchReader {
       // MiningEngine::TryPrepare does.
       OPTRULES_CHECK(source.ok());
       // The old reader must die before the source it was created from
-      // (its destructor reports I/O-wait time into the source).
+      // (it reports its counters into the source).
       FinishPartition();
       source_ = std::move(source).value();
       source_->InstallPruneSpec(prune_);
@@ -324,29 +313,16 @@ class ConcatReader : public storage::BatchReader {
 
  private:
   /// Retires the current partition: banks its reader's pruned rows, then
-  /// destroys reader before source and folds the source's cache/pruning
-  /// counters into the parent sinks.
+  /// destroys reader before source and folds the source's counters into
+  /// the parent.
   void FinishPartition() {
     if (reader_ != nullptr) {
       pruned_rows_ += reader_->pruned_rows();
       reader_.reset();
     }
     if (source_ != nullptr) {
-      const storage::BatchSourceStats stats = source_->SourceStats();
-      if (sinks_.cache_hits != nullptr) {
-        sinks_.cache_hits->fetch_add(stats.cache_hits);
-      }
-      if (sinks_.cache_misses != nullptr) {
-        sinks_.cache_misses->fetch_add(stats.cache_misses);
-      }
-      if (sinks_.pages_skipped != nullptr) {
-        sinks_.pages_skipped->fetch_add(stats.pages_skipped);
-      }
+      parent_->AddSourceStats(source_->SourceStats());
       source_.reset();
-    }
-    if (sinks_.partitions_skipped != nullptr && partitions_skipped_ > 0) {
-      sinks_.partitions_skipped->fetch_add(partitions_skipped_);
-      partitions_skipped_ = 0;
     }
   }
 
@@ -354,10 +330,9 @@ class ConcatReader : public storage::BatchReader {
   int64_t batch_rows_;
   storage::PagedReadMode mode_;
   std::shared_ptr<const storage::ScanPruneSpec> prune_;
-  ConcatStatSinks sinks_;
+  storage::BatchSource* parent_;
   int next_partition_ = 0;
   int64_t pruned_rows_ = 0;
-  int64_t partitions_skipped_ = 0;
   std::unique_ptr<storage::PagedFileBatchSource> source_;
   std::unique_ptr<storage::BatchReader> reader_;
 };
@@ -385,13 +360,8 @@ int64_t PartitionedTableBatchSource::NumTuples() const {
 
 std::unique_ptr<storage::BatchReader>
 PartitionedTableBatchSource::DoCreateReader() {
-  ConcatStatSinks sinks;
-  sinks.cache_hits = &cache_hits_;
-  sinks.cache_misses = &cache_misses_;
-  sinks.pages_skipped = &pages_skipped_;
-  sinks.partitions_skipped = &partitions_skipped_;
   return std::make_unique<ConcatReader>(table_, batch_rows_, mode_,
-                                        prune_spec(), sinks);
+                                        prune_spec(), this);
 }
 
 }  // namespace optrules::dist

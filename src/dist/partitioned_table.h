@@ -12,7 +12,6 @@
 #ifndef OPTRULES_DIST_PARTITIONED_TABLE_H_
 #define OPTRULES_DIST_PARTITIONED_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -132,8 +131,8 @@ bool PartitionIsDead(const PartitionedTable& table,
 /// per-partition stats prove dead are skipped wholesale (accounted as
 /// partitions_skipped + pruned rows), and the spec is re-installed on each
 /// live partition's PagedFileBatchSource so its zone maps prune pages too.
-/// SourceStats() aggregates the partition sources' cache and pruning
-/// counters.
+/// SourceStats() sums the partition sources' counters (io-wait included)
+/// and the partitions skipped.
 class PartitionedTableBatchSource : public storage::BatchSource {
  public:
   explicit PartitionedTableBatchSource(
@@ -146,15 +145,6 @@ class PartitionedTableBatchSource : public storage::BatchSource {
   int num_boolean() const override;
   int64_t NumTuples() const override;
 
-  storage::BatchSourceStats SourceStats() const override {
-    storage::BatchSourceStats stats;
-    stats.cache_hits = cache_hits_.load();
-    stats.cache_misses = cache_misses_.load();
-    stats.pages_skipped = pages_skipped_.load();
-    stats.partitions_skipped = partitions_skipped_.load();
-    return stats;
-  }
-
  protected:
   std::unique_ptr<storage::BatchReader> DoCreateReader() override;
 
@@ -162,10 +152,6 @@ class PartitionedTableBatchSource : public storage::BatchSource {
   const PartitionedTable* table_;
   int64_t batch_rows_;
   storage::PagedReadMode mode_;
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
-  std::atomic<int64_t> pages_skipped_{0};
-  std::atomic<int64_t> partitions_skipped_{0};
 };
 
 }  // namespace optrules::dist

@@ -271,26 +271,20 @@ Result<bucketing::MultiCountPlan> SubprocessScanWorker::CountPartition(
     KillNow();
     return Status::Corruption("unexpected reply frame kind from worker");
   }
-  // kScanResult payload: [kind][WorkerScanStats][partial plan state].
-  WorkerScanStats wire_stats;
-  const Status header_read = ReadWorkerScanStats(
+  // kScanResult payload: [kind][scan-stats header][partial plan state].
+  storage::BatchSourceStats wire_stats;
+  const Status header_read = ReadScanStatsHeader(
       std::span<const uint8_t>(reply).subspan(1), &wire_stats);
   if (!header_read.ok()) {
     KillNow();
     return header_read;
   }
-  if (stats != nullptr) {
-    *stats = {};
-    stats->pages_skipped = static_cast<int64_t>(wire_stats.pages_skipped);
-    stats->cache_hits = static_cast<int64_t>(wire_stats.cache_hits);
-    stats->cache_misses = static_cast<int64_t>(wire_stats.cache_misses);
-    stats->io_wait_seconds = wire_stats.io_wait_seconds;
-  }
+  if (stats != nullptr) *stats = wire_stats;
   // Rebuild the partial locally from the coordinator-side spec, then load
   // the worker's bit-exact accumulator state into it.
   bucketing::MultiCountPlan plan(*spec.spec);
   const Status loaded = plan.LoadPartialState(
-      std::span<const uint8_t>(reply).subspan(1 + kWorkerScanStatsBytes));
+      std::span<const uint8_t>(reply).subspan(1 + kScanStatsHeaderBytes));
   if (!loaded.ok()) {
     KillNow();
     return loaded;

@@ -378,24 +378,26 @@ Status DecodeErrorFrame(std::span<const uint8_t> payload) {
   return Status(static_cast<StatusCode>(code), std::move(message));
 }
 
-void AppendWorkerScanStats(const WorkerScanStats& stats,
+void AppendScanStatsHeader(const storage::BatchSourceStats& stats,
                            std::vector<uint8_t>* out) {
   OPTRULES_CHECK(out != nullptr);
-  AppendScalar<uint64_t>(out, stats.pages_skipped);
-  AppendScalar<uint64_t>(out, stats.cache_hits);
-  AppendScalar<uint64_t>(out, stats.cache_misses);
+  AppendScalar<int64_t>(out, stats.pages_skipped);
+  AppendScalar<int64_t>(out, stats.cache_hits);
+  AppendScalar<int64_t>(out, stats.cache_misses);
   AppendScalar<double>(out, stats.io_wait_seconds);
 }
 
-Status ReadWorkerScanStats(std::span<const uint8_t> bytes,
-                           WorkerScanStats* stats) {
+Status ReadScanStatsHeader(std::span<const uint8_t> bytes,
+                           storage::BatchSourceStats* stats) {
+  OPTRULES_CHECK(stats != nullptr);
+  *stats = {};
   ByteReader reader(bytes);
   Status parse = reader.ReadScalar(&stats->pages_skipped);
   if (parse.ok()) parse = reader.ReadScalar(&stats->cache_hits);
   if (parse.ok()) parse = reader.ReadScalar(&stats->cache_misses);
   if (parse.ok()) parse = reader.ReadScalar(&stats->io_wait_seconds);
   if (!parse.ok()) {
-    return Status::Corruption("truncated worker scan stats header");
+    return Status::Corruption("truncated scan stats header");
   }
   return Status::Ok();
 }

@@ -127,29 +127,24 @@ void EncodeErrorFrame(const Status& status, std::vector<uint8_t>* out);
 /// Decodes a kError payload back into the status it carried.
 Status DecodeErrorFrame(std::span<const uint8_t> payload);
 
-/// Worker-side metric deltas of one partition scan, shipped in the
-/// kScanResult header (between the kind byte and the partial plan state)
-/// and folded into the coordinator's scan stats and metrics registry.
-/// Fixed-size encoding so the partial-state offset stays static.
-struct WorkerScanStats {
-  uint64_t pages_skipped = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  double io_wait_seconds = 0.0;
-};
+/// Encoded size of the scan-stats header of a kScanResult payload: the
+/// four counters a partition scan reports -- pages_skipped, cache_hits,
+/// cache_misses (each 8 bytes) and io_wait_seconds (a raw double), in that
+/// order -- between the kind byte and the partial plan state. Fixed-size
+/// so the partial-state offset stays static.
+inline constexpr size_t kScanStatsHeaderBytes =
+    3 * sizeof(int64_t) + sizeof(double);
 
-/// Encoded size of WorkerScanStats inside a kScanResult payload.
-inline constexpr size_t kWorkerScanStatsBytes =
-    3 * sizeof(uint64_t) + sizeof(double);
-
-/// Appends the fixed-size WorkerScanStats header encoding.
-void AppendWorkerScanStats(const WorkerScanStats& stats,
+/// Appends the scan-stats header of `stats` (the fields above; the rest of
+/// BatchSourceStats is coordinator-side and does not travel).
+void AppendScanStatsHeader(const storage::BatchSourceStats& stats,
                            std::vector<uint8_t>* out);
 
-/// Decodes the WorkerScanStats header written by AppendWorkerScanStats
-/// from `bytes` (must hold at least kWorkerScanStatsBytes).
-Status ReadWorkerScanStats(std::span<const uint8_t> bytes,
-                           WorkerScanStats* stats);
+/// Decodes a header written by AppendScanStatsHeader from the front of
+/// `bytes` into *stats (fields that do not travel read 0). Corruption when
+/// `bytes` holds fewer than kScanStatsHeaderBytes.
+Status ReadScanStatsHeader(std::span<const uint8_t> bytes,
+                           storage::BatchSourceStats* stats);
 
 }  // namespace optrules::dist
 

@@ -289,18 +289,11 @@ Status ServeScanRequest(std::span<const uint8_t> request,
   bucketing::MultiCountPlan plan(frame.value().spec);
   bucketing::ExecuteMultiCount(*source.value(), &plan, nullptr);
   // Readers are gone once ExecuteMultiCount returns, so the source's
-  // counters are final. The full metric delta travels back: the
-  // coordinator folds pages_skipped into the merged results and ships
-  // cache and io-wait telemetry into its metrics registry, so a remote
-  // scan is as observable as an in-process one.
-  const storage::BatchSourceStats stats = source.value()->SourceStats();
+  // counters are final. They travel back in the reply header and the
+  // coordinator adds them to its scan stats, so a remote scan is as
+  // observable as an in-process one.
   reply->push_back(static_cast<uint8_t>(FrameKind::kScanResult));
-  WorkerScanStats wire_stats;
-  wire_stats.pages_skipped = static_cast<uint64_t>(stats.pages_skipped);
-  wire_stats.cache_hits = static_cast<uint64_t>(stats.cache_hits);
-  wire_stats.cache_misses = static_cast<uint64_t>(stats.cache_misses);
-  wire_stats.io_wait_seconds = stats.io_wait_seconds;
-  AppendWorkerScanStats(wire_stats, reply);
+  AppendScanStatsHeader(source.value()->SourceStats(), reply);
   plan.AppendPartialState(reply);
   return Status::Ok();
 }

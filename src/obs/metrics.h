@@ -151,6 +151,21 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
+/// How far counter `name` rose from `before` to `after`; a counter missing
+/// from a snapshot reads 0. Tests and harnesses read the process-wide
+/// registry through this, since counters are monotone and shared by every
+/// server and engine in the process. A function object rather than a
+/// function, so argument-dependent lookup never pulls it into an
+/// unqualified CounterDelta call made in another namespace.
+inline constexpr auto CounterDelta = [](const MetricsSnapshot& before,
+                                        const MetricsSnapshot& after,
+                                        const std::string& name) -> int64_t {
+  const auto b = before.counters.find(name);
+  const auto a = after.counters.find(name);
+  return (a == after.counters.end() ? 0 : a->second) -
+         (b == before.counters.end() ? 0 : b->second);
+};
+
 /// Named-instrument registry. Get* creates on first use and returns a
 /// pointer that stays valid for the registry's lifetime -- callsites look
 /// up once and cache. Lookups take a mutex; updates through the returned

@@ -334,16 +334,7 @@ Status MiningEngine::ExecuteCount(bucketing::MultiCountPlan* plan) {
 storage::BatchSourceStats MiningEngine::scan_stats() const {
   storage::BatchSourceStats stats;
   if (source_ != nullptr) stats = source_->SourceStats();
-  if (coordinator_ != nullptr) {
-    const storage::BatchSourceStats dist = coordinator_->scan_stats();
-    stats.cache_hits += dist.cache_hits;
-    stats.cache_misses += dist.cache_misses;
-    stats.pages_skipped += dist.pages_skipped;
-    stats.partitions_skipped += dist.partitions_skipped;
-    stats.retries += dist.retries;
-    stats.workers_respawned += dist.workers_respawned;
-    stats.partitions_stolen += dist.partitions_stolen;
-  }
+  if (coordinator_ != nullptr) stats += coordinator_->scan_stats();
   return stats;
 }
 

@@ -323,20 +323,12 @@ class MiningEngine {
 
   /// Cache and pruning counters accumulated by this session's reads:
   /// buffer-pool hits/misses, zone-map-pruned pages, and manifest-pruned
-  /// partitions. Single-source engines report their batch source's
-  /// counters; partitioned engines add the distributed coordinator's
-  /// (counting fan-outs) to the concatenating source's (boundary
-  /// planning). In-memory relation engines report zeros. Purely
+  /// partitions, io-wait seconds. Single-source engines report their batch
+  /// source's counters; partitioned engines add (+=) the distributed
+  /// coordinator's (counting fan-outs) to the concatenating source's
+  /// (boundary planning). In-memory relation engines report zeros. Purely
   /// diagnostic: pruning and caching never change a mined bit.
   storage::BatchSourceStats scan_stats() const;
-
-  /// Pages the session's scans skipped via zone maps (scan_stats()).
-  int64_t pages_skipped() const { return scan_stats().pages_skipped; }
-
-  /// Partitions skipped wholesale via manifest stats (scan_stats()).
-  int64_t partitions_skipped() const {
-    return scan_stats().partitions_skipped;
-  }
 
   /// Number of SlopePairContext (hull tree) builds so far: repeated
   /// aggregate queries on one (range, target) pair at different

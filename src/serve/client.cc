@@ -107,7 +107,7 @@ Result<SessionReply> MiningClient::RunSession(
         return carried;
       }
       default:
-        continue;  // pong / stats for someone else's call
+        continue;  // pong / metrics for someone else's call
     }
   }
 }
@@ -124,18 +124,6 @@ Status MiningClient::Ping() {
     return Status::Corruption("expected kPong from mining server");
   }
   return Status::Ok();
-}
-
-Result<ServerStatsSnapshot> MiningClient::Stats() {
-  std::vector<uint8_t> frame;
-  bytes::AppendScalar<uint8_t>(&frame,
-                               static_cast<uint8_t>(ServeFrameKind::kStats));
-  OPTRULES_RETURN_IF_ERROR(dist::WriteFrame(fd_, frame));
-  std::vector<uint8_t> payload;
-  OPTRULES_RETURN_IF_ERROR(dist::ReadFrameTimed(fd_, &payload, timeouts_));
-  ServerStatsSnapshot stats;
-  OPTRULES_RETURN_IF_ERROR(DecodeStatsResult(payload, &stats));
-  return stats;
 }
 
 Result<obs::MetricsSnapshot> MiningClient::Metrics() {

@@ -46,12 +46,10 @@ class MiningClient {
   /// Round-trips a kPing.
   Status Ping();
 
-  /// Fetches the server's counter snapshot.
-  Result<ServerStatsSnapshot> Stats();
-
   /// Fetches the server process's full metrics-registry snapshot
   /// (kMetricsRequest/kMetricsReply): every counter, gauge, and histogram
-  /// the daemon's subsystems report, not just the serve-layer counters.
+  /// the daemon's subsystems report, the serve.* counters included (read
+  /// them as obs::CounterDelta between two snapshots).
   Result<obs::MetricsSnapshot> Metrics();
 
   /// Escape hatches for protocol tests: ship an arbitrary payload as one

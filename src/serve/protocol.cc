@@ -413,54 +413,6 @@ Status DecodeServeError(std::span<const uint8_t> payload,
   return Status::Ok();
 }
 
-// --------------------------------------------------------------- stats ----
-
-void EncodeStatsResult(const ServerStatsSnapshot& stats,
-                       std::vector<uint8_t>* out) {
-  OPTRULES_CHECK(out != nullptr);
-  AppendScalar<uint8_t>(out,
-                        static_cast<uint8_t>(ServeFrameKind::kStatsResult));
-  AppendScalar<int64_t>(out, stats.sessions_admitted);
-  AppendScalar<int64_t>(out, stats.sessions_rejected);
-  AppendScalar<int64_t>(out, stats.sessions_served);
-  AppendScalar<int64_t>(out, stats.sessions_failed);
-  AppendScalar<int64_t>(out, stats.physical_scans);
-  AppendScalar<int64_t>(out, stats.coalesced_sessions);
-  AppendScalar<int64_t>(out, stats.batches_executed);
-  AppendScalar<int64_t>(out, stats.engines_cached);
-  AppendScalar<int64_t>(out, stats.engine_cache_hits);
-  AppendScalar<int64_t>(out, stats.engine_cache_misses);
-  AppendScalar<int64_t>(out, stats.rejected_connection_limit);
-  AppendScalar<int64_t>(out, stats.rejected_admission);
-  AppendScalar<int64_t>(out, stats.rejected_queue_deadline);
-}
-
-Status DecodeStatsResult(std::span<const uint8_t> payload,
-                         ServerStatsSnapshot* out) {
-  OPTRULES_CHECK(out != nullptr);
-  ByteReader reader(payload);
-  OPTRULES_RETURN_IF_ERROR(CheckKind(&reader, ServeFrameKind::kStatsResult));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->sessions_admitted));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->sessions_rejected));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->sessions_served));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->sessions_failed));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->physical_scans));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->coalesced_sessions));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->batches_executed));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->engines_cached));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->engine_cache_hits));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->engine_cache_misses));
-  OPTRULES_RETURN_IF_ERROR(
-      reader.ReadScalar(&out->rejected_connection_limit));
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&out->rejected_admission));
-  OPTRULES_RETURN_IF_ERROR(
-      reader.ReadScalar(&out->rejected_queue_deadline));
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes in stats result");
-  }
-  return Status::Ok();
-}
-
 // ------------------------------------------------------------- metrics ----
 
 void EncodeMetricsReply(const obs::MetricsSnapshot& snapshot,

@@ -20,6 +20,11 @@
 // worker protocol: the service connects processes of one architecture.
 // Doubles travel as raw bit patterns, so answers are bit-identical to a
 // local MiningEngine session over the same table and options.
+//
+// Besides sessions, a connection carries kPing/kPong liveness probes and
+// kMetricsRequest/kMetricsReply: the server process's whole metrics
+// registry, which holds the serve.* counters and the serve.engines_cached
+// gauge -- the service's only counter surface.
 
 #ifndef OPTRULES_SERVE_PROTOCOL_H_
 #define OPTRULES_SERVE_PROTOCOL_H_
@@ -42,8 +47,9 @@ enum class ServeFrameKind : uint8_t {
   kServeError = 34,     ///< server -> client: session id + status
   kPing = 35,           ///< client -> server: liveness probe
   kPong = 36,           ///< server -> client: kPing acknowledgement
-  kStats = 37,           ///< client -> server: server counter snapshot
-  kStatsResult = 38,     ///< server -> client: the counters
+  // 37 and 38 carried a retired server-counter frame pair; the serve.*
+  // registry counters in kMetricsReply replaced it. A peer sending them
+  // gets a kServeError like any unknown kind.
   kMetricsRequest = 39,  ///< client -> server: full registry snapshot
   kMetricsReply = 40,    ///< server -> client: the registry contents
 };
@@ -113,28 +119,6 @@ struct SessionReply {
   std::vector<QueryAnswer> answers;  ///< one per query, request order
 };
 
-/// Server counter snapshot (kStatsResult payload).
-struct ServerStatsSnapshot {
-  int64_t sessions_admitted = 0;
-  /// Total admission-control refusals: rejected_connection_limit +
-  /// rejected_admission (queue-deadline expiries happen after admission
-  /// and count in sessions_failed instead).
-  int64_t sessions_rejected = 0;
-  int64_t sessions_served = 0;     ///< replied with kSessionResult
-  int64_t sessions_failed = 0;     ///< replied with kServeError
-  int64_t physical_scans = 0;      ///< counting scans actually run
-  int64_t coalesced_sessions = 0;  ///< served without a scan of their own
-  int64_t batches_executed = 0;    ///< coalescing windows flushed
-  int64_t engines_cached = 0;      ///< generations currently resident
-  int64_t engine_cache_hits = 0;   ///< session reused a resident engine
-  int64_t engine_cache_misses = 0;  ///< session had to build an engine
-  // Per-reason rejection breakdown (each also counted in
-  // sessions_rejected).
-  int64_t rejected_connection_limit = 0;  ///< connection cap at accept
-  int64_t rejected_admission = 0;   ///< session cap or shutting down
-  int64_t rejected_queue_deadline = 0;  ///< deadline expired while queued
-};
-
 /// Limits a decoder enforces on hostile input (counts validated against
 /// the remaining payload bytes like the worker protocol's decoder).
 inline constexpr uint32_t kMaxQueriesPerSession = 4096;
@@ -159,11 +143,6 @@ void EncodeServeError(uint32_t session_id, const Status& status,
 /// Decodes a kServeError payload into (session_id, carried status).
 Status DecodeServeError(std::span<const uint8_t> payload,
                         uint32_t* session_id_out, Status* carried);
-
-void EncodeStatsResult(const ServerStatsSnapshot& stats,
-                       std::vector<uint8_t>* out);
-Status DecodeStatsResult(std::span<const uint8_t> payload,
-                         ServerStatsSnapshot* out);
 
 /// Encodes a kMetricsReply payload: the full registry snapshot, map order
 /// (so two encodings of one snapshot are byte-identical).

@@ -29,23 +29,33 @@ namespace optrules::serve {
 
 namespace {
 
-/// Registry instruments mirroring the ServerStatsSnapshot counters (so
-/// kMetricsReply and kStatsResult tell one story), plus the latency
-/// distributions only the registry carries.
+/// The server's instruments: the only record of what it did, exported
+/// through kMetricsReply.
 struct ServeMetrics {
   obs::Counter* sessions_admitted;
+  /// Admission-control refusals: rejected_connection_limit +
+  /// rejected_admission (a queue-deadline expiry happens after admission
+  /// and counts in sessions_failed instead).
   obs::Counter* sessions_rejected;
+  /// Sessions answered with a kSessionResult, counted when the batch's
+  /// answers are ready and BEFORE the replies are written, so a client
+  /// holding its reply sees the batch counted. A reply whose write then
+  /// fails (the client is gone or wedged) stays counted here AND is
+  /// counted in sessions_failed: counters are monotone, so a lost reply
+  /// adds one to each.
   obs::Counter* sessions_served;
+  /// Sessions answered with a kServeError, plus lost replies (above).
   obs::Counter* sessions_failed;
-  obs::Counter* physical_scans;
+  obs::Counter* physical_scans;      ///< counting scans actually run
+  /// Sessions served without a physical scan of their own.
   obs::Counter* coalesced_sessions;
-  obs::Counter* batches_executed;
-  obs::Counter* engine_cache_hits;
-  obs::Counter* engine_cache_misses;
-  obs::Counter* rejected_connection_limit;
-  obs::Counter* rejected_admission;
-  obs::Counter* rejected_queue_deadline;
-  obs::Gauge* engines_cached;
+  obs::Counter* batches_executed;     ///< coalescing windows flushed
+  obs::Counter* engine_cache_hits;    ///< window reused a resident engine
+  obs::Counter* engine_cache_misses;  ///< window had to build an engine
+  obs::Counter* rejected_connection_limit;  ///< connection cap at accept
+  obs::Counter* rejected_admission;  ///< session cap or shutting down
+  obs::Counter* rejected_queue_deadline;  ///< deadline expired while queued
+  obs::Gauge* engines_cached;  ///< engines resident after the last window
   obs::Histogram* queue_wait_seconds;
   obs::Histogram* window_seconds;
 
@@ -354,11 +364,6 @@ void MiningServer::Stop() {
   }
 }
 
-ServerStatsSnapshot MiningServer::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
 void MiningServer::AcceptLoop() {
   for (;;) {
     pollfd probe{listen_fd_, POLLIN, 0};
@@ -391,11 +396,6 @@ void MiningServer::AcceptLoop() {
       }
     }
     if (!admitted) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.sessions_rejected;
-        ++stats_.rejected_connection_limit;
-      }
       ServeMetrics::Get().sessions_rejected->Add();
       ServeMetrics::Get().rejected_connection_limit->Add();
       WriteError(conn, 0,
@@ -423,12 +423,6 @@ void MiningServer::HandleConnection(std::shared_ptr<Connection> conn) {
             &pong, static_cast<uint8_t>(ServeFrameKind::kPong));
         pong.insert(pong.end(), payload.begin() + 1, payload.end());
         (void)conn->writer.Write(pong);
-        break;
-      }
-      case ServeFrameKind::kStats: {
-        std::vector<uint8_t> out;
-        EncodeStatsResult(Stats(), &out);
-        (void)conn->writer.Write(out);
         break;
       }
       case ServeFrameKind::kMetricsRequest: {
@@ -510,19 +504,10 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
     }
   }
   if (!refusal.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.sessions_rejected;
-      ++stats_.rejected_admission;
-    }
     ServeMetrics::Get().sessions_rejected->Add();
     ServeMetrics::Get().rejected_admission->Add();
     WriteError(conn, session_id, refusal);
     return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sessions_admitted;
   }
   ServeMetrics::Get().sessions_admitted->Add();
 }
@@ -575,10 +560,6 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
   const int64_t start_ms = NowMs();
   for (PendingSession& session : batch.sessions) {
     if (start_ms - session.enqueue_ms > session.deadline_ms) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.rejected_queue_deadline;
-      }
       ServeMetrics::Get().rejected_queue_deadline->Add();
       FailSession(session.conn, session.session_id,
                   Status::DeadlineExceeded("session deadline expired in "
@@ -645,18 +626,9 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
   const int64_t scan_delta = engine->counting_scans() - scans_before;
 
   // Commit the batch's counters BEFORE shipping replies: a client holding
-  // its answer must see a stats snapshot that includes the batch that
-  // produced it (the load harness and tests read stats immediately after
-  // a reply). Write failures are re-classified below.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.sessions_served += static_cast<int64_t>(live.size());
-    stats_.physical_scans += scan_delta;
-    stats_.coalesced_sessions +=
-        std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta);
-    ++stats_.batches_executed;
-    stats_.engines_cached = static_cast<int64_t>(engines_.size());
-  }
+  // its answer must see a registry snapshot that includes the batch that
+  // produced it (the load harness and tests read the counters right after
+  // a reply). A failed write is counted in sessions_failed below.
   const ServeMetrics& metrics = ServeMetrics::Get();
   metrics.sessions_served->Add(static_cast<int64_t>(live.size()));
   metrics.physical_scans->Add(scan_delta);
@@ -672,7 +644,6 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
                            static_cast<double>(scan_delta));
   metrics.window_seconds->Observe(window_timer.ElapsedSeconds());
 
-  int64_t write_failures = 0;
   for (size_t i = 0; i < live.size(); ++i) {
     // Arrival order: the sessions whose channels rode an existing or
     // shared scan -- everyone past the first `scan_delta` -- coalesced.
@@ -680,18 +651,10 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
     std::vector<uint8_t> frame;
     EncodeSessionResult(replies[i], &frame);
     if (!live[i].conn->writer.Write(frame).ok()) {
-      ++write_failures;  // client gone or wedged; its loss alone
+      // Client gone or wedged: its loss alone. The session stays counted
+      // in sessions_served as well (see ServeMetrics).
+      metrics.sessions_failed->Add();
     }
-  }
-  if (write_failures > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.sessions_served -= write_failures;
-      stats_.sessions_failed += write_failures;
-    }
-    // Registry counters are monotone, so the served mirror keeps the
-    // optimistic count; only the failure counter records the loss.
-    metrics.sessions_failed->Add(write_failures);
   }
 }
 
@@ -700,17 +663,9 @@ Result<MiningServer::CachedEngine*> MiningServer::GetOrCreateEngine(
   for (auto it = engines_.begin(); it != engines_.end(); ++it) {
     if (it->first == key) {
       engines_.splice(engines_.begin(), engines_, it);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.engine_cache_hits;
-      }
       ServeMetrics::Get().engine_cache_hits->Add();
       return engines_.front().second.get();
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.engine_cache_misses;
   }
   ServeMetrics::Get().engine_cache_misses->Add();
   Result<dist::PartitionedTable> table_or =
@@ -730,10 +685,6 @@ Result<MiningServer::CachedEngine*> MiningServer::GetOrCreateEngine(
 
 void MiningServer::FailSession(const std::shared_ptr<Connection>& conn,
                                uint32_t session_id, const Status& status) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sessions_failed;
-  }
   ServeMetrics::Get().sessions_failed->Add();
   WriteError(conn, session_id, status);
 }

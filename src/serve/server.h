@@ -19,7 +19,8 @@
 // Threading model:
 //   * accept thread  -- polls the listen socket, admits connections.
 //   * handler thread -- one per connection, the connection's ONLY reader:
-//     decodes frames, answers pings/stats inline, enqueues sessions.
+//     decodes frames, answers pings and metrics requests inline,
+//     enqueues sessions.
 //   * scheduler thread -- the only owner of batches and engines: flushes
 //     due windows, runs the shared sessions, writes result frames.
 // Replies and inline answers target the same socket from different
@@ -35,6 +36,14 @@
 // the engines (which closes subprocess worker rosters through their
 // normal WNOHANG -> SIGTERM -> SIGKILL escalation), so a wedged client
 // cannot hang process exit.
+//
+// Counters: the server reports only into obs::MetricsRegistry::Default()
+// -- the serve.* counters (sessions admitted / rejected / served / failed,
+// physical scans, coalesced sessions, batches, engine-cache hits and
+// misses, per-reason rejections, per-tenant served sessions) and the
+// serve.engines_cached gauge. kMetricsReply ships them; the registry is
+// process-wide and monotone, so in-process readers (tests, the load
+// harness) compare two snapshots with obs::CounterDelta.
 
 #ifndef OPTRULES_SERVE_SERVER_H_
 #define OPTRULES_SERVE_SERVER_H_
@@ -111,9 +120,6 @@ class MiningServer {
   /// sessions, unblocks and joins every connection thread, releases the
   /// engine cache (terminating subprocess worker rosters). Idempotent.
   void Stop();
-
-  /// Snapshot of the service counters (also served as kStatsResult).
-  ServerStatsSnapshot Stats() const;
 
  private:
   struct Connection;
@@ -195,9 +201,6 @@ class MiningServer {
   /// Engines are touched ONLY by the scheduler thread (and Stop after the
   /// scheduler joined), so they need no lock of their own.
   std::list<std::pair<EngineKey, std::unique_ptr<CachedEngine>>> engines_;
-
-  mutable std::mutex stats_mu_;
-  ServerStatsSnapshot stats_;
 };
 
 }  // namespace optrules::serve

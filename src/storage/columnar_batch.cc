@@ -12,15 +12,11 @@ namespace optrules::storage {
 
 namespace {
 
-/// Per-page io-wait flush: the wait lands in the source's accumulator and
-/// the registry histogram the moment the page completes, so long-lived
-/// readers report live values instead of a lump sum at destruction.
-void RecordIoWait(std::atomic<double>* accum, double seconds) {
+obs::Histogram* PageIoWaitHistogram() {
   static obs::Histogram* const hist =
       obs::MetricsRegistry::Default().GetHistogram(
           "storage.page_io_wait_seconds");
-  hist->Observe(seconds);
-  accum->fetch_add(seconds);
+  return hist;
 }
 
 obs::Counter* PagesSkippedCounter() {
@@ -48,6 +44,16 @@ void ColumnarBatch::SetNumeric(int i, std::span<const double> column) {
 
 void ColumnarBatch::SetBoolean(int i, std::span<const uint8_t> column) {
   boolean_[static_cast<size_t>(i)] = column;
+}
+
+BatchSourceStats BatchSource::SourceStats() const {
+  std::lock_guard<std::mutex> lock(totals_mu_);
+  return totals_;
+}
+
+void BatchSource::AddSourceStats(const BatchSourceStats& delta) {
+  std::lock_guard<std::mutex> lock(totals_mu_);
+  totals_ += delta;
 }
 
 std::unique_ptr<BatchReader> BatchSource::CreateRangeReader(int64_t /*begin*/,
@@ -139,7 +145,7 @@ namespace {
 
 /// Everything a paged reader needs from its source: where the pages live,
 /// how to identify them in the pool, what may be pruned, and where to
-/// accumulate the counters when the reader dies.
+/// report the counters.
 struct PagedReaderContext {
   std::string path;
   PagedFileInfo info;  ///< on-disk header (what ReadPageImage decodes)
@@ -148,10 +154,7 @@ struct PagedReaderContext {
   uint64_t file_id = 0;
   std::shared_ptr<const ZoneMapIndex> zones;
   std::shared_ptr<const ScanPruneSpec> prune;
-  std::atomic<double>* io_wait_accum = nullptr;
-  std::atomic<int64_t>* hits_accum = nullptr;
-  std::atomic<int64_t>* misses_accum = nullptr;
-  std::atomic<int64_t>* skipped_accum = nullptr;
+  BatchSource* source = nullptr;  ///< outlives the reader
 };
 
 /// True when page `page` provably contributes nothing to the installed
@@ -219,9 +222,6 @@ class PagedFileBatchReader : public BatchReader {
     if (prefetch_file_ != nullptr) std::fclose(prefetch_file_);
     pin_.Reset();
     std::fclose(file_);
-    ctx_.hits_accum->fetch_add(hits_);
-    ctx_.misses_accum->fetch_add(misses_);
-    ctx_.skipped_accum->fetch_add(pages_skipped_);
   }
 
   bool Next(ColumnarBatch* batch) override {
@@ -233,8 +233,8 @@ class PagedFileBatchReader : public BatchReader {
           std::min(end_, page * rpp + geom.rows_in_page(page));
       if (PageIsDead(ctx_, page)) {
         pruned_rows_ += page_limit - position_;
-        ++pages_skipped_;
         PagesSkippedCounter()->Add();
+        ctx_.source->AddSourceStats({.pages_skipped = 1});
         position_ = (page + 1) * rpp;
         continue;
       }
@@ -290,12 +290,13 @@ class PagedFileBatchReader : public BatchReader {
     OPTRULES_CHECK(pin.ok());
     pin_ = std::move(pin.value());
     pinned_page_ = page;
-    RecordIoWait(ctx_.io_wait_accum, wait_timer.ElapsedSeconds());
-    if (was_hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
+    // Reported per page, so long-lived readers show live values instead of
+    // a lump sum at destruction.
+    const double wait_seconds = wait_timer.ElapsedSeconds();
+    PageIoWaitHistogram()->Observe(wait_seconds);
+    ctx_.source->AddSourceStats({.cache_hits = was_hit ? 1 : 0,
+                                 .cache_misses = was_hit ? 0 : 1,
+                                 .io_wait_seconds = wait_seconds});
     if (prefetcher_.joinable()) {
       {
         std::lock_guard<std::mutex> lock(pf_mu_);
@@ -336,9 +337,6 @@ class PagedFileBatchReader : public BatchReader {
   BufferPool::Pin pin_;
   int64_t pinned_page_ = -1;
   int64_t pruned_rows_ = 0;
-  int64_t pages_skipped_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
   // Prefetch pacing: the consumer counts the live pages it has pinned;
   // the prefetcher stalls until its next live page is at most one past
   // that count.
@@ -397,10 +395,7 @@ std::unique_ptr<BatchReader> PagedFileBatchSource::CreateRangeReader(
   ctx.file_id = pool_file_id_;
   ctx.zones = zones_;
   ctx.prune = prune_spec();
-  ctx.io_wait_accum = &io_wait_seconds_;
-  ctx.hits_accum = &cache_hits_;
-  ctx.misses_accum = &cache_misses_;
-  ctx.skipped_accum = &pages_skipped_;
+  ctx.source = this;
   return std::make_unique<PagedFileBatchReader>(std::move(ctx), file, begin,
                                                 end, batch_rows_, mode_);
 }

@@ -15,10 +15,10 @@
 #ifndef OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 #define OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,15 +86,17 @@ class BatchReader {
   virtual int64_t pruned_rows() const { return 0; }
 };
 
-/// Cache and pruning counters of one BatchSource, accumulated across all
-/// of its (destroyed) readers.
+/// Cache and pruning counters of one scan or source. Every layer that
+/// combines scans -- a source over its readers, the partitioned source over
+/// its partitions, the distributed coordinator over its partials, an
+/// engine over its planning and counting scans -- sums them with +=.
 struct BatchSourceStats {
   int64_t cache_hits = 0;    ///< buffer-pool fetches served without I/O
   int64_t cache_misses = 0;  ///< buffer-pool fetches that paid a page load
   int64_t pages_skipped = 0;
   int64_t partitions_skipped = 0;
-  /// Seconds readers spent blocked on file I/O (flushed per page, so the
-  /// value is live even while readers are mid-scan).
+  /// Seconds readers spent blocked on page loads (their own, or waiting
+  /// on the prefetch thread's in-flight load).
   double io_wait_seconds = 0.0;
   // Fault-tolerance counters, populated only by the distributed scan
   // coordinator (zero for plain sources): partition scans re-dispatched
@@ -104,6 +106,18 @@ struct BatchSourceStats {
   int64_t retries = 0;
   int64_t workers_respawned = 0;
   int64_t partitions_stolen = 0;
+
+  BatchSourceStats& operator+=(const BatchSourceStats& other) {
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    pages_skipped += other.pages_skipped;
+    partitions_skipped += other.partitions_skipped;
+    io_wait_seconds += other.io_wait_seconds;
+    retries += other.retries;
+    workers_respawned += other.workers_respawned;
+    partitions_stolen += other.partitions_stolen;
+    return *this;
+  }
 
   double cache_hit_rate() const {
     const int64_t total = cache_hits + cache_misses;
@@ -159,9 +173,14 @@ class BatchSource {
     return prune_spec_;
   }
 
-  /// Cache/pruning counters accumulated by this source's readers (complete
-  /// once the readers are destroyed). Zero for purely in-memory sources.
-  virtual BatchSourceStats SourceStats() const { return {}; }
+  /// Cache/pruning counters this source's readers reported so far; they
+  /// report per page, so the value is live mid-scan and complete once the
+  /// last reader is done. Zero for purely in-memory sources.
+  BatchSourceStats SourceStats() const;
+
+  /// Folds a reader's counters into SourceStats(). Thread-safe: the range
+  /// readers of one sharded scan report concurrently.
+  void AddSourceStats(const BatchSourceStats& delta);
 
  protected:
   virtual std::unique_ptr<BatchReader> DoCreateReader() = 0;
@@ -169,6 +188,8 @@ class BatchSource {
  private:
   int64_t scans_started_ = 0;
   std::shared_ptr<const ScanPruneSpec> prune_spec_;
+  mutable std::mutex totals_mu_;
+  BatchSourceStats totals_;
 };
 
 /// Zero-copy batch source over an in-memory Relation: batches are subspans
@@ -216,7 +237,7 @@ enum class PagedReadMode {
 /// (v1 blocks are decoded into v2 images at load, see ScanGeometry), so
 /// there is no per-row work and batches clamp to page boundaries. Each
 /// reader owns its own file handle; readers must be destroyed before the
-/// source that created them (they report their counters into it).
+/// source that created them (they report their counters into it per page).
 /// Supports range readers, so disk-resident counting can be sharded too.
 class PagedFileBatchSource : public BatchSource {
  public:
@@ -237,21 +258,6 @@ class PagedFileBatchSource : public BatchSource {
   std::unique_ptr<BatchReader> CreateRangeReader(int64_t begin,
                                                  int64_t end) override;
 
-  /// Total seconds this source's readers spent blocked on page loads
-  /// (their own, or waiting on the prefetch thread's in-flight load),
-  /// flushed per page so long-lived readers report live values. The bench
-  /// harness reports this as the scan's I/O-wait phase.
-  double TotalIoWaitSeconds() const { return io_wait_seconds_.load(); }
-
-  BatchSourceStats SourceStats() const override {
-    BatchSourceStats stats;
-    stats.cache_hits = cache_hits_.load();
-    stats.cache_misses = cache_misses_.load();
-    stats.pages_skipped = pages_skipped_.load();
-    stats.io_wait_seconds = io_wait_seconds_.load();
-    return stats;
-  }
-
  protected:
   std::unique_ptr<BatchReader> DoCreateReader() override;
 
@@ -265,10 +271,6 @@ class PagedFileBatchSource : public BatchSource {
   BufferPool* pool_ = nullptr;
   uint64_t pool_file_id_ = 0;
   std::shared_ptr<const ZoneMapIndex> zones_;
-  std::atomic<double> io_wait_seconds_{0.0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
-  std::atomic<int64_t> pages_skipped_{0};
 };
 
 }  // namespace optrules::storage

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -660,6 +661,60 @@ TEST(WireTest, ErrorFrameRoundTrips) {
   const Status status = DecodeErrorFrame(payload);
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
   EXPECT_EQ(status.message(), "no such partition");
+}
+
+// The kScanResult stats header: the four scan fields of BatchSourceStats
+// at fixed offsets (three 8-byte counters, then the raw io-wait double),
+// bit-exact both ways; every truncation is Corruption.
+TEST(WireTest, ScanStatsHeaderRoundTripsBitExactly) {
+  storage::BatchSourceStats stats;
+  stats.pages_skipped = 101;
+  stats.cache_hits = 202;
+  stats.cache_misses = 303;
+  stats.io_wait_seconds = 1.0 / 3.0;
+  // Coordinator-side fields do not travel.
+  stats.partitions_skipped = 404;
+  stats.retries = 505;
+  stats.workers_respawned = 606;
+  stats.partitions_stolen = 707;
+
+  std::vector<uint8_t> header;
+  AppendScanStatsHeader(stats, &header);
+  ASSERT_EQ(header.size(), kScanStatsHeaderBytes);
+  ASSERT_EQ(kScanStatsHeaderBytes, 32u);
+  int64_t at[3];
+  double io_wait = 0.0;
+  std::memcpy(at, header.data(), sizeof(at));
+  std::memcpy(&io_wait, header.data() + sizeof(at), sizeof(io_wait));
+  EXPECT_EQ(at[0], 101);
+  EXPECT_EQ(at[1], 202);
+  EXPECT_EQ(at[2], 303);
+  EXPECT_EQ(std::bit_cast<uint64_t>(io_wait),
+            std::bit_cast<uint64_t>(1.0 / 3.0));
+
+  // Trailing bytes (the partial plan state) are not the header's concern,
+  // and a reused output object comes back with only the header's fields.
+  header.push_back(0xAB);
+  storage::BatchSourceStats decoded = stats;
+  ASSERT_TRUE(ReadScanStatsHeader(header, &decoded).ok());
+  EXPECT_EQ(decoded.pages_skipped, 101);
+  EXPECT_EQ(decoded.cache_hits, 202);
+  EXPECT_EQ(decoded.cache_misses, 303);
+  EXPECT_EQ(std::bit_cast<uint64_t>(decoded.io_wait_seconds),
+            std::bit_cast<uint64_t>(stats.io_wait_seconds));
+  EXPECT_EQ(decoded.partitions_skipped, 0);
+  EXPECT_EQ(decoded.retries, 0);
+  EXPECT_EQ(decoded.workers_respawned, 0);
+  EXPECT_EQ(decoded.partitions_stolen, 0);
+
+  for (size_t len = 0; len < kScanStatsHeaderBytes; ++len) {
+    storage::BatchSourceStats partial;
+    EXPECT_EQ(ReadScanStatsHeader(
+                  std::span<const uint8_t>(header.data(), len), &partial)
+                  .code(),
+              StatusCode::kCorruption)
+        << "truncation at " << len;
+  }
 }
 
 // ------------------------------------------------------------ workers ----

@@ -95,6 +95,17 @@ TEST(MetricsSnapshot, StableOrderedExports) {
 // thread snapshots continuously: every successive snapshot must be
 // monotone non-decreasing (counters and histogram buckets only ever gain),
 // and the final values must equal the exact totals. TSan runs this too.
+TEST(MetricsSnapshot, CounterDeltaReadsMissingCountersAsZero) {
+  MetricsSnapshot before;
+  MetricsSnapshot after;
+  before.counters["a"] = 3;
+  after.counters["a"] = 10;
+  after.counters["b"] = 4;
+  EXPECT_EQ(CounterDelta(before, after, "a"), 7);
+  EXPECT_EQ(CounterDelta(before, after, "b"), 4);
+  EXPECT_EQ(CounterDelta(before, after, "c"), 0);
+}
+
 TEST(MetricsConcurrency, MonotoneSnapshotsUnderHammer) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("hammer.counter");
@@ -185,8 +196,7 @@ TEST(MetricsDisabled, ScanActivityIsNotPerRow) {
 
   int64_t counter_delta = 0;
   for (const auto& [name, value] : after.counters) {
-    const auto it = before.counters.find(name);
-    counter_delta += value - (it == before.counters.end() ? 0 : it->second);
+    counter_delta += CounterDelta(before, after, name);
   }
   int64_t observe_delta = 0;
   for (const auto& [name, hist] : after.histograms) {

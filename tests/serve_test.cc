@@ -127,6 +127,17 @@ SessionRequest PairRequest(const std::string& table_dir,
   return request;
 }
 
+/// The process-wide registry every server under test reports into.
+obs::MetricsSnapshot Registry() {
+  return obs::MetricsRegistry::Default().Snapshot();
+}
+
+/// How far counter serve.<name> rose since `before`.
+int64_t ServeDelta(const obs::MetricsSnapshot& before,
+                   const std::string& name) {
+  return obs::CounterDelta(before, Registry(), "serve." + name);
+}
+
 // ------------------------------------------------------ protocol codec ----
 
 TEST(ServeProtocolTest, OpenSessionRoundTrip) {
@@ -210,7 +221,7 @@ TEST(ServeProtocolTest, HostileCountsRejectedBeforeAllocation) {
   EXPECT_EQ(session_id, 5u);
 }
 
-TEST(ServeProtocolTest, ErrorAndStatsRoundTrip) {
+TEST(ServeProtocolTest, ServeErrorRoundTrip) {
   std::vector<uint8_t> payload;
   EncodeServeError(31, Status::DeadlineExceeded("too slow"), &payload);
   uint32_t session_id = 0;
@@ -219,65 +230,6 @@ TEST(ServeProtocolTest, ErrorAndStatsRoundTrip) {
   EXPECT_EQ(session_id, 31u);
   EXPECT_EQ(carried.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(carried.message(), "too slow");
-
-  ServerStatsSnapshot stats;
-  stats.sessions_admitted = 10;
-  stats.physical_scans = 2;
-  stats.coalesced_sessions = 8;
-  payload.clear();
-  EncodeStatsResult(stats, &payload);
-  ServerStatsSnapshot decoded;
-  ASSERT_TRUE(DecodeStatsResult(payload, &decoded).ok());
-  EXPECT_EQ(decoded.sessions_admitted, 10);
-  EXPECT_EQ(decoded.physical_scans, 2);
-  EXPECT_EQ(decoded.coalesced_sessions, 8);
-}
-
-TEST(ServeProtocolTest, ExtendedStatsRoundTripCoversEveryCounter) {
-  // Every ServerStatsSnapshot field gets a distinct value so a codec that
-  // swaps, drops, or truncates any field fails loudly.
-  ServerStatsSnapshot stats;
-  stats.sessions_admitted = 101;
-  stats.sessions_rejected = 102;
-  stats.sessions_served = 103;
-  stats.sessions_failed = 104;
-  stats.physical_scans = 105;
-  stats.coalesced_sessions = 106;
-  stats.batches_executed = 107;
-  stats.engines_cached = 108;
-  stats.engine_cache_hits = 109;
-  stats.engine_cache_misses = 110;
-  stats.rejected_connection_limit = 111;
-  stats.rejected_admission = 112;
-  stats.rejected_queue_deadline = 113;
-
-  std::vector<uint8_t> payload;
-  EncodeStatsResult(stats, &payload);
-  ServerStatsSnapshot decoded;
-  ASSERT_TRUE(DecodeStatsResult(payload, &decoded).ok());
-  EXPECT_EQ(decoded.sessions_admitted, 101);
-  EXPECT_EQ(decoded.sessions_rejected, 102);
-  EXPECT_EQ(decoded.sessions_served, 103);
-  EXPECT_EQ(decoded.sessions_failed, 104);
-  EXPECT_EQ(decoded.physical_scans, 105);
-  EXPECT_EQ(decoded.coalesced_sessions, 106);
-  EXPECT_EQ(decoded.batches_executed, 107);
-  EXPECT_EQ(decoded.engines_cached, 108);
-  EXPECT_EQ(decoded.engine_cache_hits, 109);
-  EXPECT_EQ(decoded.engine_cache_misses, 110);
-  EXPECT_EQ(decoded.rejected_connection_limit, 111);
-  EXPECT_EQ(decoded.rejected_admission, 112);
-  EXPECT_EQ(decoded.rejected_queue_deadline, 113);
-
-  // Truncating any suffix (including just the new trailing fields) must
-  // fail instead of decoding a partial snapshot.
-  for (size_t len = 0; len < payload.size(); ++len) {
-    ServerStatsSnapshot partial;
-    EXPECT_FALSE(DecodeStatsResult(
-                     std::span<const uint8_t>(payload.data(), len), &partial)
-                     .ok())
-        << "truncation at " << len;
-  }
 }
 
 TEST(ServeProtocolTest, MetricsReplyRoundTripIsBitExact) {
@@ -519,6 +471,7 @@ TEST(MiningServerTest, CoalescesOverlappingAndDisjointSessionsBitIdentical) {
   MiningServer server(options);
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
+  const obs::MetricsSnapshot before = Registry();
 
   // Client A: the shared pair + a generalized query. Client B: the same
   // shared pair (overlap) + aggregate and region queries (disjoint).
@@ -562,11 +515,10 @@ TEST(MiningServerTest, CoalescesOverlappingAndDisjointSessionsBitIdentical) {
   ASSERT_TRUE(reply_b.ok()) << reply_b.status().ToString();
 
   // One coalescing window => ONE physical counting scan for both tenants.
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.physical_scans, 1);
-  EXPECT_EQ(stats.coalesced_sessions, 1);
-  EXPECT_EQ(stats.sessions_served, 2);
-  EXPECT_EQ(stats.batches_executed, 1);
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
+  EXPECT_EQ(ServeDelta(before, "coalesced_sessions"), 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_served"), 2);
+  EXPECT_EQ(ServeDelta(before, "batches_executed"), 1);
 
   // Same generation for both (one table publish).
   EXPECT_EQ(reply_a.value().generation, reply_b.value().generation);
@@ -639,17 +591,17 @@ TEST(MiningServerTest, CachedEngineAnswersSecondWindowWithoutRescan) {
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
 
+  const obs::MetricsSnapshot before = Registry();
   MiningClient client = Connect(server);
   const SessionRequest request = PairRequest(table_dir, table.schema());
   ASSERT_TRUE(client.RunSession(request).ok());
   ASSERT_TRUE(client.RunSession(request).ok());
-  const ServerStatsSnapshot stats = server.Stats();
   // Two windows, one scan: the second session was served from the cached
   // engine's channels.
-  EXPECT_EQ(stats.physical_scans, 1);
-  EXPECT_EQ(stats.sessions_served, 2);
-  EXPECT_EQ(stats.coalesced_sessions, 1);
-  EXPECT_GE(stats.batches_executed, 2);
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_served"), 2);
+  EXPECT_EQ(ServeDelta(before, "coalesced_sessions"), 1);
+  EXPECT_GE(ServeDelta(before, "batches_executed"), 2);
   server.Stop();
 }
 
@@ -667,7 +619,8 @@ TEST(MiningServerTest, HostileFramesFailOnlyTheOffendingSession) {
   ASSERT_TRUE(server.Start().ok());
 
   // A well-formed session and, on a SECOND connection, a barrage of
-  // hostile frames: truncated open-session, unknown kind, hostile count.
+  // hostile frames: truncated open-session, unknown kinds (the retired
+  // 37/38 included), hostile count.
   std::vector<uint8_t> valid;
   EncodeOpenSession(1, PairRequest(table_dir, table.schema()), &valid);
 
@@ -688,11 +641,23 @@ TEST(MiningServerTest, HostileFramesFailOnlyTheOffendingSession) {
     EXPECT_EQ(errored_id, 1u);
     EXPECT_FALSE(carried.ok());
   }
-  // Unknown frame kind.
-  const std::vector<uint8_t> junk = {0xEE, 1, 2, 3};
-  ASSERT_TRUE(hostile.SendRaw(junk).ok());
-  ASSERT_TRUE(hostile.ReadRaw(&reply).ok());
-  EXPECT_EQ(reply[0], static_cast<uint8_t>(ServeFrameKind::kServeError));
+  // Unknown frame kinds: junk, and the two retired kinds 37 and 38 (once
+  // a server-counter request / reply pair) -- each an error frame, never
+  // a reply of another kind.
+  for (const uint8_t kind : {uint8_t{0xEE}, uint8_t{37}, uint8_t{38}}) {
+    const std::vector<uint8_t> junk = {kind, 1, 2, 3};
+    ASSERT_TRUE(hostile.SendRaw(junk).ok());
+    ASSERT_TRUE(hostile.ReadRaw(&reply).ok());
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(reply[0], static_cast<uint8_t>(ServeFrameKind::kServeError))
+        << "kind " << int{kind};
+    uint32_t errored_id = 1;
+    Status carried;
+    ASSERT_TRUE(DecodeServeError(reply, &errored_id, &carried).ok());
+    EXPECT_EQ(errored_id, 0u);
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(hostile.Ping().ok());
   // A session against a table that does not exist.
   SessionRequest missing = PairRequest(root + "/no_such_table",
                                        table.schema());
@@ -736,6 +701,7 @@ TEST(MiningServerTest, AdmissionControlRefusesBeyondTheBound) {
   MiningServer server(options);
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
+  const obs::MetricsSnapshot before = Registry();
 
   const SessionRequest request = PairRequest(table_dir, table.schema());
   Result<SessionReply> first = Status::Internal("unset");
@@ -752,9 +718,9 @@ TEST(MiningServerTest, AdmissionControlRefusesBeyondTheBound) {
 
   holder.join();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.sessions_rejected, 1);
-  EXPECT_EQ(stats.sessions_admitted, 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_rejected"), 1);
+  EXPECT_EQ(ServeDelta(before, "rejected_admission"), 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_admitted"), 1);
   server.Stop();
 }
 
@@ -769,13 +735,16 @@ TEST(MiningServerTest, QueueDeadlineFailsSessionBeforeScan) {
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
 
+  const obs::MetricsSnapshot before = Registry();
   SessionRequest request = PairRequest(table_dir, table.schema());
   request.deadline_ms = 1;  // expires inside the 250 ms window
   MiningClient client = Connect(server);
   const Result<SessionReply> reply = client.RunSession(request);
   EXPECT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(server.Stats().physical_scans, 0);
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 0);
+  EXPECT_EQ(ServeDelta(before, "rejected_queue_deadline"), 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_failed"), 1);
   server.Stop();
 }
 
@@ -792,6 +761,7 @@ TEST(MiningServerTest, StopDrainsQueuedSessionsAndDefeatsWedgedClients) {
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
 
+  const obs::MetricsSnapshot before = Registry();
   // A wedged client: connects, sends nothing, reads nothing, never
   // closes. Stop() must not wait on it.
   auto wedged = MiningClient::ConnectUnix(server.address());
@@ -810,7 +780,8 @@ TEST(MiningServerTest, StopDrainsQueuedSessionsAndDefeatsWedgedClients) {
   });
   // Wait (bounded) until both sessions are queued, however slowly the
   // tenant threads get scheduled.
-  for (int i = 0; i < 500 && server.Stats().sessions_admitted < 2; ++i) {
+  for (int i = 0; i < 500 && ServeDelta(before, "sessions_admitted") < 2;
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
@@ -859,6 +830,7 @@ TEST(MiningServerTest, RepublishedTableGetsNewGenerationAndRescan) {
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
 
+  const obs::MetricsSnapshot registry_before = Registry();
   MiningClient client = Connect(server);
   const dist::PartitionedTable before =
       dist::PartitionedTable::Open(table_dir).value();
@@ -875,7 +847,8 @@ TEST(MiningServerTest, RepublishedTableGetsNewGenerationAndRescan) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
 
   EXPECT_NE(first.value().generation, second.value().generation);
-  EXPECT_EQ(server.Stats().physical_scans, 2);
+  EXPECT_EQ(ServeDelta(registry_before, "physical_scans"), 2);
+  EXPECT_EQ(ServeDelta(registry_before, "engine_cache_misses"), 2);
 
   // The new answers match a standalone engine over the NEW table.
   rules::MiningEngine standalone(&after, SmallOptions());
@@ -890,8 +863,8 @@ TEST(MiningServerTest, RepublishedTableGetsNewGenerationAndRescan) {
 
 // ------------------------------------------------------- stats + ping ----
 
-TEST(MiningServerTest, PingAndStatsOverTheWire) {
-  const std::string root = TempDir("serve_stats");
+TEST(MiningServerTest, PingAndMetricsOverTheWire) {
+  const std::string root = TempDir("serve_metrics");
   const std::string table_dir = root + "/table";
   const dist::PartitionedTable table = MakeTable(table_dir, 400, 67);
 
@@ -903,25 +876,61 @@ TEST(MiningServerTest, PingAndStatsOverTheWire) {
 
   MiningClient client = Connect(server);
   EXPECT_TRUE(client.Ping().ok());
+  const Result<obs::MetricsSnapshot> before = client.Metrics();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(client.RunSession(PairRequest(table_dir, table.schema())).ok());
-  const Result<ServerStatsSnapshot> stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().sessions_served, 1);
-  EXPECT_EQ(stats.value().physical_scans, 1);
-  EXPECT_EQ(stats.value().engines_cached, 1);
+  EXPECT_TRUE(client.Ping().ok());
+  const Result<obs::MetricsSnapshot> after = client.Metrics();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const auto delta = [&](const std::string& name) {
+    return obs::CounterDelta(before.value(), after.value(), "serve." + name);
+  };
+  EXPECT_EQ(delta("sessions_admitted"), 1);
+  EXPECT_EQ(delta("sessions_served"), 1);
+  EXPECT_EQ(delta("sessions_failed"), 0);
+  EXPECT_EQ(delta("physical_scans"), 1);
+  EXPECT_EQ(delta("batches_executed"), 1);
+  EXPECT_EQ(delta("engine_cache_misses"), 1);
+  ASSERT_EQ(after.value().gauges.count("serve.engines_cached"), 1u);
+  EXPECT_EQ(after.value().gauges.at("serve.engines_cached"), 1.0);
   server.Stop();
 }
 
-// ------------------------------------------------------ observability ----
+// A client that closes its socket before its reply arrives: the session
+// was served -- its answers were computed and counted before the write --
+// and its reply was lost, so over the server's lifetime
+// serve.sessions_served and serve.sessions_failed each rise by one.
+TEST(MiningServerTest, LostReplyCountsOneServedAndOneFailed) {
+  const std::string root = TempDir("serve_lost_reply");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 400, 69);
 
-int64_t CounterDelta(const obs::MetricsSnapshot& before,
-                     const obs::MetricsSnapshot& after,
-                     const std::string& name) {
-  const auto b = before.counters.find(name);
-  const auto a = after.counters.find(name);
-  return (a == after.counters.end() ? 0 : a->second) -
-         (b == before.counters.end() ? 0 : b->second);
+  const obs::MetricsSnapshot before = Registry();
+  ServerOptions options;
+  options.coalescing_window_ms = 300;  // the client is gone long before
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    MiningClient client = Connect(server);
+    std::vector<uint8_t> open;
+    EncodeOpenSession(1, PairRequest(table_dir, table.schema()), &open);
+    ASSERT_TRUE(client.SendRaw(open).ok());
+  }  // closes the socket while the session waits in its window
+  for (int i = 0; i < 500 && ServeDelta(before, "sessions_failed") < 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  server.Stop();
+
+  const obs::MetricsSnapshot after = Registry();
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_admitted"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.physical_scans"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_served"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_failed"), 1);
 }
+
+// ------------------------------------------------------ observability ----
 
 bool FindAttribute(const obs::SpanRecord& span, std::string_view key,
                    double* out) {
@@ -961,22 +970,22 @@ TEST(ObsIntegrationTest, RegistryMirrorsEngineScanStatsBitForBit) {
   const obs::MetricsSnapshot after =
       obs::MetricsRegistry::Default().Snapshot();
 
-  EXPECT_EQ(CounterDelta(before, after, "bufferpool.hits"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "bufferpool.hits"),
             stats.cache_hits);
-  EXPECT_EQ(CounterDelta(before, after, "bufferpool.misses"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "bufferpool.misses"),
             stats.cache_misses);
-  EXPECT_EQ(CounterDelta(before, after, "storage.pages_skipped"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "storage.pages_skipped"),
             stats.pages_skipped);
-  EXPECT_EQ(CounterDelta(before, after, "dist.partitions_skipped"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "dist.partitions_skipped"),
             stats.partitions_skipped);
-  EXPECT_EQ(CounterDelta(before, after, "dist.retries"), stats.retries);
-  EXPECT_EQ(CounterDelta(before, after, "dist.workers_respawned"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "dist.retries"), stats.retries);
+  EXPECT_EQ(obs::CounterDelta(before, after, "dist.workers_respawned"),
             stats.workers_respawned);
-  EXPECT_EQ(CounterDelta(before, after, "dist.partitions_stolen"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "dist.partitions_stolen"),
             stats.partitions_stolen);
   // One scan over every partition of the 3-way table.
-  EXPECT_EQ(CounterDelta(before, after, "dist.partition_scans") +
-                CounterDelta(before, after, "dist.partitions_skipped"),
+  EXPECT_EQ(obs::CounterDelta(before, after, "dist.partition_scans") +
+                obs::CounterDelta(before, after, "dist.partitions_skipped"),
             3);
 }
 
@@ -984,8 +993,8 @@ TEST(ObsIntegrationTest, RegistryMirrorsEngineScanStatsBitForBit) {
 // into one serve window, which must produce ONE physical-scan trace tree
 // (serve.window -> dist.scan -> per-partition dist.partition ->
 // bucketing.scan with per-phase timings) and a wire-shipped registry
-// snapshot that matches the server's local registry bit-for-bit and the
-// ServerStatsSnapshot counters exactly.
+// snapshot that matches the server's local registry bit-for-bit and
+// counts exactly this window's work.
 TEST(MiningServerTest, TraceDemoCoalescedWindowOneScanTreeWireMetricsMatch) {
   const std::string root = TempDir("serve_trace_demo");
   const std::string table_dir = root + "/table";
@@ -1108,26 +1117,15 @@ TEST(MiningServerTest, TraceDemoCoalescedWindowOneScanTreeWireMetricsMatch) {
     EXPECT_TRUE(BitEq(got.sum, expected.sum)) << name;
   }
 
-  // --- and exactly against the server's own counters ---
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.physical_scans, 1);
-  EXPECT_EQ(stats.coalesced_sessions, 1);
-  EXPECT_EQ(stats.sessions_served, 2);
+  // --- and exactly this window's work: two sessions, one scan ---
   const obs::MetricsSnapshot& after = wire.value();
-  EXPECT_EQ(CounterDelta(before, after, "serve.sessions_admitted"),
-            stats.sessions_admitted);
-  EXPECT_EQ(CounterDelta(before, after, "serve.sessions_served"),
-            stats.sessions_served);
-  EXPECT_EQ(CounterDelta(before, after, "serve.physical_scans"),
-            stats.physical_scans);
-  EXPECT_EQ(CounterDelta(before, after, "serve.coalesced_sessions"),
-            stats.coalesced_sessions);
-  EXPECT_EQ(CounterDelta(before, after, "serve.batches_executed"),
-            stats.batches_executed);
-  EXPECT_EQ(CounterDelta(before, after, "serve.engine_cache_hits"),
-            stats.engine_cache_hits);
-  EXPECT_EQ(CounterDelta(before, after, "serve.engine_cache_misses"),
-            stats.engine_cache_misses);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_admitted"), 2);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_served"), 2);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.physical_scans"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.coalesced_sessions"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.batches_executed"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.engine_cache_hits"), 0);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.engine_cache_misses"), 1);
 
   // Per-tenant counter: both sessions shared one options fingerprint.
   char tenant_counter[64];
@@ -1135,7 +1133,7 @@ TEST(MiningServerTest, TraceDemoCoalescedWindowOneScanTreeWireMetricsMatch) {
                 "serve.tenant.%016llx.sessions_served",
                 static_cast<unsigned long long>(
                     OptionsFingerprint(SmallOptions())));
-  EXPECT_EQ(CounterDelta(before, after, tenant_counter), 2);
+  EXPECT_EQ(obs::CounterDelta(before, after, tenant_counter), 2);
 
   tracer.Clear();
   server.Stop();
@@ -1286,11 +1284,10 @@ TEST(MiningServerTest, ThresholdOnlySessionsShareOneScanAndOneEngine) {
     }
     for (std::thread& tenant : tenants) tenant.join();
   }
-  ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.batches_executed, 1);
-  EXPECT_EQ(stats.physical_scans, 1);
-  EXPECT_EQ(stats.engine_cache_misses, 1);
-  EXPECT_EQ(stats.coalesced_sessions, 2);
+  EXPECT_EQ(ServeDelta(before, "batches_executed"), 1);
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
+  EXPECT_EQ(ServeDelta(before, "engine_cache_misses"), 1);
+  EXPECT_EQ(ServeDelta(before, "coalesced_sessions"), 2);
   for (size_t i = 0; i < std::size(window); ++i) {
     ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
     for (const QueryAnswer& answer : replies[i].value().answers) {
@@ -1313,23 +1310,21 @@ TEST(MiningServerTest, ThresholdOnlySessionsShareOneScanAndOneEngine) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     ExpectEqualsStandaloneEngine(table, request, reply.value());
   }
-  stats = server.Stats();
   // One cache lookup per window: the first missed, the six later hit.
-  EXPECT_EQ(stats.engine_cache_misses, 1);
-  EXPECT_EQ(stats.engine_cache_hits, 6);
-  EXPECT_EQ(stats.physical_scans, 1);
-  EXPECT_EQ(stats.sessions_served, 9);
+  const obs::MetricsSnapshot after = Registry();
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.engine_cache_misses"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.engine_cache_hits"), 6);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.physical_scans"), 1);
+  EXPECT_EQ(obs::CounterDelta(before, after, "serve.sessions_served"), 9);
 
   // Per-tenant counters still count by the full options fingerprint.
-  const obs::MetricsSnapshot after =
-      obs::MetricsRegistry::Default().Snapshot();
   for (const SessionRequest& request : window) {
     char tenant_counter[64];
     std::snprintf(tenant_counter, sizeof(tenant_counter),
                   "serve.tenant.%016llx.sessions_served",
                   static_cast<unsigned long long>(
                       OptionsFingerprint(request.options)));
-    EXPECT_EQ(CounterDelta(before, after, tenant_counter), 1);
+    EXPECT_EQ(obs::CounterDelta(before, after, tenant_counter), 1);
   }
   server.Stop();
 }
@@ -1346,6 +1341,7 @@ TEST(MiningServerTest, OutOfRangeSessionThresholdIsAnErrorFrameNotAnAbort) {
   MiningServer server(options);
   ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
   ASSERT_TRUE(server.Start().ok());
+  const obs::MetricsSnapshot before = Registry();
 
   MiningClient client = Connect(server);
   for (const double bad : {1.5, -0.1}) {
@@ -1364,9 +1360,8 @@ TEST(MiningServerTest, OutOfRangeSessionThresholdIsAnErrorFrameNotAnAbort) {
   ASSERT_EQ(reply.value().answers.size(), 1u);
   EXPECT_TRUE(reply.value().answers[0].status.ok());
   ExpectEqualsStandaloneEngine(table, valid, reply.value());
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.sessions_failed, 4);
-  EXPECT_EQ(stats.sessions_served, 1);
+  EXPECT_EQ(ServeDelta(before, "sessions_failed"), 4);
+  EXPECT_EQ(ServeDelta(before, "sessions_served"), 1);
   server.Stop();
 }
 
