@@ -11,8 +11,11 @@
 //     stay bit-identical to a standalone MiningEngine session over the
 //     same table and options.
 //   * Throughput: a sustained phase of small sessions across the tenants,
-//     reporting sessions/sec and p50/p99 latency (dominated by the
-//     coalescing window once the engine is cache-resident).
+//     reporting sessions/sec and p50/p99 latency. The engine is resident
+//     after phase 1 and the stream adds no channel, so every stream
+//     session is warm: it skips the coalescing window (which applies only
+//     to sessions that need a scan), and latency is the wire round trip
+//     plus the O(M) optimizer pass.
 //
 // The server runs in-process, so its serve.* registry counters are this
 // process's; each figure below is an obs::CounterDelta from a snapshot

@@ -1,6 +1,7 @@
 #include "dist/wire.h"
 
 #include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,16 +19,30 @@ namespace {
 
 constexpr uint32_t kMaxFrameBytes = 1u << 30;  // 1 GiB sanity bound
 
-Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
+/// Writes every byte of `parts`, in order, with one writev() per attempt:
+/// a frame normally leaves in a single call (header and payload in one
+/// segment on a socket), and a partial write or EINTR resumes where the
+/// kernel stopped.
+Status WriteAll(int fd, std::span<iovec> parts) {
+  size_t first = 0;
+  while (first < parts.size()) {
+    const ssize_t n = ::writev(fd, parts.data() + first,
+                               static_cast<int>(parts.size() - first));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(std::string("pipe write failed: ") +
+      return Status::IoError(std::string("frame write failed: ") +
                              std::strerror(errno));
     }
-    written += static_cast<size_t>(n);
+    auto left = static_cast<size_t>(n);
+    while (first < parts.size() && left >= parts[first].iov_len) {
+      left -= parts[first].iov_len;
+      ++first;
+    }
+    if (left > 0) {
+      parts[first].iov_base = static_cast<uint8_t*>(parts[first].iov_base) +
+                              left;
+      parts[first].iov_len -= left;
+    }
   }
   return Status::Ok();
 }
@@ -134,8 +149,10 @@ Status WriteFrame(int fd, std::span<const uint8_t> payload) {
   const uint32_t length = static_cast<uint32_t>(payload.size());
   uint8_t header[sizeof(length)];
   std::memcpy(header, &length, sizeof(length));
-  OPTRULES_RETURN_IF_ERROR(WriteAll(fd, header, sizeof(header)));
-  return WriteAll(fd, payload.data(), payload.size());
+  iovec parts[] = {
+      {header, sizeof(header)},
+      {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  return WriteAll(fd, parts);
 }
 
 Status ReadFrame(int fd, std::vector<uint8_t>* payload) {

@@ -36,12 +36,14 @@ enum class FrameKind : uint8_t {
   kHeartbeat = 7,    ///< worker -> coordinator: still alive mid-scan
 };
 
-/// Writes one [length][payload] frame to `fd`, handling short writes.
+/// Writes one [length][payload] frame to `fd` with one writev(2) of the
+/// length prefix and payload (so a socket sends them as one segment
+/// rather than holding the payload behind the prefix's ACK), handling
+/// short writes and EINTR.
 ///
 /// NOT atomic across threads: two threads calling WriteFrame on one fd can
-/// interleave mid-frame (the length prefix and payload are separate
-/// write(2) calls, and large payloads take several), corrupting the
-/// stream. Any connection written by more than one thread -- a worker
+/// interleave mid-frame (a large payload takes several writev calls),
+/// corrupting the stream. Any connection written by more than one thread -- a worker
 /// daemon's heartbeat thread, a serve-layer connection multiplexing
 /// responder threads -- must serialize through a FrameWriter.
 Status WriteFrame(int fd, std::span<const uint8_t> payload);

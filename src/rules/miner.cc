@@ -192,6 +192,13 @@ MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
   return mined;
 }
 
+/// Index of `value` in a registration list, or -1.
+template <typename T>
+int IndexOf(const std::vector<T>& values, const T& value) {
+  const auto it = std::find(values.begin(), values.end(), value);
+  return it == values.end() ? -1 : static_cast<int>(it - values.begin());
+}
+
 }  // namespace
 
 Status ValidateThresholds(const ThresholdSet& thresholds) {
@@ -731,8 +738,8 @@ std::vector<MinedRule> MiningEngine::MineAllPairs(
   return all;
 }
 
-Result<int> MiningEngine::EnsureCondition(
-    const std::vector<std::string>& names) {
+Result<std::vector<int>> MiningEngine::ResolveCondition(
+    const std::vector<std::string>& names) const {
   std::vector<int> indices;
   indices.reserve(names.size());
   for (const std::string& name : names) {
@@ -746,10 +753,16 @@ Result<int> MiningEngine::EnsureCondition(
   // still follows the caller's per-query attribute order.
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  for (size_t c = 0; c < conditions_.size(); ++c) {
-    if (conditions_[c] == indices) return static_cast<int>(c);
-  }
-  conditions_.push_back(std::move(indices));
+  return indices;
+}
+
+Result<int> MiningEngine::EnsureCondition(
+    const std::vector<std::string>& names) {
+  Result<std::vector<int>> indices = ResolveCondition(names);
+  if (!indices.ok()) return indices.status();
+  const int found = IndexOf(conditions_, indices.value());
+  if (found >= 0) return found;
+  conditions_.push_back(std::move(indices).value());
   const int condition = static_cast<int>(conditions_.size()) - 1;
   // A condition registered after the shared scan costs one supplemental
   // scan; registered before, it rides along for free. A failed
@@ -767,9 +780,8 @@ Result<int> MiningEngine::EnsureCondition(
 Result<int> MiningEngine::EnsureSumTarget(const std::string& name) {
   const Result<int> index = schema_.NumericIndexOf(name);
   if (!index.ok()) return index.status();
-  for (size_t k = 0; k < sum_targets_.size(); ++k) {
-    if (sum_targets_[k] == index.value()) return static_cast<int>(k);
-  }
+  const int found = IndexOf(sum_targets_, index.value());
+  if (found >= 0) return found;
   sum_targets_.push_back(index.value());
   const int k = static_cast<int>(sum_targets_.size()) - 1;
   if (prepared_) {
@@ -831,9 +843,9 @@ Status MiningEngine::AddSumTargetChannels(int target) {
   return Status::Ok();
 }
 
-Result<int> MiningEngine::EnsureRegionPair(const std::string& x_attr,
-                                           const std::string& y_attr,
-                                           int nx, int ny) {
+Result<MiningEngine::RegionPair> MiningEngine::ResolveRegionPair(
+    const std::string& x_attr, const std::string& y_attr, int nx,
+    int ny) const {
   if (nx < 1 || ny < 1) {
     return Status::InvalidArgument("region grid shape must be >= 1x1");
   }
@@ -841,11 +853,17 @@ Result<int> MiningEngine::EnsureRegionPair(const std::string& x_attr,
   if (!x.ok()) return x.status();
   const Result<int> y = schema_.NumericIndexOf(y_attr);
   if (!y.ok()) return y.status();
-  const RegionPair pair{x.value(), y.value(), nx, ny};
-  for (size_t p = 0; p < region_pairs_.size(); ++p) {
-    if (region_pairs_[p] == pair) return static_cast<int>(p);
-  }
-  region_pairs_.push_back(pair);
+  return RegionPair{x.value(), y.value(), nx, ny};
+}
+
+Result<int> MiningEngine::EnsureRegionPair(const std::string& x_attr,
+                                           const std::string& y_attr,
+                                           int nx, int ny) {
+  const Result<RegionPair> pair = ResolveRegionPair(x_attr, y_attr, nx, ny);
+  if (!pair.ok()) return pair.status();
+  const int found = IndexOf(region_pairs_, pair.value());
+  if (found >= 0) return found;
+  region_pairs_.push_back(pair.value());
   const int index = static_cast<int>(region_pairs_.size()) - 1;
   // A pair registered after the shared scan costs one supplemental scan;
   // registered before, its grid channel rides along for free (failed
@@ -931,6 +949,31 @@ Status MiningEngine::RequestRegionPair(const std::string& x_attr,
                                        int ny) {
   const Result<int> pair = EnsureRegionPair(x_attr, y_attr, nx, ny);
   return pair.ok() ? Status::Ok() : pair.status();
+}
+
+bool MiningEngine::WouldRegisterGeneralized(
+    const std::vector<std::string>& condition_attrs) const {
+  const Result<std::vector<int>> indices = ResolveCondition(condition_attrs);
+  return indices.ok() && IndexOf(conditions_, indices.value()) < 0;
+}
+
+bool MiningEngine::WouldRegisterAverageTarget(
+    const std::string& target_attr) const {
+  const Result<int> index = schema_.NumericIndexOf(target_attr);
+  return index.ok() && IndexOf(sum_targets_, index.value()) < 0;
+}
+
+bool MiningEngine::WouldRegisterRegionPair(const std::string& x_attr,
+                                           const std::string& y_attr) const {
+  return WouldRegisterRegionPair(x_attr, y_attr, options_.region_grid_buckets,
+                                 options_.region_grid_buckets);
+}
+
+bool MiningEngine::WouldRegisterRegionPair(const std::string& x_attr,
+                                           const std::string& y_attr, int nx,
+                                           int ny) const {
+  const Result<RegionPair> pair = ResolveRegionPair(x_attr, y_attr, nx, ny);
+  return pair.ok() && IndexOf(region_pairs_, pair.value()) < 0;
 }
 
 Result<MinedRegion> MiningEngine::MineOptimizedRegion(

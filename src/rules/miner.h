@@ -250,6 +250,27 @@ class MiningEngine {
   Status RequestRegionPair(const std::string& x_attr,
                            const std::string& y_attr, int nx, int ny);
 
+  /// Whether the matching Request* call would register a channel this
+  /// engine does not count yet, i.e. cost a counting scan: the first scan
+  /// when unprepared, a supplemental one after. Side-effect free, and the
+  /// same lookups as registration (a condition compares as its sorted,
+  /// de-duplicated index set; a region pair by its exact (x, y, nx, ny)
+  /// shape). False when a name does not resolve to an attribute of the
+  /// right kind or the shape is invalid: that Request* call fails without
+  /// scanning.
+  bool WouldRegisterGeneralized(
+      const std::vector<std::string>& condition_attrs) const;
+  bool WouldRegisterAverageTarget(const std::string& target_attr) const;
+  bool WouldRegisterRegionPair(const std::string& x_attr,
+                               const std::string& y_attr) const;
+  bool WouldRegisterRegionPair(const std::string& x_attr,
+                               const std::string& y_attr, int nx,
+                               int ny) const;
+
+  /// True once the shared counting scan has run (Prepare / TryPrepare
+  /// succeeded): mining calls then answer from cached counts.
+  bool prepared() const { return prepared_; }
+
   /// Both optimized rules for every (numeric, Boolean) attribute pair,
   /// in (numeric-major, Boolean-minor) order, confidence rule before
   /// support rule -- the same order as Miner::MineAll(). Every Mine* call
@@ -375,6 +396,15 @@ class MiningEngine {
   /// a distributed fan-out merged in partition order (whose worker or
   /// partition failures surface as the returned Status).
   Status ExecuteCount(bucketing::MultiCountPlan* plan);
+  /// Resolves condition attribute names to their canonical form: sorted,
+  /// de-duplicated Boolean indices (NotFound / InvalidArgument on a bad
+  /// name).
+  Result<std::vector<int>> ResolveCondition(
+      const std::vector<std::string>& names) const;
+  /// Resolves a region pair's attribute names and validates its shape.
+  Result<RegionPair> ResolveRegionPair(const std::string& x_attr,
+                                       const std::string& y_attr, int nx,
+                                       int ny) const;
   /// Resolves + registers a condition; runs a supplemental scan when the
   /// session is already prepared. Returns the condition's index.
   Result<int> EnsureCondition(const std::vector<std::string>& names);

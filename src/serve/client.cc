@@ -1,6 +1,7 @@
 #include "serve/client.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -49,6 +50,10 @@ Result<MiningClient> MiningClient::ConnectTcp(uint16_t port) {
     return Status::IoError("connect 127.0.0.1:" + std::to_string(port) +
                            ": " + std::strerror(err));
   }
+  // Requests are single frames the server answers: send each at once
+  // instead of holding it for the peer's delayed ACK (Nagle).
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
   return MiningClient(fd);
 }
 

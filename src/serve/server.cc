@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -94,12 +95,6 @@ obs::Counter* TenantSessionsCounter(uint64_t fingerprint) {
   return obs::MetricsRegistry::Default().GetCounter(name);
 }
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// FNV-1a over the raw manifest bytes: the table generation. Any rewrite
 /// of the manifest -- repartition, republish, schema change -- yields a
 /// new generation, so cached engines of the old table can never answer
@@ -145,6 +140,31 @@ void PreRegisterQuery(rules::MiningEngine* engine, const ServeQuery& query) {
     case ServeQuery::Kind::kPair:
       break;  // covered by the base channels of every scan
   }
+}
+
+/// Whether PreRegisterQuery(engine, query) would register a channel the
+/// engine does not count yet -- the same calls, asked of the engine
+/// without side effects. A query that would fail to register (unknown
+/// attribute, wrong kind) needs no scan: its Mine* call fails as well.
+bool QueryNeedsScan(const rules::MiningEngine& engine,
+                    const ServeQuery& query) {
+  switch (query.kind) {
+    case ServeQuery::Kind::kGeneralized:
+      return engine.WouldRegisterGeneralized(query.conditions);
+    case ServeQuery::Kind::kAverageRange:
+    case ServeQuery::Kind::kSupportRange:
+      return engine.WouldRegisterAverageTarget(query.attr_b);
+    case ServeQuery::Kind::kRegion:
+      if (query.nx > 0 && query.ny > 0) {
+        return engine.WouldRegisterRegionPair(query.attr_a, query.attr_b,
+                                              query.nx, query.ny);
+      }
+      return engine.WouldRegisterRegionPair(query.attr_a, query.attr_b);
+    case ServeQuery::Kind::kAllPairs:
+    case ServeQuery::Kind::kPair:
+      return false;
+  }
+  return true;
 }
 
 /// Answers one query from the prepared engine's cached channels at the
@@ -334,7 +354,8 @@ void MiningServer::Stop() {
     if (stopped_) return;
     stopped_ = true;
     stopping_ = true;
-    stop_deadline_ms_ = NowMs() + options_.drain_deadline_ms;
+    stop_deadline_ =
+        Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
     scheduler_cv_.notify_all();
   }
   // Wake the accept poll, then the threads exit on their own.
@@ -375,6 +396,13 @@ void MiningServer::AcceptLoop() {
     if (ready <= 0) continue;
     const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
     if (client_fd < 0) continue;
+    if (port_ != 0) {
+      // Replies are single frames the client waits on: send each at once
+      // instead of holding it for the peer's delayed ACK (Nagle).
+      const int enable = 1;
+      ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &enable,
+                   sizeof(enable));
+    }
     if (options_.send_timeout_ms > 0) {
       timeval timeout{};
       timeout.tv_sec = options_.send_timeout_ms / 1000;
@@ -474,12 +502,12 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  EngineKey key{request.table_dir, generation,
-                ScanOptionsFingerprint(request.options)};
   PendingSession session;
+  session.key = EngineKey{request.table_dir, generation,
+                          ScanOptionsFingerprint(request.options)};
   session.conn = conn;
   session.session_id = session_id;
-  session.enqueue_ms = NowMs();
+  session.enqueued = Clock::now();
   session.deadline_ms = request.deadline_ms > 0
                             ? request.deadline_ms
                             : options_.default_deadline_ms;
@@ -494,11 +522,8 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
                std::max(1, options_.max_pending_sessions)) {
       refusal = Status::OutOfRange("session admission limit reached");
     } else {
-      Batch& batch = batches_[key];
-      if (batch.sessions.empty()) {
-        batch.due_ms = session.enqueue_ms + options_.coalescing_window_ms;
-      }
-      batch.sessions.push_back(std::move(session));
+      // The scheduler files it into a batch: only it may look at engines.
+      arrivals_.push_back(std::move(session));
       ++pending_sessions_;
       scheduler_cv_.notify_all();
     }
@@ -512,31 +537,60 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
   ServeMetrics::Get().sessions_admitted->Add();
 }
 
+bool MiningServer::IsWarm(const PendingSession& session) const {
+  for (const auto& [key, cached] : engines_) {
+    if (key != session.key) continue;
+    const rules::MiningEngine& engine = *cached->engine;
+    return engine.prepared() &&
+           std::none_of(session.request.queries.begin(),
+                        session.request.queries.end(),
+                        [&engine](const ServeQuery& query) {
+                          return QueryNeedsScan(engine, query);
+                        });
+  }
+  return false;
+}
+
+void MiningServer::FileArrivals() {
+  for (PendingSession& session : arrivals_) {
+    const bool warm = IsWarm(session);
+    Batch& batch = batches_[BatchKey{session.key, warm}];
+    if (batch.sessions.empty()) {
+      // A warm batch is due at once; a cold one waits out its window from
+      // its first arrival, collecting same-key sessions for one scan.
+      batch.due = warm ? session.enqueued
+                       : session.enqueued + std::chrono::milliseconds(
+                                                options_.coalescing_window_ms);
+    }
+    batch.sessions.push_back(std::move(session));
+  }
+  arrivals_.clear();
+}
+
 void MiningServer::SchedulerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    FileArrivals();
     if (batches_.empty()) {
       if (stopping_) return;
       scheduler_cv_.wait(lock, [this] {
-        return stopping_ || !batches_.empty();
+        return stopping_ || !arrivals_.empty();
       });
       continue;
     }
     auto due_it = batches_.begin();
     for (auto it = std::next(batches_.begin()); it != batches_.end(); ++it) {
-      if (it->second.due_ms < due_it->second.due_ms) due_it = it;
+      if (it->second.due < due_it->second.due) due_it = it;
     }
-    const int64_t now = NowMs();
-    if (!stopping_ && due_it->second.due_ms > now) {
-      scheduler_cv_.wait_for(
-          lock, std::chrono::milliseconds(due_it->second.due_ms - now));
-      continue;  // re-pick: a new batch may be due earlier
+    if (!stopping_ && due_it->second.due > Clock::now()) {
+      scheduler_cv_.wait_until(lock, due_it->second.due);
+      continue;  // re-pick: an arrival may be due earlier
     }
-    const EngineKey key = due_it->first;
+    const EngineKey key = due_it->first.engine;
     Batch batch = std::move(due_it->second);
     batches_.erase(due_it);
     const int batch_size = static_cast<int>(batch.sessions.size());
-    const bool drain_expired = stopping_ && NowMs() > stop_deadline_ms_;
+    const bool drain_expired = stopping_ && Clock::now() > stop_deadline_;
     lock.unlock();
     if (drain_expired) {
       for (const PendingSession& session : batch.sessions) {
@@ -557,16 +611,20 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
   // fails without costing the batch anything.
   std::vector<PendingSession> live;
   live.reserve(batch.sessions.size());
-  const int64_t start_ms = NowMs();
+  const Clock::time_point start = Clock::now();
   for (PendingSession& session : batch.sessions) {
-    if (start_ms - session.enqueue_ms > session.deadline_ms) {
+    const Clock::duration waited = start - session.enqueued;
+    // Compared in whole milliseconds: a client's deadline may be as large
+    // as int64 allows, which no finer duration can hold.
+    if (std::chrono::duration_cast<std::chrono::milliseconds>(waited)
+            .count() > session.deadline_ms) {
       ServeMetrics::Get().rejected_queue_deadline->Add();
       FailSession(session.conn, session.session_id,
                   Status::DeadlineExceeded("session deadline expired in "
                                            "the scheduler queue"));
     } else {
       ServeMetrics::Get().queue_wait_seconds->Observe(
-          static_cast<double>(start_ms - session.enqueue_ms) / 1e3);
+          std::chrono::duration<double>(waited).count());
       live.push_back(std::move(session));
     }
   }

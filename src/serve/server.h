@@ -2,27 +2,36 @@
 //
 // A daemon-side scheduling layer over the existing engine: client
 // connections (Unix-domain or TCP sockets) carry serve-protocol frames,
-// and every admitted session is queued into a COALESCING WINDOW keyed by
-// (table directory, table generation, scan-shaping options fingerprint
-// -- ScanOptionsFingerprint, which leaves out min_support and
-// min_confidence). Sessions that arrive within the window against the
-// same key -- typically many tenants querying one published table, at
-// whatever thresholds -- are answered by ONE shared MiningEngine whose
-// single counting scan registers every session's channels up front, so N
-// concurrent sessions cost one physical scan instead of N. Thresholds act
-// only in the O(M) optimizers, so each session's answers are emitted at
-// its own thresholds from the shared counts. Engines persist across
-// windows in a small LRU keyed by the same triple; a republished table
-// (new manifest bytes = new generation) naturally misses the cache and
-// re-scans.
+// and every admitted session is keyed by (table directory, table
+// generation, scan-shaping options fingerprint -- ScanOptionsFingerprint,
+// which leaves out min_support and min_confidence). A session that needs
+// a counting scan is queued into that key's COALESCING WINDOW: sessions
+// that arrive within the window against the same key -- typically many
+// tenants querying one published table, at whatever thresholds -- are
+// answered by ONE shared MiningEngine whose single counting scan
+// registers every session's channels up front, so N concurrent sessions
+// cost one physical scan instead of N. Thresholds act only in the O(M)
+// optimizers, so each session's answers are emitted at its own thresholds
+// from the shared counts. Engines persist across windows in a small LRU
+// keyed by the same triple; a republished table (new manifest bytes = new
+// generation) naturally misses the cache and re-scans.
+//
+// A WARM session -- its key has a resident, prepared engine and none of
+// its queries would register a new channel (MiningEngine::WouldRegister*)
+// -- needs no scan, so it skips the window: the warm sessions of a key
+// form a batch that is due at once, apart from any window a cold session
+// of the same key has open. Every batch, warm or cold, executes the same
+// way (register, prepare, answer), so the answers do not depend on the
+// path.
 //
 // Threading model:
 //   * accept thread  -- polls the listen socket, admits connections.
 //   * handler thread -- one per connection, the connection's ONLY reader:
-//     decodes frames, answers pings and metrics requests inline,
-//     enqueues sessions.
-//   * scheduler thread -- the only owner of batches and engines: flushes
-//     due windows, runs the shared sessions, writes result frames.
+//     decodes frames, answers pings and metrics requests inline, queues
+//     admitted sessions as arrivals.
+//   * scheduler thread -- the only owner of batches and engines: files
+//     each arrival as warm or cold against the resident engines, executes
+//     due batches, writes result frames.
 // Replies and inline answers target the same socket from different
 // threads, so every write goes through the connection's dist::FrameWriter
 // (the per-connection write mutex); frames never interleave.
@@ -48,6 +57,7 @@
 #ifndef OPTRULES_SERVE_SERVER_H_
 #define OPTRULES_SERVE_SERVER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -74,10 +84,12 @@ struct ServerOptions {
   /// Concurrent client connections; excess connects are refused with an
   /// error frame and closed.
   int max_connections = 64;
-  /// The coalescing window: a session waits this long after the FIRST
-  /// arrival of its (table, generation, scan options) key before the batch
-  /// executes, collecting same-key sessions into one shared scan. 0
-  /// executes every session immediately (coalescing off).
+  /// The coalescing window of sessions that need a counting scan: such a
+  /// session waits this long after the FIRST such arrival of its (table,
+  /// generation, scan options) key before the batch executes, collecting
+  /// same-key sessions into one shared scan. 0 executes every session
+  /// immediately (coalescing off). Sessions a resident engine answers
+  /// without a scan never wait for it.
   int64_t coalescing_window_ms = 25;
   /// Deadline applied to sessions that do not carry their own.
   int64_t default_deadline_ms = 60'000;
@@ -134,18 +146,27 @@ class MiningServer {
     uint64_t scan_options_fingerprint = 0;
     friend auto operator<=>(const EngineKey&, const EngineKey&) = default;
   };
-  /// One admitted session waiting in its coalescing window.
+  using Clock = std::chrono::steady_clock;
+  /// One admitted session waiting for its batch.
   struct PendingSession {
+    EngineKey key;
     std::shared_ptr<Connection> conn;
     uint32_t session_id = 0;
     SessionRequest request;
-    int64_t enqueue_ms = 0;   ///< steady-clock admission time
-    int64_t deadline_ms = 0;  ///< effective (defaulted) queue deadline
+    Clock::time_point enqueued;  ///< admission time
+    int64_t deadline_ms = 0;     ///< effective (defaulted) queue deadline
   };
-  /// The sessions of one (key, window): executes as one shared engine
-  /// session when `due_ms` passes.
+  /// A key's warm batch (no scan needed, due at once) is kept apart from
+  /// its cold coalescing window.
+  struct BatchKey {
+    EngineKey engine;
+    bool warm = false;
+    friend auto operator<=>(const BatchKey&, const BatchKey&) = default;
+  };
+  /// The sessions of one batch: executes as one shared engine session when
+  /// `due` passes.
   struct Batch {
-    int64_t due_ms = 0;
+    Clock::time_point due;
     std::vector<PendingSession> sessions;
   };
 
@@ -155,6 +176,12 @@ class MiningServer {
   void HandleOpenSession(const std::shared_ptr<Connection>& conn,
                          std::span<const uint8_t> payload);
   void SchedulerLoop();
+  /// Whether a resident, prepared engine answers `session` without a
+  /// counting scan. Scheduler thread only.
+  bool IsWarm(const PendingSession& session) const;
+  /// Moves arrivals_ into their warm batch or cold window. Scheduler
+  /// thread, under mu_.
+  void FileArrivals();
   /// Runs one due batch: get-or-build the engine, register every
   /// session's channels, scan once, answer each session.
   void ExecuteBatch(const EngineKey& key, Batch batch);
@@ -187,15 +214,18 @@ class MiningServer {
   bool started_ = false;
   bool stopping_ = false;
   bool stopped_ = false;
-  /// Steady-clock instant past which a draining scheduler fails the
-  /// remaining queued sessions instead of executing them.
-  int64_t stop_deadline_ms_ = 0;
+  /// Instant past which a draining scheduler fails the remaining queued
+  /// sessions instead of executing them.
+  Clock::time_point stop_deadline_;
   /// Open connections, for shutdown() fan-out on Stop.
   std::vector<std::shared_ptr<Connection>> connections_;
   /// Detached handler threads still running (each holds a Connection).
   int active_handlers_ = 0;
-  /// Pending batches by key; a batch executes when its window expires.
-  std::map<EngineKey, Batch> batches_;
+  /// Admitted sessions the scheduler has not yet filed into a batch.
+  std::vector<PendingSession> arrivals_;
+  /// Filed batches; each executes when its due time passes.
+  std::map<BatchKey, Batch> batches_;
+  /// Admitted and not yet answered: arrivals plus batched sessions.
   int pending_sessions_ = 0;
 
   /// Engines are touched ONLY by the scheduler thread (and Stop after the

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -745,6 +746,10 @@ TEST(MiningServerTest, QueueDeadlineFailsSessionBeforeScan) {
   EXPECT_EQ(ServeDelta(before, "physical_scans"), 0);
   EXPECT_EQ(ServeDelta(before, "rejected_queue_deadline"), 1);
   EXPECT_EQ(ServeDelta(before, "sessions_failed"), 1);
+
+  // The largest deadline a client can send is never reached.
+  request.deadline_ms = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(client.RunSession(request).ok());
   server.Stop();
 }
 
@@ -1155,8 +1160,23 @@ TEST(MiningServerTest, TcpListenerServesSessions) {
   ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
   MiningClient client = std::move(client_or).value();
   client.set_timeouts({.liveness_ms = 0, .total_ms = 60'000});
-  auto reply = client.RunSession(PairRequest(table_dir, table.schema()));
+  const SessionRequest request = PairRequest(table_dir, table.schema());
+  auto reply = client.RunSession(request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+
+  // Warm sessions over TCP cost what they cost over a Unix socket: a frame
+  // leaves in one segment, never held for the peer's delayed ACK (which
+  // used to add tens of milliseconds to every session).
+  std::vector<double> latencies_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto begin = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.RunSession(request).ok());
+    latencies_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count());
+  }
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  EXPECT_LT(latencies_ms[latencies_ms.size() / 2], 20.0);
   server.Stop();
 }
 
@@ -1233,6 +1253,12 @@ void ExpectEqualsStandaloneEngine(const dist::PartitionedTable& table,
                                .value();
         break;
       case ServeQuery::Kind::kRegion:
+        if (query.nx > 0 && query.ny > 0) {
+          ASSERT_TRUE(engine
+                          .RequestRegionPair(query.attr_a, query.attr_b,
+                                             query.nx, query.ny)
+                          .ok());
+        }
         answer.region = engine
                             .MineOptimizedRegion(query.attr_a, query.attr_b,
                                                  query.target)
@@ -1424,6 +1450,228 @@ TEST(MiningServerTest, BadAggregateThresholdFailsOnlyItsQuery) {
 
   // And the daemon is still up for the next session.
   EXPECT_TRUE(client.RunSession(PairRequest(table_dir, schema)).ok());
+  server.Stop();
+}
+
+// ------------------------------------------------------ warm sessions ----
+
+/// Wall time of one RunSession call, in milliseconds; the reply lands in
+/// `*reply`.
+double TimedSession(MiningClient& client, const SessionRequest& request,
+                    Result<SessionReply>* reply) {
+  const auto begin = std::chrono::steady_clock::now();
+  *reply = client.RunSession(request);
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - begin)
+      .count();
+}
+
+ServeQuery GeneralizedQuery(const storage::Schema& schema,
+                            std::vector<std::string> conditions,
+                            std::string objective) {
+  ServeQuery query;
+  query.kind = ServeQuery::Kind::kGeneralized;
+  query.attr_a = schema.NumericName(1);
+  query.conditions = std::move(conditions);
+  query.attr_b = std::move(objective);
+  return query;
+}
+
+// A session the resident engine answers from channels it already counts
+// skips the coalescing window; only a session that needs a scan waits.
+TEST(MiningServerTest, WarmSessionSkipsTheWindow) {
+  const std::string root = TempDir("serve_warm");
+  const std::string table_dir = root + "/table";
+  dist::PartitionOptions partitioning;
+  partitioning.num_partitions = 3;
+  const dist::PartitionedTable table =
+      dist::PartitionRelation(TestRelation(900, 83, 3, 3), table_dir,
+                              partitioning)
+          .value();
+  const storage::Schema& schema = table.schema();
+
+  constexpr int64_t kWindowMs = 300;
+  ServerOptions options;
+  options.coalescing_window_ms = kWindowMs;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+  MiningClient client = Connect(server);
+
+  // The cold session registers a two-attribute condition, an aggregate
+  // target, a square and a rectangular region pair -- and waits out the
+  // window, since nothing is resident yet.
+  ServeQuery average;
+  average.kind = ServeQuery::Kind::kAverageRange;
+  average.attr_a = schema.NumericName(0);
+  average.attr_b = schema.NumericName(2);
+  average.threshold = 0.1;
+  ServeQuery region;
+  region.kind = ServeQuery::Kind::kRegion;
+  region.attr_a = schema.NumericName(0);
+  region.attr_b = schema.NumericName(1);
+  region.target = schema.BooleanName(0);
+  ServeQuery rectangle = region;
+  rectangle.attr_b = schema.NumericName(2);
+  rectangle.nx = 4;
+  rectangle.ny = 6;
+  SessionRequest cold = PairRequest(table_dir, schema);
+  cold.queries.push_back(GeneralizedQuery(
+      schema, {schema.BooleanName(0), schema.BooleanName(1)},
+      schema.BooleanName(2)));
+  cold.queries.insert(cold.queries.end(), {average, region, rectangle});
+  Result<SessionReply> reply = Status::Internal("unset");
+  EXPECT_GE(TimedSession(client, cold, &reply), kWindowMs);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ExpectEqualsStandaloneEngine(table, cold, reply.value());
+
+  // Warm: each only reads channels the engine counts. The condition is
+  // respelled (permuted, duplicated) -- it compares in canonical form --
+  // and a mistyped attribute fails its query without needing a scan.
+  const obs::MetricsSnapshot before = Registry();
+  std::vector<SessionRequest> warm;
+  warm.push_back(PairRequest(table_dir, schema));
+  warm.push_back(PairRequest(table_dir, schema));
+  warm.back().queries[0].kind = ServeQuery::Kind::kAllPairs;
+  warm.push_back(PairRequest(table_dir, schema));
+  warm.back().queries = {GeneralizedQuery(
+      schema,
+      {schema.BooleanName(1), schema.BooleanName(0), schema.BooleanName(1)},
+      schema.BooleanName(2))};
+  warm.push_back(PairRequest(table_dir, schema));
+  warm.back().queries = {average};
+  warm.back().queries[0].kind = ServeQuery::Kind::kSupportRange;
+  warm.back().queries[0].threshold = 4e5;
+  warm.push_back(PairRequest(table_dir, schema));
+  warm.back().queries = {region, rectangle};
+  warm.back().options.min_support = 0.2;  // thresholds are not in the key
+  for (const SessionRequest& request : warm) {
+    EXPECT_LT(TimedSession(client, request, &reply), kWindowMs / 2.0)
+        << "query kind " << static_cast<int>(request.queries[0].kind);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    for (const QueryAnswer& answer : reply.value().answers) {
+      EXPECT_TRUE(answer.status.ok()) << answer.status.ToString();
+    }
+    ExpectEqualsStandaloneEngine(table, request, reply.value());
+  }
+  SessionRequest mistyped = PairRequest(table_dir, schema);
+  mistyped.queries = {GeneralizedQuery(schema, {schema.NumericName(0)},
+                                       schema.BooleanName(2))};
+  EXPECT_LT(TimedSession(client, mistyped, &reply), kWindowMs / 2.0);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply.value().answers[0].status.ok());
+
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 0);
+  EXPECT_EQ(ServeDelta(before, "engine_cache_misses"), 0);
+  EXPECT_EQ(ServeDelta(before, "sessions_served"),
+            static_cast<int64_t>(warm.size()) + 1);
+
+  // A registered pair at a new grid shape is a new channel: cold again.
+  SessionRequest reshaped = PairRequest(table_dir, schema);
+  reshaped.queries = {rectangle};
+  reshaped.queries[0].nx = 6;
+  reshaped.queries[0].ny = 4;
+  EXPECT_GE(TimedSession(client, reshaped, &reply), kWindowMs);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().answers[0].status.ok());
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
+  server.Stop();
+}
+
+// Sessions that need a channel the resident engine lacks still coalesce:
+// they share one window and one supplemental scan, while a warm session
+// sent during that window is answered before it closes.
+TEST(MiningServerTest, NewChannelsStillShareOneWindowScan) {
+  const std::string root = TempDir("serve_warm_window");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 900, 89);
+  const storage::Schema& schema = table.schema();
+
+  constexpr int64_t kWindowMs = 500;
+  ServerOptions options;
+  options.coalescing_window_ms = kWindowMs;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    MiningClient client = Connect(server);
+    ASSERT_TRUE(client.RunSession(PairRequest(table_dir, schema)).ok());
+  }
+
+  const obs::MetricsSnapshot before = Registry();
+  SessionRequest needs_condition = PairRequest(table_dir, schema);
+  needs_condition.queries.push_back(GeneralizedQuery(
+      schema, {schema.BooleanName(1)}, schema.BooleanName(0)));
+  std::atomic<int> cold_done{0};
+  std::vector<Result<SessionReply>> cold_replies(2,
+                                                 Status::Internal("unset"));
+  std::vector<std::thread> tenants;
+  for (size_t i = 0; i < cold_replies.size(); ++i) {
+    tenants.emplace_back([&, i] {
+      MiningClient client = Connect(server);
+      cold_replies[i] = client.RunSession(needs_condition);
+      cold_done.fetch_add(1);
+    });
+  }
+  for (int i = 0; i < 500 && ServeDelta(before, "sessions_admitted") < 2;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(ServeDelta(before, "sessions_admitted"), 2);
+
+  MiningClient warm_client = Connect(server);
+  const SessionRequest warm = PairRequest(table_dir, schema);
+  Result<SessionReply> warm_reply = Status::Internal("unset");
+  EXPECT_LT(TimedSession(warm_client, warm, &warm_reply), kWindowMs / 2.0);
+  EXPECT_EQ(cold_done.load(), 0) << "the warm session waited for the window";
+  ASSERT_TRUE(warm_reply.ok()) << warm_reply.status().ToString();
+  ExpectEqualsStandaloneEngine(table, warm, warm_reply.value());
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 0);
+
+  for (std::thread& tenant : tenants) tenant.join();
+  for (const Result<SessionReply>& reply : cold_replies) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ExpectEqualsStandaloneEngine(table, needs_condition, reply.value());
+  }
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
+  EXPECT_EQ(ServeDelta(before, "batches_executed"), 2);
+  EXPECT_EQ(ServeDelta(before, "engine_cache_misses"), 0);
+  server.Stop();
+}
+
+// An engine evicted from the cache is gone: the next session for its
+// table needs a scan again, so it waits its window and rebuilds.
+TEST(MiningServerTest, EvictedKeyIsColdAgain) {
+  const std::string root = TempDir("serve_evicted");
+  const dist::PartitionedTable table_a = MakeTable(root + "/a", 600, 97);
+  const dist::PartitionedTable table_b = MakeTable(root + "/b", 700, 98);
+
+  constexpr int64_t kWindowMs = 300;
+  ServerOptions options;
+  options.coalescing_window_ms = kWindowMs;
+  options.max_cached_engines = 1;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+  MiningClient client = Connect(server);
+
+  const SessionRequest request_a = PairRequest(root + "/a", table_a.schema());
+  const SessionRequest request_b = PairRequest(root + "/b", table_b.schema());
+  Result<SessionReply> reply = Status::Internal("unset");
+  EXPECT_GE(TimedSession(client, request_a, &reply), kWindowMs);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_LT(TimedSession(client, request_a, &reply), kWindowMs / 2.0);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_GE(TimedSession(client, request_b, &reply), kWindowMs);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+
+  // b's engine evicted a's: a is cold again.
+  const obs::MetricsSnapshot before = Registry();
+  EXPECT_GE(TimedSession(client, request_a, &reply), kWindowMs);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ExpectEqualsStandaloneEngine(table_a, request_a, reply.value());
+  EXPECT_EQ(ServeDelta(before, "engine_cache_misses"), 1);
+  EXPECT_EQ(ServeDelta(before, "physical_scans"), 1);
   server.Stop();
 }
 

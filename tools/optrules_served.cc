@@ -3,8 +3,10 @@
 // Listens on a Unix-domain socket (--socket=<path>) or a loopback TCP
 // port (--port=<n>, 0 = ephemeral) and serves the serve-layer protocol:
 // clients open mining sessions against partitioned tables on this
-// machine, and sessions arriving within the coalescing window against
-// the same table generation + options share ONE counting scan. Prints
+// machine, and sessions that need a counting scan and arrive within the
+// coalescing window against the same table generation + options share
+// ONE counting scan. A session the resident engine answers from channels
+// it already counts skips the window and runs at once. Prints
 //   LISTENING <address>
 // once the socket is bound (what tests and the load harness parse), then
 // runs until SIGTERM or SIGINT, which triggers the graceful path: stop
@@ -88,7 +90,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: optrules_served (--socket=<path> | --port=<n>) "
-                   "[--window-ms=N] [--max-sessions=N] "
+                   "[--window-ms=N (coalescing window of sessions that "
+                   "need a scan; 0 = off)] [--max-sessions=N] "
                    "[--max-connections=N] [--drain-ms=N] "
                    "[--max-engines=N] [--metrics-dump-on=usr1|none]\n");
       return 2;
